@@ -1,6 +1,6 @@
 # Convenience targets for the repro repository.
 
-.PHONY: install test test-all bench chaos columnar-parity trace serve-smoke chaos-serve fleet-smoke dist-smoke report examples ci lint lint-repro typecheck clean
+.PHONY: install test test-all bench chaos trace serve-smoke chaos-serve fleet-smoke dist-smoke report examples ci lint lint-repro typecheck clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -17,13 +17,6 @@ bench:
 # Chaos hardening: engine fault injection + campaign-runner resilience.
 chaos:
 	PYTHONPATH=src python -m pytest tests/test_faults_chaos.py tests/test_runner_resilience.py -q
-
-# Bit-identical parity gate with the columnar backend forced on: every
-# Network.run in the parity + chaos suites dispatches to
-# repro.local.columnar, so drops/crashes/budgets and Tracer sampling are
-# exercised through the bucketed delivery path.
-columnar-parity:
-	REPRO_FORCE_COLUMNAR=1 PYTHONPATH=src python -m pytest tests/test_engine_parity.py tests/test_faults_chaos.py -q
 
 # Observability smoke: trace a small instance, validate the JSON
 # telemetry against the checked-in schema + consistency invariants.
@@ -59,7 +52,6 @@ dist-smoke:
 # Mirrors .github/workflows/ci.yml: tier-1 suite + smokes + lint.
 ci:
 	PYTHONPATH=src python -m pytest -x -q
-	$(MAKE) columnar-parity
 	$(MAKE) trace
 	$(MAKE) serve-smoke
 	$(MAKE) chaos-serve

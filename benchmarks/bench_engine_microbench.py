@@ -1,22 +1,19 @@
-"""Engine microbenchmark: simulator rounds/sec across the three engines.
+"""Engine microbenchmark: simulator rounds/sec, fast engine vs seed engine.
 
 The hot-path overhaul (preallocated inbox buffers, int scheduling queue,
-lazy broadcast expansion, zero-cost bandwidth accounting) and the
-columnar backend (:mod:`repro.local.columnar` — numpy struct-of-arrays
-delivery with lazy inbox views) are only worth their complexity if they
-show up as throughput.  This benchmark runs the same workloads on the
-rewritten fast engine, the columnar engine, and the frozen seed engine
-(:mod:`repro.local.legacy`) and records simulated rounds per wall-second
-for all three.
+lazy broadcast expansion, zero-cost bandwidth accounting) is only worth
+its complexity if it shows up as throughput.  This benchmark runs the
+same workloads on ``Network.run`` and on the frozen seed engine (the
+parity oracle in ``tests/legacy_engine.py``) and records simulated
+rounds per wall-second for both.
 
 Two kinds of cases, all over the E2 Theorem 2 sweep graphs
 (``hard_workload`` at the ``SCALING_CLIQUES`` sizes):
 
 * ``storm-*`` / ``flood-*`` — engine-bound kernels where every node is
   active every round, measuring the per-message/per-round machinery in
-  isolation.  The storm kernels are where the columnar >= 3x-over-fast
-  target applies; flood (every inbox is read and reduced) is recorded
-  for context.
+  isolation; flood (every inbox is read and reduced) is recorded for
+  context.
 * ``pipeline-*`` — the full randomized Theorem 2 run, where the engine
   shares the wall clock with ACD, classification, and central helpers;
   recorded for context (its speedup is necessarily smaller).
@@ -25,7 +22,7 @@ Timing is GC-neutral: each repetition runs with the collector disabled
 (after a full collect), the same policy ``timeit`` applies, so the
 numbers compare engine code instead of allocator back-pressure from
 whatever ran earlier in the process.  The policy applies identically to
-all three engines.
+both engines.
 
 Artifact: ``benchmarks/artifacts/engine_microbench.json``.
 """
@@ -46,13 +43,8 @@ from repro.bench import (
     workload_acd,
 )
 from repro.core import delta_color_randomized
-from repro.local import (
-    DistributedAlgorithm,
-    columnar_available,
-    force_columnar_engine,
-    force_legacy_engine,
-    run_legacy,
-)
+from repro.local import DistributedAlgorithm
+from tests.legacy_engine import force_legacy_engine, run_legacy
 
 #: Full-activity rounds for the broadcast-storm kernel.
 STORM_ROUNDS = 12
@@ -61,10 +53,6 @@ STORM_ROUNDS = 12
 REPEATS = 3
 
 _ROWS: list[dict] = []
-
-requires_numpy = pytest.mark.skipif(
-    not columnar_available(), reason="columnar engine needs numpy"
-)
 
 
 class BroadcastStorm(DistributedAlgorithm):
@@ -125,8 +113,7 @@ def _best_time(func) -> tuple[float, object]:
 
 
 def _record(label: str, kind: str, benchmark, fast_seconds: float,
-            legacy_seconds: float, rounds: int, messages: int,
-            columnar_seconds: float | None = None) -> dict:
+            legacy_seconds: float, rounds: int, messages: int) -> dict:
     row = {
         "label": label,
         "kind": kind,
@@ -140,17 +127,12 @@ def _record(label: str, kind: str, benchmark, fast_seconds: float,
         # artifact compatibility with earlier reports).
         "speedup": round(legacy_seconds / fast_seconds, 3),
     }
-    if columnar_seconds is not None:
-        row["columnar_seconds"] = round(columnar_seconds, 6)
-        row["columnar_rounds_per_sec"] = round(rounds / columnar_seconds, 2)
-        row["columnar_speedup"] = round(fast_seconds / columnar_seconds, 3)
     if benchmark is not None:
         benchmark.extra_info.update(row)
     _ROWS.append(row)
     return row
 
 
-@requires_numpy
 @pytest.mark.parametrize("num_cliques", SCALING_CLIQUES)
 def test_engine_kernel_storm(benchmark, once, num_cliques):
     network = hard_workload(num_cliques).network
@@ -161,46 +143,26 @@ def test_engine_kernel_storm(benchmark, once, num_cliques):
     legacy_seconds, legacy_result = _best_time(
         lambda: run_legacy(network, BroadcastStorm(STORM_ROUNDS))
     )
-
-    def columnar_run():
-        with force_columnar_engine():
-            return network.run(BroadcastStorm(STORM_ROUNDS))
-
-    columnar_seconds, columnar_result = _best_time(columnar_run)
-    for other in (legacy_result, columnar_result):
-        assert (other.rounds, other.messages) == (
-            result.rounds, result.messages
-        )
+    assert (legacy_result.rounds, legacy_result.messages) == (
+        result.rounds, result.messages
+    )
     once(benchmark, network.run, BroadcastStorm(STORM_ROUNDS))
     row = _record(f"storm t={num_cliques}", "kernel", benchmark,
                   fast_seconds, legacy_seconds,
-                  result.rounds, result.messages,
-                  columnar_seconds=columnar_seconds)
+                  result.rounds, result.messages)
     # The fast-engine overhaul's target: >= 3x over the seed engine.
     assert row["speedup"] >= 2.0, row
-    # The columnar backend's target: >= 3x over the fast engine on the
-    # largest storm (2x here as the in-test safety margin against CI
-    # noise; the committed artifact carries the honest numbers).
-    assert row["columnar_speedup"] >= 2.0, row
 
 
-@requires_numpy
 def test_engine_kernel_flood(benchmark, once):
     network = hard_workload(SCALING_CLIQUES[1]).network
     fast_seconds, result = _best_time(lambda: network.run(Flood()))
     legacy_seconds, _ = _best_time(lambda: run_legacy(network, Flood()))
-
-    def columnar_run():
-        with force_columnar_engine():
-            return network.run(Flood())
-
-    columnar_seconds, _ = _best_time(columnar_run)
     once(benchmark, network.run, Flood())
-    # Recorded for context, no columnar assert: flood consumes every
-    # inbox, so the lazy-view payoff does not apply.
+    # Recorded for context: flood is bursty, so per-round overheads
+    # dominate less than in the storm kernels.
     _record(f"flood t={SCALING_CLIQUES[1]}", "kernel", benchmark,
-            fast_seconds, legacy_seconds, result.rounds, result.messages,
-            columnar_seconds=columnar_seconds)
+            fast_seconds, legacy_seconds, result.rounds, result.messages)
 
 
 def test_observability_overhead(benchmark, once):
@@ -255,7 +217,6 @@ def test_observability_overhead(benchmark, once):
     assert overhead < 0.03, row
 
 
-@requires_numpy
 @pytest.mark.parametrize("num_cliques", SCALING_CLIQUES)
 def test_pipeline_context(benchmark, once, num_cliques):
     """Full Theorem 2 run: engine + central phases (context numbers)."""
@@ -272,21 +233,14 @@ def test_pipeline_context(benchmark, once, num_cliques):
         with force_legacy_engine():
             return fast_run()
 
-    def columnar_run():
-        with force_columnar_engine():
-            return fast_run()
-
     fast_seconds, result = _best_time(fast_run)
     legacy_seconds, legacy_result = _best_time(legacy_run)
-    columnar_seconds, columnar_result = _best_time(columnar_run)
     # Engines are bit-identical.
     assert legacy_result.colors == result.colors
-    assert columnar_result.colors == result.colors
     once(benchmark, fast_run)
     row = _record(f"pipeline t={num_cliques}", "pipeline", benchmark,
                   fast_seconds, legacy_seconds,
-                  result.rounds, result.messages,
-                  columnar_seconds=columnar_seconds)
+                  result.rounds, result.messages)
     assert row["speedup"] >= 1.1, row
 
 
@@ -294,21 +248,14 @@ def teardown_module(module):
     if not _ROWS:
         return
 
-    def col(row, key):
-        value = row.get(key)
-        return value if value is not None else "-"
-
     print_table(
         ["case", "kind", "rounds", "fast rounds/s", "legacy rounds/s",
-         "columnar rounds/s", "fast/legacy", "columnar/fast"],
+         "fast/legacy"],
         [
             [r["label"], r["kind"], r["rounds"], r["fast_rounds_per_sec"],
-             r["legacy_rounds_per_sec"], col(r, "columnar_rounds_per_sec"),
-             f'{r["speedup"]:.2f}x',
-             (f'{r["columnar_speedup"]:.2f}x'
-              if "columnar_speedup" in r else "-")]
+             r["legacy_rounds_per_sec"], f'{r["speedup"]:.2f}x']
             for r in _ROWS
         ],
-        title="Engine microbench: fast / legacy / columnar",
+        title="Engine microbench: fast / legacy",
     )
     save_artifact("engine_microbench", _ROWS)

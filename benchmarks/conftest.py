@@ -12,7 +12,17 @@ quantity the paper's theorems are about — are attached as
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The seed-engine oracle lives in ``tests/legacy_engine.py``.  ``python -m
+# pytest`` already puts the working directory on sys.path; bare ``pytest``
+# only adds ``benchmarks/``, so put the repository root there too.
+_REPO_ROOT = str(Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 
 def run_once(benchmark, func, *args, **kwargs):

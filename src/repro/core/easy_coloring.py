@@ -79,7 +79,9 @@ def build_loophole_graph(
             bump = seen.get(uid, 0)
             seen[uid] = bump + 1
             uids[index] = uid + bump * space
-    return Network(adjacency, uids, name="G_L", validate=False)
+    # Symmetric by construction, so the structural re-check is skipped;
+    # send validation stays on like on every other derived network.
+    return Network(adjacency, uids, name="G_L", validate_structure=False)
 
 
 def color_easy_and_loopholes(

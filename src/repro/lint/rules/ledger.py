@@ -29,13 +29,6 @@ __all__ = ["DiscardedRunResult", "UnaccountedRun"]
 
 #: Call shapes that execute the engine.
 RUN_METHOD_NAMES = frozenset({"run"})
-RUN_FUNCTION_NAMES = frozenset({
-    "run_subnetwork",
-    "run_with_faults",
-    "run_legacy",
-    "run_columnar",
-    "run_with_faults_columnar",
-})
 
 #: Ledger methods that record cost.
 CHARGE_METHODS = frozenset({"charge", "charge_result", "merge"})
@@ -61,10 +54,6 @@ def _is_engine_run_call(node: ast.Call) -> bool:
         # `<expr>.run(algorithm)`: require at least one argument so that
         # zero-argument .run() calls of unrelated APIs don't trip this.
         return bool(node.args or node.keywords)
-    if isinstance(func, ast.Name) and func.id in RUN_FUNCTION_NAMES:
-        return True
-    if isinstance(func, ast.Attribute) and func.attr in RUN_FUNCTION_NAMES:
-        return True
     return False
 
 

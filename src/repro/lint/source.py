@@ -91,9 +91,6 @@ CONGEST_SCOPED_PACKAGES = (
 #: *produce* the RunResult the ledger rules account for).
 ENGINE_MODULES = (
     "local/network.py",
-    "local/legacy.py",
-    "local/faults.py",
-    "local/columnar.py",
 )
 
 

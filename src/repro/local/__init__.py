@@ -3,24 +3,16 @@
 This subpackage is the execution substrate for every algorithm in the
 repository: a message-passing engine with honest round accounting
 (:class:`Network`), per-node algorithm callbacks
-(:class:`DistributedAlgorithm`), virtual-graph adapters
-(:class:`VirtualNetwork`), radius-k gathering (:func:`gather_balls`), and
-phase ledgers (:class:`RoundLedger`).
+(:class:`DistributedAlgorithm`), seeded fault injection
+(:class:`FaultPlan`), virtual-graph adapters (:class:`VirtualNetwork`),
+radius-k gathering (:func:`gather_balls`), and phase ledgers
+(:class:`RoundLedger`).
 """
 
 from repro.local.algorithm import BROADCAST, Api, DistributedAlgorithm
-from repro.local.columnar import (
-    ENGINES,
-    columnar_available,
-    engine_scope,
-    force_columnar_engine,
-    run_columnar,
-    run_with_faults_columnar,
-)
-from repro.local.faults import FaultPlan, run_with_faults
+from repro.local.faults import FaultPlan
 from repro.local.gather import Ball, ball, ball_vertices, gather_balls
 from repro.local.ledger import LedgerEntry, RoundLedger
-from repro.local.legacy import force_legacy_engine, run_legacy
 from repro.local.network import DEFAULT_MAX_ROUNDS, Network, message_words
 from repro.local.node import Node
 from repro.local.result import RunResult
@@ -33,7 +25,6 @@ __all__ = [
     "Ball",
     "DEFAULT_MAX_ROUNDS",
     "DistributedAlgorithm",
-    "ENGINES",
     "FaultPlan",
     "LedgerEntry",
     "Network",
@@ -45,14 +36,6 @@ __all__ = [
     "VirtualNetwork",
     "ball",
     "ball_vertices",
-    "columnar_available",
-    "engine_scope",
-    "force_columnar_engine",
-    "force_legacy_engine",
     "gather_balls",
     "message_words",
-    "run_columnar",
-    "run_legacy",
-    "run_with_faults",
-    "run_with_faults_columnar",
 ]

@@ -42,23 +42,22 @@ Fault semantics
   "the system died at round B" — unlike ``max_rounds``, which treats
   overrun as an error and raises.
 
-The injected loop lives here, apart from the fault-free hot path in
-:mod:`repro.local.network`, so that `faults=None` runs execute exactly
-the code they always did (the parity and microbench suites hold that
-path bit-identical and regression-free).
+A plan is a hook on the one engine loop, :meth:`Network.run
+<repro.local.network.Network.run>`: it supplies the crash schedule
+(:meth:`FaultPlan.crash_rounds`), the seeded drop stream
+(:meth:`FaultPlan.drop_stream`) and the round budget, and the loop
+consults them at delivery, alarm and round-counter time.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Callable
 
-from repro.errors import RoundLimitExceeded, SimulationError
-from repro.local.algorithm import BROADCAST, Api
-from repro.local.result import RunResult
+from repro.errors import SimulationError
 
-__all__ = ["FaultPlan", "run_with_faults"]
+__all__ = ["FaultPlan"]
 
 #: Crash-round sentinel meaning "never crashes".
 _NEVER = float("inf")
@@ -124,219 +123,8 @@ class FaultPlan:
             rounds[node] = min(rounds[node], rnd)
         return rounds
 
-
-def run_with_faults(
-    network,
-    algorithm,
-    plan: FaultPlan,
-    *,
-    max_rounds: int,
-    measure_bandwidth: bool = False,
-    bandwidth_limit: int | None = None,
-    tracer=None,
-) -> RunResult:
-    """Execute ``algorithm`` on ``network`` under ``plan``.
-
-    Invoked through ``Network.run(..., faults=plan)``; mirrors the
-    fault-free engine loop with drop/crash/budget injection (see the
-    module docstring for the exact semantics).
-    """
-    import heapq
-
-    from repro.local.network import message_words
-
-    n = network.n
-    nodes = network.nodes
-    adjacency = network.adjacency
-    for node in nodes:
-        node.reset()
-
-    crash_round = plan.crash_rounds(n)
-    drop_p = plan.drop_probability
-    budget = plan.round_budget
-    drop_roll = random.Random(plan.seed).random if drop_p > 0.0 else None
-
-    api = Api(network)
-    outbox = api._outbox
-    api_alarms = api._alarms
-    alarms: list[tuple[int, int]] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    validate = network._validate_sends
-    neighbor_sets = network._neighbor_set_list() if validate else None
-    track = measure_bandwidth or bandwidth_limit is not None
-
-    inboxes: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
-    halted = bytearray(n)
-    halted_count = 0
-
-    messages_sent = 0
-    dropped = 0
-    max_words = 0
-    total_words = 0
-
-    def deliver(dst: int, pair: tuple[int, Any], next_round: int,
-                receivers: list[int]) -> int:
-        """One delivery attempt; returns the number of drops (0 or 1)."""
-        if halted[dst]:
-            # Same silent drop as the fault-free engine: a halted
-            # node's output is already fixed, the message is moot.
-            return 0
-        if crash_round[dst] <= next_round:
-            return 1
-        if drop_roll is not None and drop_roll() < drop_p:
-            return 1
-        box = inboxes[dst]
-        if not box:
-            receivers.append(dst)
-        box.append(pair)
-        return 0
-
-    def flush_outbox(rnd: int) -> list[int]:
-        """Deliver the outbox under the plan; return scheduled indices."""
-        nonlocal messages_sent, dropped, max_words, total_words
-        receivers: list[int] = []
-        next_round = rnd + 1
-        for dst, src, payload in outbox:
-            if dst == BROADCAST:
-                targets = adjacency[src]
-                copies = len(targets)
-                if not copies:
-                    continue
-                messages_sent += copies
-                if track:
-                    words = message_words(payload)
-                    total_words += words * copies
-                    if words > max_words:
-                        max_words = words
-                    if bandwidth_limit is not None and words > bandwidth_limit:
-                        raise SimulationError(
-                            f"{algorithm.name}: message of {words} words "
-                            f"from {src} exceeds the CONGEST limit of "
-                            f"{bandwidth_limit}"
-                        )
-                pair = (src, payload)
-                for nbr in targets:
-                    dropped += deliver(nbr, pair, next_round, receivers)
-            else:
-                if validate and dst not in neighbor_sets[src]:
-                    raise SimulationError(
-                        f"{algorithm.name}: node {src} sent to "
-                        f"non-neighbor {dst}"
-                    )
-                messages_sent += 1
-                if track:
-                    words = message_words(payload)
-                    total_words += words
-                    if words > max_words:
-                        max_words = words
-                    if bandwidth_limit is not None and words > bandwidth_limit:
-                        raise SimulationError(
-                            f"{algorithm.name}: message of {words} words "
-                            f"from {src} exceeds the CONGEST limit of "
-                            f"{bandwidth_limit}"
-                        )
-                dropped += deliver(dst, (src, payload), next_round, receivers)
-        outbox.clear()
-        for item in api_alarms:
-            heappush(alarms, item)
-        api_alarms.clear()
-        return receivers
-
-    # Round 0: initialization.  Dead-on-arrival nodes never start.
-    api.round = 0
-    for node in nodes:
-        if crash_round[node.index] <= 0:
-            continue
-        api._node = node
-        algorithm.on_start(node, api)
-        if node.halted:
-            halted[node.index] = 1
-            halted_count += 1
-    pending = flush_outbox(0)
-
-    rnd = 0
-    last_activity_round = 0
-    budget_exhausted = False
-    empty: tuple = ()
-    while pending or alarms:
-        if pending:
-            rnd += 1
-        else:
-            rnd = max(rnd + 1, alarms[0][0])
-        if budget is not None and rnd > budget:
-            budget_exhausted = True
-            last_activity_round = budget
-            break
-        if rnd > max_rounds:
-            raise RoundLimitExceeded(
-                f"{algorithm.name} exceeded {max_rounds} rounds on "
-                f"{network.name}"
-            )
-        due = pending
-        if alarms and alarms[0][0] <= rnd:
-            stamped: set[int] = set()
-            while alarms and alarms[0][0] <= rnd:
-                index = heappop(alarms)[1]
-                if halted[index] or index in stamped:
-                    continue
-                if crash_round[index] <= rnd:
-                    continue
-                stamped.add(index)
-                if not inboxes[index]:
-                    due.append(index)
-        if not due:
-            continue
-        due.sort()
-        api.round = rnd
-        scheduled = 0
-        # Tracer parity with the fault-free loop: ``delivered`` counts
-        # only messages a live node actually gets to process this round.
-        # A due node whose crash round has arrived is skipped below, so
-        # its inbox must not be counted (drops never enter inboxes and
-        # are excluded by construction, same as the fast path).
-        delivered = (
-            sum(
-                len(inboxes[index])
-                for index in due
-                if crash_round[index] > rnd
-            )
-            if tracer is not None
-            else 0
-        )
-        for index in due:
-            if halted[index] or crash_round[index] <= rnd:
-                continue
-            node = nodes[index]
-            api._node = node
-            box = inboxes[index]
-            if box:
-                inboxes[index] = []
-                algorithm.on_round(node, api, box)
-            else:
-                algorithm.on_round(node, api, empty)
-            scheduled += 1
-            if node.halted:
-                halted[index] = 1
-                halted_count += 1
-        if tracer is not None:
-            tracer.record(rnd, scheduled, delivered, halted_count)
-        pending = flush_outbox(rnd)
-        last_activity_round = rnd
-
-    crashed = sorted(
-        index
-        for index in range(n)
-        if crash_round[index] <= last_activity_round
-    )
-    return RunResult(
-        rounds=last_activity_round,
-        messages=messages_sent,
-        outputs=[node.output for node in nodes],
-        halted=[node.halted for node in nodes],
-        max_message_words=max_words,
-        total_message_words=total_words,
-        dropped_messages=dropped,
-        crashed_nodes=crashed,
-        budget_exhausted=budget_exhausted,
-    )
+    def drop_stream(self) -> Callable[[], float] | None:
+        """The seeded per-delivery drop roll (None when nothing drops)."""
+        if self.drop_probability == 0.0:
+            return None
+        return random.Random(self.seed).random

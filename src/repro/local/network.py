@@ -13,15 +13,15 @@ are preallocated once per run, the per-round schedule is a plain int list
 deduplicated in place, broadcasts expand lazily against the (immutable)
 adjacency so each one costs a single outbox record, and bandwidth
 accounting compiles down to a single branch on a local flag when it is
-off.  The pre-overhaul engine is preserved verbatim in
-:mod:`repro.local.legacy` so that parity suites and microbenchmarks can
-compare the two (see ``tests/test_engine_parity.py``).
+off.  This loop is the only message-delivery loop in the package: fault
+injection (:class:`~repro.local.faults.FaultPlan`) hooks into it rather
+than running a copy of it.  The pre-overhaul seed engine is kept under
+``tests/`` as the parity oracle (see ``tests/test_engine_parity.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Iterable, Sequence
 
 from repro.errors import RoundLimitExceeded, SimulationError
@@ -32,26 +32,6 @@ from repro.obs import _runtime as _obs
 
 #: Default safety cap on simulated rounds.
 DEFAULT_MAX_ROUNDS = 2_000_000
-
-#: When True, :meth:`Network.run` dispatches to the frozen seed engine in
-#: :mod:`repro.local.legacy`.  Toggled by
-#: :func:`repro.local.legacy.force_legacy_engine` so that entire pipelines
-#: (which call ``run`` internally) can be replayed on the old engine for
-#: parity checks and before/after benchmarks.
-_FORCE_LEGACY = False
-
-#: When True, :meth:`Network.run` dispatches to the numpy columnar engine
-#: in :mod:`repro.local.columnar` (bucketed array delivery instead of the
-#: per-message Python loop below).  Toggled per-scope by
-#: :func:`repro.local.columnar.force_columnar_engine` or process-wide via
-#: ``REPRO_FORCE_COLUMNAR=1`` (how CI replays the full parity suite on
-#: the columnar backend).  ``_FORCE_LEGACY`` wins when both are set —
-#: the legacy engine is the frozen reference and an explicit legacy
-#: request must never be upgraded.  When numpy is unavailable the flag
-#: is ignored and the fast path below runs; the columnar backend is an
-#: accelerator, never a requirement.
-_FORCE_COLUMNAR = os.environ.get("REPRO_FORCE_COLUMNAR", "") not in ("", "0")
-
 
 def message_words(payload) -> int:
     """Size of a message in machine words (CONGEST accounting).
@@ -117,8 +97,8 @@ class Network:
         ``validate_structure`` is False.  Adjacency is immutable after
         construction — it is frozen to a tuple of tuples, so mutation
         attempts raise ``TypeError`` — which lets the network cache
-        ``max_degree``, ``edges()``, the per-vertex neighbor sets, and
-        the columnar engine's array snapshot without staleness hazards.
+        ``max_degree``, ``edges()`` and the per-vertex neighbor sets
+        without staleness hazards.
     uids:
         Unique identifiers, one per vertex.  Defaults to the identity.
         Algorithms must break symmetry through these, never through the
@@ -134,10 +114,6 @@ class Network:
         network was built — derived networks keep it on, so algorithms
         running on induced or virtual graphs cannot silently cheat the
         LOCAL model.
-    validate:
-        Legacy combined switch.  When given, it overrides *both*
-        ``validate_structure`` and ``validate_sends``.  Kept for backward
-        compatibility; prefer the split flags.
     """
 
     def __init__(
@@ -146,18 +122,13 @@ class Network:
         uids: Sequence[int] | None = None,
         *,
         name: str = "network",
-        validate: bool | None = None,
         validate_structure: bool = True,
         validate_sends: bool = True,
     ):
-        if validate is not None:
-            validate_structure = validate
-            validate_sends = validate
         self.name = name
-        # Frozen to a tuple of tuples: every lazy cache below, plus the
-        # columnar engine's CSR snapshot, assumes post-construction
-        # immutability.  A mutation attempt now raises instead of
-        # silently serving stale degrees/edges/neighbor sets.
+        # Frozen to a tuple of tuples: every lazy cache below assumes
+        # post-construction immutability.  A mutation attempt now raises
+        # instead of silently serving stale degrees/edges/neighbor sets.
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(nbrs) for nbrs in adjacency
         )
@@ -325,91 +296,26 @@ class Network:
         message raises :class:`SimulationError`.
 
         ``faults`` injects a seeded :class:`~repro.local.faults.FaultPlan`
-        (message loss, crash-stop nodes, round budget); the fault-free
-        path below is untouched — a non-noop plan dispatches to the
-        injected loop in :mod:`repro.local.faults`, and the result then
-        additionally carries the fault accounting fields of
-        :class:`RunResult`.
+        (message loss, crash-stop nodes, round budget; semantics in
+        :mod:`repro.local.faults`).  A non-noop plan hooks into this loop
+        rather than replacing it: its crash schedule gates
+        initialization, alarms and delivery, its seeded drop stream is
+        rolled once per copy bound for a live node, and its budget caps
+        the round counter.  The result then also carries the fault
+        accounting fields of :class:`RunResult`.  Without a plan the hook
+        costs one flag test per broadcast and per unicast.
 
         When an observability collector is installed
-        (:func:`repro.obs.observed`), every execution — fast path,
-        fault-injected, or legacy — is reported to it, and a tracer is
-        created automatically when the collector samples rounds.  With
-        no collector installed (the default) this costs one module-global
-        ``is None`` check and the run is bit-identical to the
-        uninstrumented engine.
+        (:func:`repro.obs.observed`), every execution is reported to it,
+        and a tracer is created automatically when the collector samples
+        rounds.  With no collector installed (the default) this costs one
+        module-global ``is None`` check and the run is bit-identical to
+        the uninstrumented engine.
         """
         observer = _obs.ACTIVE
         own_tracer = None
         if observer is not None and tracer is None and observer.sample_rounds:
             tracer = own_tracer = observer.new_tracer()
-
-        def _observed(result: RunResult) -> RunResult:
-            if observer is not None:
-                observer.record_run(
-                    self.name,
-                    algorithm.name,
-                    result,
-                    own_tracer.samples if own_tracer is not None else None,
-                )
-            return result
-
-        if faults is not None and not faults.is_noop:
-            if _FORCE_LEGACY:
-                raise SimulationError(
-                    "the legacy engine does not support fault injection; "
-                    "run with faults=None under force_legacy_engine()"
-                )
-            if _FORCE_COLUMNAR:
-                from repro.local.columnar import (
-                    columnar_available,
-                    run_with_faults_columnar,
-                )
-
-                if columnar_available():
-                    return _observed(run_with_faults_columnar(
-                        self,
-                        algorithm,
-                        faults,
-                        max_rounds=max_rounds,
-                        measure_bandwidth=measure_bandwidth,
-                        bandwidth_limit=bandwidth_limit,
-                        tracer=tracer,
-                    ))
-            from repro.local.faults import run_with_faults
-
-            return _observed(run_with_faults(
-                self,
-                algorithm,
-                faults,
-                max_rounds=max_rounds,
-                measure_bandwidth=measure_bandwidth,
-                bandwidth_limit=bandwidth_limit,
-                tracer=tracer,
-            ))
-        if _FORCE_LEGACY:
-            from repro.local.legacy import run_legacy
-
-            return _observed(run_legacy(
-                self,
-                algorithm,
-                max_rounds=max_rounds,
-                measure_bandwidth=measure_bandwidth,
-                bandwidth_limit=bandwidth_limit,
-                tracer=tracer,
-            ))
-        if _FORCE_COLUMNAR:
-            from repro.local.columnar import columnar_available, run_columnar
-
-            if columnar_available():
-                return _observed(run_columnar(
-                    self,
-                    algorithm,
-                    max_rounds=max_rounds,
-                    measure_bandwidth=measure_bandwidth,
-                    bandwidth_limit=bandwidth_limit,
-                    tracer=tracer,
-                ))
 
         n = self.n
         nodes = self.nodes
@@ -438,7 +344,35 @@ class Network:
         max_words = 0
         total_words = 0
 
-        def flush_outbox() -> list[int]:
+        # Fault hook.  ``round_cap`` folds the plan's budget into the
+        # max_rounds check, so the fault-free loop pays nothing per round.
+        faulty = faults is not None and not faults.is_noop
+        round_cap = max_rounds
+        budget = None
+        dropped = 0
+        if faulty:
+            crash_round = faults.crash_rounds(n)
+            drop_p = faults.drop_probability
+            drop_roll = faults.drop_stream()
+            budget = faults.round_budget
+            if budget is not None:
+                round_cap = min(max_rounds, budget)
+
+            def lost(dst: int, next_round: int) -> bool:
+                """Crash gate, then drop roll, for one copy to a live node.
+
+                A crashed destination consumes no roll, so the seeded
+                stream is drawn in delivery order over live targets only.
+                """
+                nonlocal dropped
+                if crash_round[dst] <= next_round or (
+                    drop_roll is not None and drop_roll() < drop_p
+                ):
+                    dropped += 1
+                    return True
+                return False
+
+        def flush_outbox(next_round: int) -> list[int]:
             """Deliver the outbox; return the indices that got messages."""
             nonlocal messages_sent, max_words, total_words
             receivers: list[int] = []
@@ -466,6 +400,13 @@ class Network:
                                 f"{bandwidth_limit}"
                             )
                     pair = (src, payload)
+                    if faulty:
+                        # Filtered up front, in delivery order, so the
+                        # fault-free loop below pays nothing per copy.
+                        targets = [
+                            nbr for nbr in targets
+                            if halted[nbr] or not lost(nbr, next_round)
+                        ]
                     for nbr in targets:
                         # Messages to halted nodes can never influence any
                         # output, so they are dropped eagerly; this keeps
@@ -497,6 +438,8 @@ class Network:
                             )
                     if halted[dst]:
                         continue
+                    if faulty and lost(dst, next_round):
+                        continue
                     box = inboxes[dst]
                     if not box:
                         append_receiver(dst)
@@ -507,18 +450,21 @@ class Network:
             api_alarms.clear()
             return receivers
 
-        # Round 0: initialization.
+        # Round 0: initialization.  Dead-on-arrival nodes never start.
         api.round = 0
         for node in nodes:
+            if faulty and crash_round[node.index] <= 0:
+                continue
             api._node = node
             algorithm.on_start(node, api)
             if node.halted:
                 halted[node.index] = 1
                 halted_count += 1
-        pending = flush_outbox()
+        pending = flush_outbox(1)
 
         rnd = 0
         last_activity_round = 0
+        budget_exhausted = False
         empty: tuple = ()
         while pending or alarms:
             if pending:
@@ -526,16 +472,27 @@ class Network:
             else:
                 # Fast-forward to the next alarm; those quiet rounds elapse.
                 rnd = max(rnd + 1, alarms[0][0])
-            if rnd > max_rounds:
+            if rnd > round_cap:
+                if budget is not None and rnd > budget:
+                    # The plan's budget cuts the run off: report the
+                    # rounds survived, not an error.
+                    budget_exhausted = True
+                    last_activity_round = budget
+                    break
                 raise RoundLimitExceeded(
                     f"{algorithm.name} exceeded {max_rounds} rounds on {self.name}"
                 )
+            # Every node in ``pending`` is live this round: copies to a
+            # node crashing by now were lost at delivery, so only alarms
+            # need the crash gate.
             due = pending
             if alarms and alarms[0][0] <= rnd:
                 stamped: set[int] = set()
                 while alarms and alarms[0][0] <= rnd:
                     index = heappop(alarms)[1]
                     if halted[index] or index in stamped:
+                        continue
+                    if faulty and crash_round[index] <= rnd:
                         continue
                     stamped.add(index)
                     if not inboxes[index]:
@@ -567,14 +524,29 @@ class Network:
                     halted_count += 1
             if tracer is not None:
                 tracer.record(rnd, scheduled, delivered, halted_count)
-            pending = flush_outbox()
+            pending = flush_outbox(rnd + 1)
             last_activity_round = rnd
 
-        return _observed(RunResult(
+        result = RunResult(
             rounds=last_activity_round,
             messages=messages_sent,
             outputs=[node.output for node in nodes],
             halted=[node.halted for node in nodes],
             max_message_words=max_words,
             total_message_words=total_words,
-        ))
+            dropped_messages=dropped,
+            crashed_nodes=[
+                index
+                for index in range(n)
+                if crash_round[index] <= last_activity_round
+            ] if faulty else [],
+            budget_exhausted=budget_exhausted,
+        )
+        if observer is not None:
+            observer.record_run(
+                self.name,
+                algorithm.name,
+                result,
+                own_tracer.samples if own_tracer is not None else None,
+            )
+        return result

@@ -17,7 +17,9 @@ class RunResult:
         that were fast-forwarded over (a LOCAL algorithm idling until an
         alarm still spends those rounds).
     messages:
-        Total number of point-to-point messages delivered.
+        Total number of point-to-point messages *sent* (each copy of a
+        broadcast counts once), including copies silently discarded at
+        halted nodes and copies lost to fault injection.
     outputs:
         Per-node outputs indexed by node index, as published via
         ``api.output(value)``; ``None`` for nodes that never published.

@@ -95,9 +95,6 @@ _GRID_FIELDS = (
     "epsilon",
     "method",
     "seed",
-    # Appended last so pre-existing specs keep their labels and derived
-    # seeds byte-identical.
-    "engine",
 )
 
 class CellTimeout(ReproError):
@@ -124,11 +121,6 @@ class CampaignCell:
     ``options`` holds extra keyword arguments for the coloring entry
     point (e.g. ``activation_probability``) as a tuple of ``(key, value)``
     pairs so the cell stays hashable and picklable.
-
-    ``engine`` selects the simulator backend for the cell's run
-    (``"fast"``/``None``, ``"legacy"``, or ``"columnar"``).  The parity
-    gate guarantees identical rows for every engine, so the field never
-    changes results — only how fast the cell executes.
     """
 
     label: str
@@ -143,8 +135,6 @@ class CampaignCell:
     options: tuple[tuple[str, Any], ...] = ()
     #: Attach a deterministic ``repro.obs`` telemetry summary to the row.
     telemetry: bool = False
-    #: Simulator backend for this cell; see :data:`repro.local.ENGINES`.
-    engine: str | None = None
 
     def option_dict(self) -> dict[str, Any]:
         return dict(self.options)
@@ -234,7 +224,6 @@ def _execute_cell(
     from repro.core.deterministic import delta_color_deterministic
     from repro.core.randomized import delta_color_randomized
     from repro.core.sparse import delta_color_general
-    from repro.local.columnar import engine_scope
     from repro.obs import Collector, observed, telemetry_summary
 
     params = bench_params(cell.epsilon)
@@ -249,7 +238,7 @@ def _execute_cell(
     context = (
         observed(collector) if collector is not None else nullcontext()
     )
-    with context, engine_scope(cell.engine):
+    with context:
         if cell.method == "randomized":
             result = delta_color_randomized(
                 network, params=params, acd=acd_for(cell.epsilon),
@@ -868,7 +857,7 @@ def cell_from_json(data: dict[str, Any]) -> CampaignCell:
         raise ReproError("cell 'label' must be a non-empty string")
     known = {
         "workload", "num_cliques", "delta", "easy_fraction", "graph_seed",
-        "epsilon", "method", "seed", "telemetry", "engine",
+        "epsilon", "method", "seed", "telemetry",
     }
     unknown = set(fields) - known
     if unknown:

@@ -53,7 +53,6 @@ from typing import Any
 
 from repro.errors import ReproError
 from repro.graphs.instance import canonical_instance_hash
-from repro.local.columnar import ENGINES
 
 __all__ = [
     "CELL_METHODS",
@@ -215,17 +214,11 @@ def parse_color_request(data: dict[str, Any]) -> ColorRequest:
             "bad_request", "give 'instance' or 'instance_hash', not both"
         )
     options = _require(data, "options", dict, None) or {}
-    allowed_options = {"verify", "validate_input", "activation_probability", "engine"}
+    allowed_options = {"verify", "validate_input", "activation_probability"}
     unknown = set(options) - allowed_options
     if unknown:
         raise ProtocolError(
             "bad_request", f"unknown options: {sorted(unknown)}"
-        )
-    engine = options.get("engine")
-    if engine is not None and engine not in ENGINES:
-        raise ProtocolError(
-            "bad_request",
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}",
         )
     return ColorRequest(
         id=data.get("id"),
@@ -254,7 +247,6 @@ class CellRequest:
 _CELL_FIELDS = (
     "label", "workload", "num_cliques", "delta", "easy_fraction",
     "graph_seed", "epsilon", "method", "seed", "options", "telemetry",
-    "engine",
 )
 
 
@@ -310,12 +302,6 @@ def parse_cell_request(data: dict[str, Any]) -> CellRequest:
     if unknown:
         raise ProtocolError(
             "bad_request", f"unknown cell options: {sorted(unknown)}"
-        )
-    engine = _require(cell, "engine", str, None)
-    if engine is not None and engine not in ENGINES:
-        raise ProtocolError(
-            "bad_request",
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}",
         )
     return CellRequest(
         id=data.get("id"), cell=cell, instance_hash=instance_hash

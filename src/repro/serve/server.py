@@ -95,21 +95,6 @@ def _run_spec(
     acd_for: Callable[[float], Any],
     validated: Callable[[], None],
 ) -> dict[str, Any]:
-    from repro.local.columnar import engine_scope
-
-    options = spec.get("options") or {}
-    # The scope covers every simulator round the spec triggers; parity
-    # tests guarantee the response bytes are engine-independent.
-    with engine_scope(options.get("engine")):
-        return _run_spec_inner(spec, network, acd_for, validated)
-
-
-def _run_spec_inner(
-    spec: dict[str, Any],
-    network: Any,
-    acd_for: Callable[[float], Any],
-    validated: Callable[[], None],
-) -> dict[str, Any]:
     from repro.baselines.greedy_brooks import greedy_brooks_coloring
     from repro.baselines.greedy_deltaplus1 import greedy_delta_plus_one
     from repro.core.deterministic import delta_color_deterministic

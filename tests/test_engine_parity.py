@@ -1,16 +1,21 @@
-"""Engine-parity suite: the rewritten hot path vs the frozen seed engine.
+"""Engine-parity suite: ``Network.run`` vs the frozen seed engine.
 
 The overhaul of ``Network.run`` (preallocated inbox buffers, int
 scheduling queue, lazy broadcast expansion, zero-cost bandwidth
 accounting) must be observationally invisible: every ``RunResult`` —
 rounds, messages, outputs, halt flags, bandwidth words — has to be
-bit-identical to what the seed engine produces, across graph families,
-shuffled uids, and full pipelines (whose RNG consumption order would
-drift on the first scheduling difference).
+bit-identical to what the seed engine (``tests/legacy_engine.py``)
+produces, across graph families, shuffled uids, and full pipelines
+(whose RNG consumption order would drift on the first scheduling
+difference).  The seed engine has no fault injection, so fault runs are
+held to expectations pinned from the engine that predates the fault
+hook.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -18,25 +23,16 @@ import pytest
 from repro.core.deterministic import delta_color_deterministic
 from repro.core.randomized import delta_color_randomized
 from repro.constants import AlgorithmParameters
-from repro.errors import SimulationError
 from repro.graphs import hard_clique_graph, projective_plane_clique_graph
 from repro.local import (
     DistributedAlgorithm,
     FaultPlan,
     Network,
     Tracer,
-    columnar_available,
-    force_columnar_engine,
-    force_legacy_engine,
-    run_columnar,
-    run_legacy,
 )
 from repro.subroutines.linial import LinialColoring
 from repro.subroutines.maximal_matching import maximal_matching
-
-requires_numpy = pytest.mark.skipif(
-    not columnar_available(), reason="columnar engine needs numpy"
-)
+from tests.legacy_engine import force_legacy_engine, run_legacy
 
 
 def _random_network(n: int, m: int, seed: int, *, shuffle_uids: bool = False) -> Network:
@@ -168,20 +164,64 @@ def test_theorem2_pipeline_parity(seed):
     assert fast.messages == legacy.messages
 
 
-def test_force_legacy_engine_restores():
-    from repro.local import network as network_module
+#: A plan that turns every fault channel of the hook on but injects
+#: nothing: the crash and the budget lie beyond any run here, and the
+#: drop stream is rolled for every copy but ``random()`` is below 1e-300
+#: only when it returns exactly 0.0.
+HARMLESS_PLAN = FaultPlan(
+    seed=3, drop_probability=1e-300, crashes=((0, 10 ** 9),),
+    round_budget=10 ** 9,
+)
 
-    assert network_module._FORCE_LEGACY is False
+
+def assert_harmless(result):
+    assert result.dropped_messages == 0
+    assert result.crashed_nodes == []
+    assert not result.budget_exhausted
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fault_hook_linial_parity(family):
+    """With the fault hook on and nothing injected, ``Network.run`` still
+    matches the seed engine, bandwidth accounting included."""
+    network = FAMILIES[family]()
+    make = lambda: LinialColoring(max(network.uids) + 1, network.max_degree)  # noqa: E731
+    hooked = network.run(make(), measure_bandwidth=True, faults=HARMLESS_PLAN)
+    legacy = run_legacy(network, make(), measure_bandwidth=True)
+    assert_identical(hooked, legacy)
+    assert_harmless(hooked)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fault_hook_mixed_schedule_parity(family):
+    network = FAMILIES[family]()
+    hooked = network.run(AlarmsAndUnicast(), faults=HARMLESS_PLAN)
+    assert_identical(hooked, network.run(AlarmsAndUnicast()))
+    assert_harmless(hooked)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fault_hook_tracer_parity(family):
+    network = FAMILIES[family]()
+    hooked_trace, legacy_trace = Tracer(), Tracer()
+    network.run(AlarmsAndUnicast(), tracer=hooked_trace, faults=HARMLESS_PLAN)
+    run_legacy(network, AlarmsAndUnicast(), tracer=legacy_trace)
+    assert hooked_trace.samples == legacy_trace.samples
+
+
+def test_force_legacy_engine_restores():
+    fast_run = Network.run
     with force_legacy_engine():
-        assert network_module._FORCE_LEGACY is True
+        swapped = Network.run
+        assert swapped is not fast_run
         with force_legacy_engine():
-            assert network_module._FORCE_LEGACY is True
-        assert network_module._FORCE_LEGACY is True
-    assert network_module._FORCE_LEGACY is False
+            assert Network.run is swapped
+        assert Network.run is swapped
+    assert Network.run is fast_run
 
 
 # ---------------------------------------------------------------------------
-# Columnar engine: the same bit-identical bar, against both other engines.
+# Fault injection: pinned expectations, RNG consumption order included.
 # ---------------------------------------------------------------------------
 
 
@@ -204,140 +244,53 @@ class DropSensitiveGossip(DistributedAlgorithm):
             api.broadcast(max(fresh))
 
 
-@requires_numpy
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_columnar_linial_parity(family):
-    network = FAMILIES[family]()
-    make = lambda: LinialColoring(max(network.uids) + 1, network.max_degree)  # noqa: E731
-    columnar = run_columnar(network, make(), measure_bandwidth=True)
-    fast = network.run(make(), measure_bandwidth=True)
-    legacy = run_legacy(network, make(), measure_bandwidth=True)
-    assert_identical(columnar, fast)
-    assert_identical(columnar, legacy)
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
 
 
-@requires_numpy
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_columnar_mixed_schedule_parity(family):
-    network = FAMILIES[family]()
-    with force_columnar_engine():
-        columnar = network.run(AlarmsAndUnicast())
-    fast = network.run(AlarmsAndUnicast())
-    assert_identical(columnar, fast)
+#: (plan, (rounds, messages, dropped, crashed, budget_exhausted, halted
+#: count, outputs digest, halted digest)), recorded from the stand-alone
+#: fault loop that preceded the hook in ``Network.run``.  A drop stream
+#: consumed in any other order changes which copies are lost, and with
+#: them the dropped count and the outputs.
+PINNED_FAULT_RUNS = [
+    (FaultPlan(drop_probability=0.3, seed=5),
+     (4, 642, 205, [], False, 33, "a5bb53f47e4b7e07", "5313e35eb4062cf9")),
+    (FaultPlan(crashes=((2, 2), (7, 3))),
+     (4, 668, 28, [2, 7], False, 36, "788a2c0dc7ea4ccd", "240641c65e2e500e")),
+    (FaultPlan(round_budget=3),
+     (3, 680, 0, [], True, 0, "45bb6abd52b78e6b", "2c3faf4280e2b4e7")),
+    (FaultPlan(drop_probability=0.15, crashes=((4, 2),), round_budget=4, seed=9),
+     (4, 680, 127, [4], False, 37, "ca9793b8c47030fe", "d1230a2878a3e413")),
+]
 
 
-@requires_numpy
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_columnar_tracer_parity(family):
-    network = FAMILIES[family]()
-    columnar_trace, fast_trace = Tracer(), Tracer()
-    with force_columnar_engine():
-        network.run(AlarmsAndUnicast(), tracer=columnar_trace)
-    network.run(AlarmsAndUnicast(), tracer=fast_trace)
-    assert columnar_trace.samples == fast_trace.samples
+@pytest.mark.parametrize(
+    "plan, expected", PINNED_FAULT_RUNS,
+    ids=[f"plan{index}" for index in range(len(PINNED_FAULT_RUNS))],
+)
+def test_fault_plan_pinned(plan, expected):
+    """Drops, crash-stop and budgets consume the plan's RNG in delivery
+    order and account exactly as before the loop was shared."""
+    result = _random_network(40, 90, 13).run(DropSensitiveGossip(), faults=plan)
+    assert (
+        result.rounds, result.messages, result.dropped_messages,
+        result.crashed_nodes, result.budget_exhausted, sum(result.halted),
+        _digest(result.outputs), _digest(result.halted),
+    ) == expected
 
 
-@requires_numpy
-@pytest.mark.parametrize("shuffle_seed", [None, 11])
-def test_columnar_theorem1_pipeline_parity(shuffle_seed):
-    instance = hard_clique_graph(16, 8, seed=3)
-    network = instance.network
-    if shuffle_seed is not None:
-        network = _shuffled(network, shuffle_seed)
-    params = AlgorithmParameters(epsilon=0.25)
-    with force_columnar_engine():
-        columnar = delta_color_deterministic(network, params=params)
-    fast = delta_color_deterministic(network, params=params)
-    assert columnar.colors == fast.colors
-    assert columnar.rounds == fast.rounds
-    assert columnar.messages == fast.messages
-    assert columnar.phase_rounds() == fast.phase_rounds()
-
-
-@requires_numpy
-@pytest.mark.parametrize("seed", [0, 1])
-def test_columnar_theorem2_pipeline_parity(seed):
-    """Any scheduling drift in the columnar delivery order desynchronizes
-    the RNG consumption order and changes the coloring."""
-    instance = hard_clique_graph(32, 16, seed=4)
-    params = AlgorithmParameters(epsilon=0.25)
-    with force_columnar_engine():
-        columnar = delta_color_randomized(
-            instance.network, params=params, seed=seed
-        )
-    fast = delta_color_randomized(instance.network, params=params, seed=seed)
-    assert columnar.colors == fast.colors
-    assert columnar.rounds == fast.rounds
-    assert columnar.messages == fast.messages
-
-
-@requires_numpy
-@pytest.mark.parametrize("plan", [
-    FaultPlan(drop_probability=0.3, seed=5),
-    FaultPlan(crashes=((2, 2), (7, 3))),
-    FaultPlan(round_budget=3),
-    FaultPlan(drop_probability=0.15, crashes=((4, 2),), round_budget=4, seed=9),
-])
-def test_columnar_faults_parity(plan):
-    """Fault injection (drops, crash-stop, budgets) must consume the
-    plan's RNG in the same order and account identically."""
-    network = _random_network(40, 90, 13)
-    with force_columnar_engine():
-        columnar = network.run(DropSensitiveGossip(), faults=plan)
-    fast = network.run(DropSensitiveGossip(), faults=plan)
-    assert_identical(columnar, fast)
-    assert columnar.dropped_messages == fast.dropped_messages
-    assert columnar.crashed_nodes == fast.crashed_nodes
-    assert columnar.budget_exhausted == fast.budget_exhausted
-
-
-@requires_numpy
-def test_columnar_faults_tracer_parity():
-    network = _random_network(40, 90, 13)
+def test_fault_plan_tracer_pinned():
     plan = FaultPlan(drop_probability=0.2, crashes=((3, 2),), seed=7)
-    columnar_trace, fast_trace = Tracer(), Tracer()
-    with force_columnar_engine():
-        network.run(DropSensitiveGossip(), tracer=columnar_trace, faults=plan)
-    network.run(DropSensitiveGossip(), tracer=fast_trace, faults=plan)
-    assert columnar_trace.samples == fast_trace.samples
-
-
-def test_force_columnar_engine_restores():
-    from repro.local import network as network_module
-
-    before = network_module._FORCE_COLUMNAR
-    with force_columnar_engine():
-        assert network_module._FORCE_COLUMNAR is True
-        with force_columnar_engine():
-            assert network_module._FORCE_COLUMNAR is True
-        assert network_module._FORCE_COLUMNAR is True
-    assert network_module._FORCE_COLUMNAR is before
-
-
-def test_legacy_wins_over_columnar():
-    """The frozen reference engine takes precedence when both are forced:
-    legacy rejects fault plans, so a fault run raising proves which
-    engine handled it."""
-    network = Network.from_edges(4, [(i, i + 1) for i in range(3)])
-    with force_columnar_engine(), force_legacy_engine():
-        with pytest.raises(SimulationError, match="legacy"):
-            network.run(
-                DropSensitiveGossip(),
-                faults=FaultPlan(drop_probability=0.5, seed=1),
-            )
-
-
-def test_columnar_falls_back_to_fast_without_numpy(monkeypatch):
-    """With numpy absent the forced-columnar dispatch silently uses the
-    fast engine; calling ``run_columnar`` directly is a hard error."""
-    from repro.local import columnar as columnar_module
-
-    network = FAMILIES["path"]()
-    baseline = network.run(AlarmsAndUnicast())
-    monkeypatch.setattr(columnar_module, "_np", None)
-    assert not columnar_available()
-    with force_columnar_engine():
-        fallback = network.run(AlarmsAndUnicast())
-    assert_identical(fallback, baseline)
-    with pytest.raises(SimulationError, match="numpy"):
-        run_columnar(network, AlarmsAndUnicast())
+    tracer = Tracer()
+    result = _random_network(40, 90, 13).run(
+        DropSensitiveGossip(), tracer=tracer, faults=plan
+    )
+    assert [
+        (s.round, s.scheduled, s.delivered, s.halted_total)
+        for s in tracer.samples
+    ] == [(1, 40, 134, 0), (2, 38, 142, 0), (3, 39, 123, 0), (4, 38, 119, 38)]
+    assert (
+        result.rounds, result.messages, result.dropped_messages,
+        result.crashed_nodes, result.budget_exhausted, _digest(result.outputs),
+    ) == (4, 669, 151, [3], False, "77f522d95793c0a7")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import Loophole, build_loophole_graph
 from repro.errors import SimulationError
 from repro.local import (
     DistributedAlgorithm,
@@ -68,13 +69,14 @@ class TestSubnetworkSendValidation:
         with pytest.raises(SimulationError, match="non-neighbor"):
             virtual.run(SendToStranger(2))
 
-    def test_legacy_validate_flag_still_disables_both(self):
-        network = Network(
-            path_network().adjacency, validate=False
-        )
-        sub, _ = network.subnetwork([0, 1, 2])
-        result = sub.run(SendToStranger(2))  # no error: opted out
-        assert result.rounds >= 0
+    def test_loophole_graph_validates_sends(self):
+        # G_L over loopholes {0}, {1}, {4} of a 6-path joins only the
+        # first two, so loophole 0 messaging loophole 2 breaks LOCAL.
+        loopholes = [Loophole((v,), "low-degree") for v in (0, 1, 4)]
+        virtual = build_loophole_graph(path_network(), loopholes)
+        assert virtual.edges() == [(0, 1)]
+        with pytest.raises(SimulationError, match="non-neighbor"):
+            virtual.run(SendToStranger(2))
 
     def test_subnetwork_skips_structure_revalidation(self):
         # Structure was validated on the parent; the induced adjacency is

@@ -19,9 +19,9 @@ from repro.local import (
     FaultPlan,
     Network,
     Tracer,
-    force_legacy_engine,
 )
 from repro.verify import check_graceful_degradation
+from tests.legacy_engine import force_legacy_engine
 
 
 def path_network(n: int = 6) -> Network:
@@ -167,8 +167,8 @@ class TestDeterminism:
         assert not noop.budget_exhausted
 
     def test_injected_loop_matches_hot_path_when_plan_is_harmless(self):
-        """p=0 and no crashes, but a generous budget forces the injected
-        loop — it must reproduce the hot path bit for bit."""
+        """p=0 and no crashes, but a generous budget turns the fault hook
+        on — it must reproduce the fault-free run bit for bit."""
         network = random_network(30, 70, seed=2)
         plain = network.run(Gossip(), measure_bandwidth=True)
         injected = network.run(
@@ -323,14 +323,14 @@ class TestEngineIntegration:
 
 
 class TestTracerParity:
-    """The fault loop's tracer must account like the fault-free loop:
+    """Under a fault plan the tracer must account like a fault-free run:
     crashed nodes are never counted as scheduled, and dropped messages
     never count as delivered."""
 
     def test_harmless_plan_samples_match_hot_path(self):
-        # A crash scheduled far beyond the run forces the fault loop
+        # A crash scheduled far beyond the run turns the fault hook on
         # without injecting anything; its samples must be bit-identical
-        # to the fault-free loop's.
+        # to the fault-free run's.
         network = path_network(6)
         plain = Tracer()
         network.run(Flood(), tracer=plain)

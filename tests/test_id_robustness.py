@@ -27,7 +27,7 @@ def reuid(network: Network, seed: int, *, inflate: bool = False) -> Network:
     rng.shuffle(uids)
     if inflate:
         uids = [u * 9973 + 17 for u in uids]
-    return Network(network.adjacency, uids, name=network.name, validate=False)
+    return Network(network.adjacency, uids, name=network.name, validate_structure=False)
 
 
 class TestIdRobustness:

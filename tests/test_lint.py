@@ -56,8 +56,8 @@ EXPECTED_FINDINGS = {
     "det003_wall_clock.py": ["DET003"],
     "det004_os_entropy.py": ["DET004"],
     "det005_string_hash.py": ["DET005"],
+    "led001_chaos_run.py": ["LED001"],
     "led001_discarded_run.py": ["LED001"],
-    "led001_discarded_columnar_run.py": ["LED001"],
     "led002_unaccounted_run.py": ["LED002"],
     "msg001_wide_payload.py": ["MSG001"],
     "msg001_named_payload.py": ["MSG001"],
@@ -82,13 +82,6 @@ def test_every_rule_family_has_a_fixture():
 
 def test_clean_fixture_has_no_findings():
     assert lint_rules(FIXTURES / "clean_module.py") == []
-
-
-def test_columnar_kernel_idioms_are_clean():
-    """The vectorized-kernel fixture (struct-of-arrays buffers, stable
-    argsort bucketing, set membership probes) must produce no findings —
-    array code is ordered and DET002 has no business firing on it."""
-    assert lint_rules(FIXTURES / "clean_columnar_kernel.py") == []
 
 
 def test_clean_async_fixture_has_no_findings():
@@ -373,25 +366,21 @@ def test_engine_module_exempt_from_ledger_rules():
     assert report.ok
 
 
-def test_columnar_kernel_is_an_engine_module():
-    """The columnar kernel produces RunResults; like the other engine
-    modules it is exempt from the ledger rules — but only via the
-    precise ENGINE_MODULES list, never a blanket package exemption."""
+def test_only_network_is_an_engine_module():
+    """``Network.run`` is the one delivery loop, so only its module is
+    exempt from the ledger rules; the fault plan is an ordinary module."""
     from repro.lint.source import ENGINE_MODULES
 
-    assert "local/columnar.py" in ENGINE_MODULES
-    report = run_lint(
-        [REPO_SRC / "repro" / "local" / "columnar.py"],
-        rules=select_rules(["LED"]),
-    )
-    assert report.ok
+    assert ENGINE_MODULES == ("local/network.py",)
 
 
-def test_columnar_source_is_fully_clean():
-    """The real kernel passes every rule family with no exemptions —
-    its array code must not need pragmas to satisfy DET002."""
+def test_engine_source_is_fully_clean():
+    """The one engine loop passes every rule family with no pragmas."""
     report = run_lint(
-        [REPO_SRC / "repro" / "local" / "columnar.py"],
+        [
+            REPO_SRC / "repro" / "local" / "network.py",
+            REPO_SRC / "repro" / "local" / "faults.py",
+        ],
         rules=select_rules(congest=True),
     )
     assert report.ok

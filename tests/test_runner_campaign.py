@@ -9,6 +9,8 @@ import pytest
 from repro.errors import ReproError
 from repro.runner import (
     CampaignCell,
+    cell_from_json,
+    cell_to_json,
     cells_from_spec,
     derive_cell_seed,
     e2b_sample,
@@ -61,24 +63,24 @@ class TestRunCell:
         assert first == second
 
     def test_unknown_engine_rejected(self):
+        """There is one engine, so a wire cell naming one is malformed."""
+        wire = {**cell_to_json(small_cells()[0]), "engine": "fast"}
         with pytest.raises(ReproError, match="engine"):
-            run_cell(CampaignCell(label="bad", engine="turbo", **SMALL))
+            cell_from_json(wire)
 
     @pytest.mark.parametrize("method", ["randomized", "deterministic"])
-    def test_columnar_engine_rows_are_byte_identical(self, method):
-        """Engine selection may only change execution speed: the same
-        cell run on the columnar backend must serialize to exactly the
-        bytes the fast engine produces (the artifact contract)."""
-        from dataclasses import replace
+    def test_seed_engine_rows_are_byte_identical(self, method):
+        """The same cell replayed on the seed engine must serialize to
+        exactly the bytes ``Network.run`` produces (the artifact
+        contract rests on engine parity)."""
+        from tests.legacy_engine import force_legacy_engine
 
         cell = CampaignCell(label="parity", seed=0, **{**SMALL, "method": method})
-        fast_row = run_cell(replace(cell, engine="fast"))
-        columnar_row = run_cell(replace(cell, engine="columnar"))
-        default_row = run_cell(cell)
-        assert (
-            json.dumps(columnar_row, sort_keys=True)
-            == json.dumps(fast_row, sort_keys=True)
-            == json.dumps(default_row, sort_keys=True)
+        row = run_cell(cell)
+        with force_legacy_engine():
+            seed_row = run_cell(cell)
+        assert json.dumps(seed_row, sort_keys=True) == json.dumps(
+            row, sort_keys=True
         )
 
 
@@ -160,13 +162,9 @@ class TestSpec:
         assert cells[0].option_dict() == {"activation_probability": 0.5}
 
     def test_grid_engine_field(self):
-        cells = cells_from_spec(
-            {"grid": {"num_cliques": [16], "engine": ["fast", "columnar"]}}
-        )
-        assert [cell.engine for cell in cells] == ["fast", "columnar"]
-        # "engine" sits last in the grid order so pre-existing specs keep
-        # their labels (and therefore their derived seeds) unchanged.
-        assert cells[0].label == "num_cliques=16 engine=fast"
+        # Engine selection is gone: "engine" is an unknown grid field.
+        with pytest.raises(ReproError, match="engine"):
+            cells_from_spec({"grid": {"num_cliques": [16], "engine": ["fast"]}})
 
     def test_unknown_grid_field_rejected(self):
         with pytest.raises(ReproError, match="grid fields"):
