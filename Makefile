@@ -57,6 +57,7 @@ ci:
 	$(MAKE) chaos-serve
 	$(MAKE) fleet-smoke
 	$(MAKE) dist-smoke
+	$(MAKE) examples
 	$(MAKE) lint
 	$(MAKE) lint-repro
 	$(MAKE) typecheck
@@ -88,12 +89,15 @@ typecheck:
 report: 
 	python scripts/build_report.py
 
+# The examples drive `general`, the GHKM-style and DCC baselines through
+# the public API, which the tier-1 suite reaches only via unit tests.
 examples:
-	python examples/quickstart.py
-	python examples/anatomy_of_a_run.py
-	python examples/custom_graph.py
-	python examples/sparse_extension.py
-	python examples/complexity_landscape.py
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/anatomy_of_a_run.py
+	PYTHONPATH=src python examples/custom_graph.py
+	PYTHONPATH=src python examples/sparse_extension.py
+	PYTHONPATH=src python examples/complexity_landscape.py
+	PYTHONPATH=src python examples/write_your_own_algorithm.py
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache .benchmarks

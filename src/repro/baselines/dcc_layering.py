@@ -22,17 +22,15 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.acd.decomposition import ACD, ACD_ROUNDS, compute_acd
+from repro.acd.decomposition import ACD
 from repro.constants import AlgorithmParameters, PAPER_PARAMETERS
+from repro.core.deterministic import dense_setup, finish_result
 from repro.core.easy_coloring import color_easy_and_loopholes
-from repro.core.hardness import CLASSIFY_ROUNDS, Classification, classify_cliques
+from repro.core.hardness import Classification
 from repro.core.loopholes import Loophole, is_loophole
 from repro.errors import GraphStructureError
-from repro.graphs.validation import assert_no_delta_plus_one_clique
-from repro.local.ledger import RoundLedger
 from repro.local.network import Network
 from repro.types import ColoringResult
-from repro.verify.coloring import verify_coloring
 
 __all__ = ["dcc_layering_coloring", "lifted_clique_cycle"]
 
@@ -46,21 +44,10 @@ def dcc_layering_coloring(
     verify: bool = True,
 ) -> ColoringResult:
     """Delta-color a dense graph with the DCC-layering baseline."""
-    delta = network.max_degree
-    if delta < 3:
-        raise GraphStructureError("Delta-coloring needs Delta >= 3")
-    if validate_input:
-        assert_no_delta_plus_one_clique(network)
-    ledger = RoundLedger()
-    palette = list(range(delta))
-    colors: list[int | None] = [None] * network.n
-
-    if acd is None:
-        acd = compute_acd(network, params.epsilon)
-    acd.require_dense()
-    ledger.charge("acd", ACD_ROUNDS)
-    classification = classify_cliques(network, acd, delta=delta)
-    ledger.charge("classify", CLASSIFY_ROUNDS)
+    setup = dense_setup(
+        network, params=params, acd=acd, validate_input=validate_input
+    )
+    acd, classification = setup.acd, setup.classification
 
     # Hard cliques get lifted clique-graph cycles as their DCCs; the
     # detection costs the cycle length in LOCAL rounds (gather).
@@ -75,7 +62,7 @@ def dcc_layering_coloring(
             )
         loopholes[index] = cycle
         max_cycle = max(max_cycle, len(cycle.vertices))
-    ledger.charge("dcc/detection", max(max_cycle // 2, 1))
+    setup.ledger.charge("dcc/detection", max(max_cycle // 2, 1))
 
     everything_easy = Classification(
         acd=acd,
@@ -88,24 +75,18 @@ def dcc_layering_coloring(
         loopholes=loopholes,
     )
     stats = {
-        "delta": delta,
+        "delta": setup.delta,
         "n": network.n,
         "num_cliques": acd.num_cliques,
         "max_dcc_size": max_cycle,
         "easy_phase": color_easy_and_loopholes(
-            network, everything_easy, colors, palette,
-            params=params, ledger=ledger,
+            network, everything_easy, setup.colors, setup.palette,
+            params=params, ledger=setup.ledger,
         ),
     }
-
-    if verify:
-        verify_coloring(network, colors, delta)
-    return ColoringResult(
-        colors=[c for c in colors],  # type: ignore[misc]
-        num_colors=delta,
-        ledger=ledger,
-        algorithm="dcc-layering-baseline",
-        stats=stats,
+    return finish_result(
+        network, setup, algorithm="dcc-layering-baseline",
+        stats=stats, verify=verify,
     )
 
 

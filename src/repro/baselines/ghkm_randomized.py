@@ -15,25 +15,18 @@ from __future__ import annotations
 
 import random
 
-from repro.acd.decomposition import ACD, ACD_ROUNDS, compute_acd
+from repro.acd.decomposition import ACD
 from repro.baselines.dcc_layering import lifted_clique_cycle
 from repro.constants import AlgorithmParameters, PAPER_PARAMETERS
+from repro.core.deterministic import dense_setup, finish_result
 from repro.core.easy_coloring import color_easy_and_loopholes
-from repro.core.finish_coloring import color_instance
-from repro.core.hardness import CLASSIFY_ROUNDS, Classification, classify_cliques
-from repro.core.loopholes import Loophole
-from repro.core.randomized import (
-    _clique_components,
-    _color_layers,
-    _shattered_cliques,
-)
-from repro.core.shattering import place_t_nodes
+from repro.core.hardness import Classification
+from repro.core.loopholes import Loophole, boundary_loophole
+from repro.core.randomized import finish_shattered, preshatter
 from repro.errors import GraphStructureError
-from repro.graphs.validation import assert_no_delta_plus_one_clique
 from repro.local.ledger import RoundLedger
 from repro.local.network import Network
 from repro.types import ColoringResult
-from repro.verify.coloring import verify_coloring
 
 __all__ = ["ghkm_randomized_coloring"]
 
@@ -49,86 +42,37 @@ def ghkm_randomized_coloring(
     verify: bool = True,
 ) -> ColoringResult:
     """Randomized Delta-coloring with the pre-paper post-shattering."""
-    delta = network.max_degree
-    if delta < 3:
-        raise GraphStructureError("Delta-coloring needs Delta >= 3")
-    if validate_input:
-        assert_no_delta_plus_one_clique(network)
     rng = random.Random(seed)
-    ledger = RoundLedger()
-    palette = list(range(delta))
-    colors: list[int | None] = [None] * network.n
-
-    if acd is None:
-        acd = compute_acd(network, params.epsilon)
-    acd.require_dense()
-    ledger.charge("acd", ACD_ROUNDS)
-    classification = classify_cliques(network, acd, delta=delta)
-    ledger.charge("classify", CLASSIFY_ROUNDS)
-
-    shattering = place_t_nodes(
-        network, classification, rng=rng,
-        activation_probability=activation_probability,
-        max_iterations=2, target_bad_fraction=0.0, ledger=ledger,
+    setup = dense_setup(
+        network, params=params, acd=acd, validate_input=validate_input
     )
-    for triad in shattering.triads:
-        colors[triad.pair[0]] = 0
-        colors[triad.pair[1]] = 0
+    classification, colors = setup.classification, setup.colors
 
-    bad_cliques, depths, sub_mapping, fix_iterations = _shattered_cliques(
-        network, classification, shattering.triads, colors,
-        layer_depth=params.loophole_ruling_radius,
+    shattering = preshatter(
+        network, classification, colors, rng=rng, ledger=setup.ledger,
+        activation_probability=activation_probability, max_iterations=2,
     )
-    ledger.charge(
-        "preshatter/layering-bfs",
-        params.loophole_ruling_radius * max(fix_iterations, 1),
-    )
-    components = _clique_components(network, classification, bad_cliques)
-
-    worst: RoundLedger | None = None
-    for component in components:
-        component_ledger = RoundLedger()
-        _color_component_dcc(
-            network, classification, component, colors, palette,
-            params=params, ledger=component_ledger,
-        )
-        if worst is None or component_ledger.total_rounds > worst.total_rounds:
-            worst = component_ledger
-    if worst is not None:
-        ledger.merge(worst, prefix="post-shattering-dcc")
-
-    _color_layers(
-        network, depths, sub_mapping, colors, palette, ledger=ledger, rng=rng
-    )
-    hard_vertices = classification.hard_vertices()
-    leftovers = [v for v in sorted(hard_vertices) if colors[v] is None]
-    color_instance(
-        network, leftovers, colors, palette,
-        label="postprocess/slack-vertices", ledger=ledger,
-        deterministic=False, seed=rng.randrange(2 ** 32),
+    bad_cliques, component_sizes = finish_shattered(
+        network, classification, shattering.triads, colors, setup.palette,
+        params=params, rng=rng, ledger=setup.ledger,
+        colorer=_color_component_dcc, prefix="post-shattering-dcc",
     )
 
     stats = {
-        "delta": delta,
+        "delta": setup.delta,
         "n": network.n,
         "shattering": shattering.stats,
         "bad_cliques": len(bad_cliques),
-        "components": sorted((len(c) for c in components), reverse=True),
+        "components": component_sizes,
         "easy_phase": color_easy_and_loopholes(
-            network, classification, colors, palette,
-            params=params, ledger=ledger, deterministic=False,
+            network, classification, colors, setup.palette,
+            params=params, ledger=setup.ledger, deterministic=False,
             seed=rng.randrange(2 ** 32),
         ),
     }
-
-    if verify:
-        verify_coloring(network, colors, delta)
-    return ColoringResult(
-        colors=[c for c in colors],  # type: ignore[misc]
-        num_colors=delta,
-        ledger=ledger,
-        algorithm="ghkm-randomized-baseline",
-        stats=stats,
+    return finish_result(
+        network, setup, algorithm="ghkm-randomized-baseline",
+        stats=stats, verify=verify,
     )
 
 
@@ -152,20 +96,11 @@ def _color_component_dcc(
     loopholes: dict[int, Loophole] = {}
     max_diameter = 1
     for index in component:
-        boundary = next(
-            (
-                v
-                for v in acd.cliques[index]
-                if colors[v] is None
-                and any(
-                    colors[u] is None and u not in component_vertices
-                    for u in network.adjacency[v]
-                )
-            ),
-            None,
+        boundary = boundary_loophole(
+            network, acd.cliques[index], colors, component_vertices
         )
         if boundary is not None:
-            loopholes[index] = Loophole((boundary,), "boundary")
+            loopholes[index] = boundary
             continue
         cycle = lifted_clique_cycle(network, acd, index)
         if cycle is not None and (

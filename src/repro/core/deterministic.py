@@ -14,11 +14,13 @@ structural statistics every experiment consumes.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.acd.decomposition import ACD, ACD_ROUNDS, compute_acd
 from repro.constants import AlgorithmParameters, PAPER_PARAMETERS
 from repro.core.easy_coloring import color_easy_and_loopholes
 from repro.core.finish_coloring import finish_hard_cliques
-from repro.core.hardness import CLASSIFY_ROUNDS, classify_cliques
+from repro.core.hardness import CLASSIFY_ROUNDS, Classification, classify_cliques
 from repro.core.matching_phase import compute_balanced_matching
 from repro.core.pair_coloring import color_slack_pairs
 from repro.core.sparsify_phase import sparsify_matching
@@ -35,6 +37,83 @@ from repro.verify.coloring import verify_coloring
 __all__ = ["delta_color_deterministic"]
 
 
+class DenseSetup(NamedTuple):
+    """What line 1 of Algorithm 1 hands every Delta-coloring pipeline."""
+
+    delta: int
+    acd: ACD
+    classification: Classification
+    ledger: RoundLedger
+    palette: list[int]
+    colors: list[int | None]
+
+
+def dense_setup(
+    network: Network,
+    *,
+    params: AlgorithmParameters,
+    acd: ACD | None,
+    validate_input: bool,
+    require_dense: bool = True,
+) -> DenseSetup:
+    """Line 1 of Algorithm 1: ACD (Lemma 2) and hard/easy classification
+    (Definitions 6/8), shared by all Delta-coloring pipelines.
+
+    Rejects Delta < 3 and, when ``validate_input`` is set, a
+    (Delta+1)-clique; reuses ``acd`` when given.  ``require_dense=False``
+    admits sparse vertices (the sparse extension); otherwise they raise
+    :class:`~repro.errors.NotDenseError`.
+    """
+    delta = network.max_degree
+    if delta < 3:
+        raise GraphStructureError(
+            f"Delta = {delta}: the Delta-coloring problem is only "
+            "considered for Delta >= 3 (Brooks' theorem handles smaller "
+            "degrees separately)"
+        )
+    if validate_input:
+        assert_no_delta_plus_one_clique(network)
+
+    ledger = RoundLedger()
+    palette = list(range(delta))
+    with span("acd", ledger=ledger):
+        if acd is None:
+            acd = compute_acd(network, params.epsilon)
+        if require_dense:
+            acd.require_dense()
+        ledger.charge("acd", ACD_ROUNDS)
+    with span("classify", ledger=ledger):
+        classification = classify_cliques(network, acd, delta=delta)
+        ledger.charge("classify", CLASSIFY_ROUNDS)
+    metric_gauge("acd.num_cliques", acd.num_cliques)
+    metric_gauge("classify.hard_cliques", len(classification.hard))
+    metric_gauge("classify.easy_cliques", len(classification.easy))
+    metric_gauge("palette.size", len(palette))
+    return DenseSetup(
+        delta, acd, classification, ledger, palette, [None] * network.n
+    )
+
+
+def finish_result(
+    network: Network,
+    setup: DenseSetup,
+    *,
+    algorithm: str,
+    stats: dict,
+    verify: bool,
+) -> ColoringResult:
+    """Verify the finished coloring (unless ``verify`` is off) and wrap it."""
+    if verify:
+        verify_coloring(network, setup.colors, setup.delta)
+    return ColoringResult(
+        colors=list(setup.colors),  # type: ignore[arg-type]
+        num_colors=setup.delta,
+        ledger=setup.ledger,
+        algorithm=algorithm,
+        stats=stats,
+    )
+
+
 def delta_color_deterministic(
     network: Network,
     *,
@@ -49,38 +128,17 @@ def delta_color_deterministic(
     sparse vertices and :class:`~repro.errors.GraphStructureError` on a
     (Delta+1)-clique (where no Delta-coloring exists).
     """
-    delta = network.max_degree
-    if delta < 3:
-        raise GraphStructureError(
-            f"Delta = {delta}: the Delta-coloring problem is only "
-            "considered for Delta >= 3 (Brooks' theorem handles smaller "
-            "degrees separately)"
-        )
-    if validate_input:
-        assert_no_delta_plus_one_clique(network)
-
-    ledger = RoundLedger()
-    palette = list(range(delta))
-    colors: list[int | None] = [None] * network.n
-
     # --- Line 1: ACD and classification. --------------------------------
-    with span("acd", ledger=ledger):
-        if acd is None:
-            acd = compute_acd(network, params.epsilon)
-        acd.require_dense()
-        ledger.charge("acd", ACD_ROUNDS)
-    with span("classify", ledger=ledger):
-        classification = classify_cliques(network, acd, delta=delta)
-        ledger.charge("classify", CLASSIFY_ROUNDS)
-    metric_gauge("acd.num_cliques", acd.num_cliques)
-    metric_gauge("classify.hard_cliques", len(classification.hard))
-    metric_gauge("classify.easy_cliques", len(classification.easy))
-    metric_gauge("palette.size", len(palette))
+    setup = dense_setup(
+        network, params=params, acd=acd, validate_input=validate_input
+    )
+    ledger, palette, colors = setup.ledger, setup.palette, setup.colors
+    classification = setup.classification
 
     stats: dict = {
-        "delta": delta,
+        "delta": setup.delta,
         "n": network.n,
-        "num_cliques": acd.num_cliques,
+        "num_cliques": setup.acd.num_cliques,
         "hard_cliques": len(classification.hard),
         "easy_cliques": len(classification.easy),
     }
@@ -118,12 +176,7 @@ def delta_color_deterministic(
             ledger=ledger,
         )
 
-    if verify:
-        verify_coloring(network, colors, delta)
-    return ColoringResult(
-        colors=[c for c in colors],  # type: ignore[misc]
-        num_colors=delta,
-        ledger=ledger,
-        algorithm="deterministic-delta-coloring",
-        stats=stats,
+    return finish_result(
+        network, setup, algorithm="deterministic-delta-coloring",
+        stats=stats, verify=verify,
     )

@@ -10,6 +10,8 @@ cycle.  The paper only uses loopholes of at most 6 vertices
   loophole of at most ``max_size`` vertices (used by tests and small
   graphs to cross-validate the structural classification of
   ``repro.core.hardness``),
+* :func:`boundary_loophole` — the Section 4 boundary loophole of a
+  clique in a shattered component,
 * :func:`color_loophole` — exact deg-list coloring of a constant-size
   loophole by backtracking; succeeds whenever every vertex's list is at
   least its induced degree (Lemma 7 / [ERT79]), which the callers
@@ -24,7 +26,13 @@ from typing import Sequence
 from repro.errors import InvariantViolation
 from repro.local.network import Network
 
-__all__ = ["Loophole", "color_loophole", "find_small_loophole", "is_loophole"]
+__all__ = [
+    "Loophole",
+    "boundary_loophole",
+    "color_loophole",
+    "find_small_loophole",
+    "is_loophole",
+]
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,26 @@ class Loophole:
         ):
             raise InvariantViolation("even-cycle loopholes need even length >= 4")
 
+
+
+def boundary_loophole(
+    network: Network,
+    clique: Sequence[int],
+    colors: Sequence[int | None],
+    region: set[int],
+) -> Loophole | None:
+    """The Section 4 boundary loophole of a clique, if it has one.
+
+    That is the first uncolored vertex of ``clique`` with an uncolored
+    neighbor outside ``region`` (a shattered component's vertices); it
+    keeps slack until that neighbor is colored.
+    """
+    for v in clique:
+        if colors[v] is None and any(
+            colors[u] is None and u not in region for u in network.adjacency[v]
+        ):
+            return Loophole((v,), "boundary")
+    return None
 
 def is_loophole(
     network: Network,

@@ -27,32 +27,36 @@ Structure (Section 4):
 Components run sequentially in the simulator but are vertex-disjoint
 and independent, so the charged LOCAL cost is the *maximum* component
 cost per phase, matching parallel execution.
+
+:func:`preshatter` and :func:`finish_shattered` are the shattering
+driver shared with the sparse extension (``core/sparse.py``), which
+places sparse slack between the two, and with the GHKM-style baseline,
+which passes its own component colorer.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from typing import Callable
 
-from repro.acd.decomposition import ACD, ACD_ROUNDS, compute_acd
+from repro.acd.decomposition import ACD
 from repro.constants import AlgorithmParameters, PAPER_PARAMETERS
+from repro.core.deterministic import dense_setup, finish_result
 from repro.core.easy_coloring import color_easy_and_loopholes
 from repro.core.finish_coloring import color_instance
-from repro.core.hardness import CLASSIFY_ROUNDS, Classification, classify_cliques
-from repro.core.loopholes import Loophole
+from repro.core.hardness import Classification
+from repro.core.loopholes import Loophole, boundary_loophole
 from repro.core.matching_phase import compute_balanced_matching
 from repro.core.pair_coloring import color_slack_pairs
-from repro.core.shattering import place_t_nodes
+from repro.core.shattering import ShatteringResult, _bad_components, place_t_nodes
 from repro.core.sparsify_phase import sparsify_matching
-from repro.core.triads import form_slack_triads
-from repro.errors import GraphStructureError
-from repro.graphs.validation import assert_no_delta_plus_one_clique
+from repro.core.triads import SlackTriad, form_slack_triads
 from repro.local.ledger import RoundLedger
 from repro.local.network import Network
 from repro.obs.metrics import metric_gauge
 from repro.obs.spans import span
 from repro.types import ColoringResult
-from repro.verify.coloring import verify_coloring
 
 __all__ = ["delta_color_randomized", "large_delta_threshold"]
 
@@ -82,147 +86,59 @@ def delta_color_randomized(
     experiments; by default the branch follows
     :func:`large_delta_threshold`.
     """
-    delta = network.max_degree
-    if delta < 3:
-        raise GraphStructureError("Delta-coloring needs Delta >= 3")
-    if validate_input:
-        assert_no_delta_plus_one_clique(network)
-    rng = random.Random(seed)
-
-    ledger = RoundLedger()
-    palette = list(range(delta))
-    colors: list[int | None] = [None] * network.n
-
-    with span("acd", ledger=ledger):
-        if acd is None:
-            acd = compute_acd(network, params.epsilon)
-        acd.require_dense()
-        ledger.charge("acd", ACD_ROUNDS)
-    with span("classify", ledger=ledger):
-        classification = classify_cliques(network, acd, delta=delta)
-        ledger.charge("classify", CLASSIFY_ROUNDS)
-    metric_gauge("acd.num_cliques", acd.num_cliques)
-    metric_gauge("classify.hard_cliques", len(classification.hard))
-    metric_gauge("classify.easy_cliques", len(classification.easy))
-    metric_gauge("palette.size", len(palette))
-
     branch = force_branch
     if branch is None:
         branch = (
             "large-delta"
-            if delta >= large_delta_threshold(network.n)
+            if network.max_degree >= large_delta_threshold(network.n)
             else "shattering"
         )
+    if branch not in ("large-delta", "shattering"):
+        raise ValueError(f"unknown branch {branch!r}")
+    rng = random.Random(seed)
+    setup = dense_setup(
+        network, params=params, acd=acd, validate_input=validate_input
+    )
+    ledger, palette, colors = setup.ledger, setup.palette, setup.colors
+    classification = setup.classification
+
     stats: dict = {
-        "delta": delta,
+        "delta": setup.delta,
         "n": network.n,
         "branch": branch,
         "hard_cliques": len(classification.hard),
         "easy_cliques": len(classification.easy),
     }
 
-    if branch in ("large-delta", "shattering"):
-        # Both branches share the T-node + layering flow.  With large
-        # Delta a denser placement makes every clique land inside the
-        # slack horizon w.h.p. (no components at all — the [FHM23]
-        # substitute, see DESIGN.md); otherwise components appear and
-        # are handled by the modified deterministic algorithm.
-        if branch == "large-delta":
-            placement_kwargs = {
-                "activation_probability": 0.5,
-                "max_iterations": 3,
-            }
-        else:
-            placement_kwargs = {
-                "activation_probability": activation_probability,
-                "max_iterations": 2,
-            }
-        with span("preshatter", ledger=ledger):
-            shattering = place_t_nodes(
-                network, classification, rng=rng,
-                target_bad_fraction=0.0, ledger=ledger, **placement_kwargs,
-            )
-            stats["shattering"] = shattering.stats
-            for triad in shattering.triads:
-                colors[triad.pair[0]] = 0
-                colors[triad.pair[1]] = 0
-
-            # Slack propagates from the T-nodes through a constant number
-            # of BFS layers over the hard vertices; cliques beyond the
-            # horizon (or cut off once bad cliques are removed — a
-            # monotone fixpoint) form the shattered components.
-            bad_cliques, depths, sub_mapping, fix_iterations = (
-                _shattered_cliques(
-                    network, classification, shattering.triads, colors,
-                    layer_depth=params.loophole_ruling_radius,
-                )
-            )
-            ledger.charge(
-                "preshatter/layering-bfs",
-                params.loophole_ruling_radius * max(fix_iterations, 1),
-            )
-            components = _clique_components(
-                network, classification, bad_cliques
-            )
-        component_sizes = sorted((len(c) for c in components), reverse=True)
-        metric_gauge("shattering.bad_cliques", len(bad_cliques))
-        metric_gauge("shattering.num_components", len(components))
-        metric_gauge(
-            "shattering.max_component",
-            component_sizes[0] if component_sizes else 0,
-        )
-        stats["shattering"]["bad_cliques"] = len(bad_cliques)
-        stats["shattering"]["num_components"] = len(components)
-        stats["shattering"]["component_sizes"] = component_sizes
-        stats["shattering"]["max_component"] = (
-            component_sizes[0] if component_sizes else 0
-        )
-        if branch == "large-delta" and components:
-            # Not fatal — the components are still colored below — but
-            # it means the large-Delta precondition (slack everywhere
-            # w.h.p.) did not hold at this Delta, which the stats expose.
-            stats["large_delta_precondition_held"] = False
-        elif branch == "large-delta":
-            stats["large_delta_precondition_held"] = True
-
-        with span("post-shattering", ledger=ledger):
-            worst_component_ledger: RoundLedger | None = None
-            for component in components:
-                component_ledger = RoundLedger()
-                _color_component(
-                    network, classification, component, colors, palette,
-                    params=params, ledger=component_ledger,
-                )
-                if (
-                    worst_component_ledger is None
-                    or component_ledger.total_rounds
-                    > worst_component_ledger.total_rounds
-                ):
-                    worst_component_ledger = component_ledger
-            if worst_component_ledger is not None:
-                # Components are vertex-disjoint and run in parallel in
-                # the LOCAL model: charge the most expensive one.
-                ledger.merge(worst_component_ledger, prefix="post-shattering")
-
-        # Post-processing: color the T-node layers outermost-first, then
-        # the slack vertices (their same-colored pair grants the final
-        # unit of slack).
-        with span("postprocess", ledger=ledger):
-            _color_layers(
-                network, depths, sub_mapping, colors, palette,
-                ledger=ledger, rng=rng,
-            )
-            hard_vertices = classification.hard_vertices()
-            leftovers = [
-                v for v in sorted(hard_vertices) if colors[v] is None
-            ]
-            color_instance(
-                network, leftovers, colors, palette,
-                label="postprocess/slack-vertices", ledger=ledger,
-                deterministic=False, seed=rng.randrange(2 ** 32),
-            )
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
+    # Both branches share the T-node + layering flow.  With large Delta
+    # a denser placement makes every clique land inside the slack
+    # horizon w.h.p. (no components at all — the [FHM23] substitute, see
+    # DESIGN.md); otherwise components appear and are handled by the
+    # modified deterministic algorithm.
+    probability, max_iterations = (
+        (0.5, 3) if branch == "large-delta" else (activation_probability, 2)
+    )
+    shattering = preshatter(
+        network, classification, colors, rng=rng, ledger=ledger,
+        activation_probability=probability, max_iterations=max_iterations,
+    )
+    stats["shattering"] = shattering.stats
+    bad_cliques, component_sizes = finish_shattered(
+        network, classification, shattering.triads, colors, palette,
+        params=params, rng=rng, ledger=ledger,
+        colorer=color_component, prefix="post-shattering",
+    )
+    stats["shattering"]["bad_cliques"] = len(bad_cliques)
+    stats["shattering"]["num_components"] = len(component_sizes)
+    stats["shattering"]["component_sizes"] = component_sizes
+    stats["shattering"]["max_component"] = (
+        component_sizes[0] if component_sizes else 0
+    )
+    if branch == "large-delta":
+        # Components are not fatal — they are still colored — but they
+        # mean the large-Delta precondition (slack everywhere w.h.p.)
+        # did not hold at this Delta, which the stats expose.
+        stats["large_delta_precondition_held"] = not component_sizes
 
     with span("easy", ledger=ledger):
         stats["easy_phase"] = color_easy_and_loopholes(
@@ -231,15 +147,114 @@ def delta_color_randomized(
             seed=rng.randrange(2 ** 32),
         )
 
-    if verify:
-        verify_coloring(network, colors, delta)
-    return ColoringResult(
-        colors=[c for c in colors],  # type: ignore[misc]
-        num_colors=delta,
-        ledger=ledger,
-        algorithm=f"randomized-delta-coloring[{branch}]",
-        stats=stats,
+    return finish_result(
+        network, setup, algorithm=f"randomized-delta-coloring[{branch}]",
+        stats=stats, verify=verify,
     )
+
+
+def preshatter(
+    network: Network,
+    classification: Classification,
+    colors: list[int | None],
+    *,
+    rng: random.Random,
+    ledger: RoundLedger,
+    activation_probability: float,
+    max_iterations: int,
+) -> ShatteringResult:
+    """Algorithm 4's pre-shattering: random T-nodes, whose same-colored
+    pairs take color 0."""
+    with span("preshatter", ledger=ledger):
+        shattering = place_t_nodes(
+            network, classification, rng=rng,
+            activation_probability=activation_probability,
+            max_iterations=max_iterations, target_bad_fraction=0.0,
+            ledger=ledger,
+        )
+        for triad in shattering.triads:
+            colors[triad.pair[0]] = 0
+            colors[triad.pair[1]] = 0
+    return shattering
+
+
+def finish_shattered(
+    network: Network,
+    classification: Classification,
+    triads: list[SlackTriad],
+    colors: list[int | None],
+    palette: list[int],
+    *,
+    params: AlgorithmParameters,
+    rng: random.Random,
+    ledger: RoundLedger,
+    colorer: Callable[..., None],
+    prefix: str,
+) -> tuple[list[int], list[int]]:
+    """Color the hard cliques after :func:`preshatter`.
+
+    Slack propagates from the T-nodes through a constant number of BFS
+    layers over the hard vertices; cliques beyond the horizon (or cut
+    off once bad cliques are removed — a monotone fixpoint) form the
+    shattered components.  ``colorer`` colors each component in place,
+    charged under ``prefix``; then the T-node layers are colored
+    outermost-first, then the slack vertices (their same-colored pair
+    grants the final unit of slack).  Returns the bad cliques and the
+    component sizes, largest first.
+    """
+    with span("preshatter", ledger=ledger):
+        bad_cliques, depths, sub_mapping, fix_iterations = _shattered_cliques(
+            network, classification, triads, colors,
+            layer_depth=params.loophole_ruling_radius,
+        )
+        ledger.charge(
+            "preshatter/layering-bfs",
+            params.loophole_ruling_radius * max(fix_iterations, 1),
+        )
+        components = _bad_components(network, classification, bad_cliques)
+    component_sizes = sorted((len(c) for c in components), reverse=True)
+    metric_gauge("shattering.bad_cliques", len(bad_cliques))
+    metric_gauge("shattering.num_components", len(components))
+    metric_gauge(
+        "shattering.max_component",
+        component_sizes[0] if component_sizes else 0,
+    )
+
+    with span(prefix, ledger=ledger):
+        worst_component_ledger: RoundLedger | None = None
+        for component in components:
+            component_ledger = RoundLedger()
+            colorer(
+                network, classification, component, colors, palette,
+                params=params, ledger=component_ledger,
+            )
+            if (
+                worst_component_ledger is None
+                or component_ledger.total_rounds
+                > worst_component_ledger.total_rounds
+            ):
+                worst_component_ledger = component_ledger
+        if worst_component_ledger is not None:
+            # Components are vertex-disjoint and run in parallel in the
+            # LOCAL model: charge the most expensive one.
+            ledger.merge(worst_component_ledger, prefix=prefix)
+
+    with span("postprocess", ledger=ledger):
+        _color_layers(
+            network, depths, sub_mapping, colors, palette,
+            ledger=ledger, rng=rng,
+        )
+        leftovers = [
+            v
+            for v in sorted(classification.hard_vertices())
+            if colors[v] is None
+        ]
+        color_instance(
+            network, leftovers, colors, palette,
+            label="postprocess/slack-vertices", ledger=ledger,
+            deterministic=False, seed=rng.randrange(2 ** 32),
+        )
+    return bad_cliques, component_sizes
 
 
 def _shattered_cliques(
@@ -284,14 +299,6 @@ def _shattered_cliques(
         excluded |= new_bad
 
 
-def _clique_components(
-    network: Network, classification: Classification, bad: list[int]
-) -> list[list[int]]:
-    from repro.core.shattering import _bad_components
-
-    return _bad_components(network, classification, bad)
-
-
 def _color_layers(
     network: Network,
     depths: list[int | None],
@@ -320,7 +327,7 @@ def _color_layers(
         )
 
 
-def _color_component(
+def color_component(
     network: Network,
     classification: Classification,
     component: list[int],
@@ -333,7 +340,6 @@ def _color_component(
     """Post-shattering: the modified deterministic algorithm on one
     component of bad cliques (Section 4, Step 6)."""
     acd = classification.acd
-    component_set = set(component)
     component_vertices = {
         v for index in component for v in acd.cliques[index]
     }
@@ -345,21 +351,14 @@ def _color_component(
     local_loopholes: dict[int, Loophole] = {}
     local_hard: list[int] = []
     for index in component:
-        boundary_vertex = None
-        for v in acd.cliques[index]:
-            if colors[v] is not None:
-                continue
-            if any(
-                colors[u] is None and u not in component_vertices
-                for u in network.adjacency[v]
-            ):
-                boundary_vertex = v
-                break
-        if boundary_vertex is None:
+        loophole = boundary_loophole(
+            network, acd.cliques[index], colors, component_vertices
+        )
+        if loophole is None:
             local_hard.append(index)
         else:
             local_easy.append(index)
-            local_loopholes[index] = Loophole((boundary_vertex,), "boundary")
+            local_loopholes[index] = loophole
 
     local = Classification(
         acd=acd,

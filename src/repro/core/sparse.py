@@ -40,24 +40,16 @@ import random
 from dataclasses import dataclass, field
 from typing import MutableSequence, Sequence
 
-from repro.acd.decomposition import ACD, ACD_ROUNDS, compute_acd
+from repro.acd.decomposition import ACD
 from repro.constants import AlgorithmParameters, PAPER_PARAMETERS
+from repro.core.deterministic import dense_setup, finish_result
 from repro.core.easy_coloring import color_easy_and_loopholes
 from repro.core.finish_coloring import color_instance
-from repro.core.hardness import CLASSIFY_ROUNDS, Classification, classify_cliques
-from repro.core.randomized import (
-    _clique_components,
-    _color_component,
-    _color_layers,
-    _shattered_cliques,
-)
-from repro.core.shattering import place_t_nodes
-from repro.errors import GraphStructureError, InvariantViolation
-from repro.graphs.validation import assert_no_delta_plus_one_clique
+from repro.core.randomized import color_component, finish_shattered, preshatter
+from repro.errors import InvariantViolation
 from repro.local.ledger import RoundLedger
 from repro.local.network import Network
 from repro.types import ColoringResult
-from repro.verify.coloring import verify_coloring
 
 #: LOCAL rounds per placement iteration: propose, knock out, commit.
 PLACEMENT_ROUNDS = 3
@@ -248,25 +240,16 @@ def delta_color_general(
     on the dense part + a final sparse instance.  Purely dense inputs
     take exactly the Theorem 2 path.
     """
-    delta = network.max_degree
-    if delta < 3:
-        raise GraphStructureError("Delta-coloring needs Delta >= 3")
-    if validate_input:
-        assert_no_delta_plus_one_clique(network)
     rng = random.Random(seed)
-    ledger = RoundLedger()
-    palette = list(range(delta))
-    colors: list[int | None] = [None] * network.n
-
-    if acd is None:
-        acd = compute_acd(network, params.epsilon)
-    ledger.charge("acd", ACD_ROUNDS)
-    classification = classify_cliques(network, acd, delta=delta)
-    ledger.charge("classify", CLASSIFY_ROUNDS)
-    hard_vertices = classification.hard_vertices()
+    setup = dense_setup(
+        network, params=params, acd=acd, validate_input=validate_input,
+        require_dense=False,
+    )
+    acd, classification = setup.acd, setup.classification
+    ledger, palette, colors = setup.ledger, setup.palette, setup.colors
 
     stats: dict = {
-        "delta": delta,
+        "delta": setup.delta,
         "n": network.n,
         "sparse_vertices": len(acd.sparse),
         "hard_cliques": len(classification.hard),
@@ -274,55 +257,27 @@ def delta_color_general(
     }
 
     # --- Pre-shattering on the hard cliques (pairs take color 0). ------
-    shattering = place_t_nodes(
-        network, classification, rng=rng,
-        activation_probability=activation_probability,
-        max_iterations=2, target_bad_fraction=0.0, ledger=ledger,
+    shattering = preshatter(
+        network, classification, colors, rng=rng, ledger=ledger,
+        activation_probability=activation_probability, max_iterations=2,
     )
     stats["shattering"] = shattering.stats
-    for triad in shattering.triads:
-        colors[triad.pair[0]] = 0
-        colors[triad.pair[1]] = 0
 
     # --- Sparse slack placement (the extension). ------------------------
     if acd.sparse:
         slack_stats = generate_sparse_slack(
-            network, acd, colors, palette,
-            rng=rng, hard_vertices=hard_vertices, ledger=ledger,
+            network, acd, colors, palette, rng=rng,
+            hard_vertices=classification.hard_vertices(), ledger=ledger,
         )
         stats["sparse_slack"] = slack_stats
 
     # --- Theorem 2 machinery on the dense part. -------------------------
-    bad_cliques, depths, sub_mapping, fix_iterations = _shattered_cliques(
-        network, classification, shattering.triads, colors,
-        layer_depth=params.loophole_ruling_radius,
+    bad_cliques, _ = finish_shattered(
+        network, classification, shattering.triads, colors, palette,
+        params=params, rng=rng, ledger=ledger,
+        colorer=color_component, prefix="post-shattering",
     )
-    ledger.charge(
-        "preshatter/layering-bfs",
-        params.loophole_ruling_radius * max(fix_iterations, 1),
-    )
-    components = _clique_components(network, classification, bad_cliques)
     stats["shattering"]["bad_cliques"] = len(bad_cliques)
-    worst: RoundLedger | None = None
-    for component in components:
-        component_ledger = RoundLedger()
-        _color_component(
-            network, classification, component, colors, palette,
-            params=params, ledger=component_ledger,
-        )
-        if worst is None or component_ledger.total_rounds > worst.total_rounds:
-            worst = component_ledger
-    if worst is not None:
-        ledger.merge(worst, prefix="post-shattering")
-    _color_layers(
-        network, depths, sub_mapping, colors, palette, ledger=ledger, rng=rng
-    )
-    leftovers = [v for v in sorted(hard_vertices) if colors[v] is None]
-    color_instance(
-        network, leftovers, colors, palette,
-        label="postprocess/slack-vertices", ledger=ledger,
-        deterministic=False, seed=rng.randrange(2 ** 32),
-    )
 
     stats["easy_phase"] = color_easy_and_loopholes(
         network, classification, colors, palette,
@@ -341,12 +296,8 @@ def delta_color_general(
         deterministic=False, seed=rng.randrange(2 ** 32),
     )
 
-    if verify:
-        verify_coloring(network, colors, delta)
-    return ColoringResult(
-        colors=[c for c in colors],  # type: ignore[misc]
-        num_colors=delta,
-        ledger=ledger,
+    return finish_result(
+        network, setup,
         algorithm="general-delta-coloring[sparse-extension]",
-        stats=stats,
+        stats=stats, verify=verify,
     )

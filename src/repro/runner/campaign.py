@@ -220,10 +220,8 @@ def _execute_cell(
     acd_for: Callable[[float], Any],
 ) -> dict[str, Any]:
     """Shared cell-execution core: every executor's rows come from here."""
+    from repro import delta_color
     from repro.bench.workloads import bench_params
-    from repro.core.deterministic import delta_color_deterministic
-    from repro.core.randomized import delta_color_randomized
-    from repro.core.sparse import delta_color_general
     from repro.obs import Collector, observed, telemetry_summary
 
     params = bench_params(cell.epsilon)
@@ -239,21 +237,15 @@ def _execute_cell(
         observed(collector) if collector is not None else nullcontext()
     )
     with context:
-        if cell.method == "randomized":
-            result = delta_color_randomized(
-                network, params=params, acd=acd_for(cell.epsilon),
-                seed=cell.seed, **options,
-            )
-        elif cell.method == "deterministic":
-            result = delta_color_deterministic(
-                network, params=params, acd=acd_for(cell.epsilon), **options
-            )
-        elif cell.method == "general":
-            result = delta_color_general(
-                network, params=params, seed=cell.seed, **options
-            )
-        else:
+        if cell.method not in ("deterministic", "randomized", "general"):
             raise ReproError(f"unknown campaign method {cell.method!r}")
+        if cell.method != "general":
+            # The general pipeline computes its own sparse-aware ACD.
+            options["acd"] = acd_for(cell.epsilon)
+        result = delta_color(
+            network, method=cell.method, params=params, seed=cell.seed,
+            **options,
+        )
 
     row: dict[str, Any] = {
         "label": cell.label,

@@ -20,6 +20,7 @@ the campaign runner's chaos semantics are unchanged by the refactor.
 
 from __future__ import annotations
 
+import signal
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import suppress
@@ -29,6 +30,25 @@ __all__ = ["WorkerPool", "kill_executor"]
 
 #: Cap on the exponential crash-rebuild backoff, in seconds.
 _MAX_BACKOFF = 30.0
+
+
+def _reset_signals() -> None:
+    """Worker initializer: undo signal handling inherited over ``fork``.
+
+    A pool forked by a process whose asyncio loop handles SIGTERM
+    (``repro serve``) inherits the loop's no-op Python handler and its
+    wakeup fd, so :func:`kill_executor`'s SIGTERM would not stop the
+    worker.  SIGINT is ignored: a terminal's Ctrl-C reaches the whole
+    process group, and the parent decides when its workers stop (a
+    serve drain still needs them for in-flight batches).
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _new_executor(jobs: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_reset_signals)
 
 
 def kill_executor(pool: ProcessPoolExecutor) -> None:
@@ -57,9 +77,7 @@ class WorkerPool:
         self.jobs = max(1, jobs)
         self.backoff = backoff
         self.rebuilds = 0
-        self._executor: ProcessPoolExecutor | None = ProcessPoolExecutor(
-            max_workers=self.jobs
-        )
+        self._executor: ProcessPoolExecutor | None = _new_executor(self.jobs)
 
     @property
     def executor(self) -> ProcessPoolExecutor:
@@ -82,7 +100,7 @@ class WorkerPool:
     def restart(self) -> None:
         """Kill and immediately start a fresh executor (timeout path)."""
         self.kill()
-        self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+        self._executor = _new_executor(self.jobs)
 
     def rebuild(self) -> None:
         """Kill, back off exponentially, and start fresh (crash path)."""
@@ -92,7 +110,7 @@ class WorkerPool:
             time.sleep(
                 min(_MAX_BACKOFF, self.backoff * (2 ** (self.rebuilds - 1)))
             )
-        self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+        self._executor = _new_executor(self.jobs)
 
     def shutdown(self) -> None:
         """Alias of :meth:`kill`; the terminal state of every pool user."""

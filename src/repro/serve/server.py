@@ -95,11 +95,9 @@ def _run_spec(
     acd_for: Callable[[float], Any],
     validated: Callable[[], None],
 ) -> dict[str, Any]:
+    from repro import delta_color
     from repro.baselines.greedy_brooks import greedy_brooks_coloring
     from repro.baselines.greedy_deltaplus1 import greedy_delta_plus_one
-    from repro.core.deterministic import delta_color_deterministic
-    from repro.core.randomized import delta_color_randomized
-    from repro.core.sparse import delta_color_general
 
     method = spec["method"]
     seed = spec.get("seed")
@@ -118,34 +116,20 @@ def _run_spec(
         result = greedy_delta_plus_one(
             network, deterministic=seed is None, seed=seed, verify=verify
         )
-    elif method == "general":
-        # The general pipeline owns its sparse-aware ACD and validation.
-        params = _params_for(spec["epsilon"])
-        kwargs: dict[str, Any] = {"params": params, "seed": seed, "verify": verify}
-        if "activation_probability" in options:
-            kwargs["activation_probability"] = options["activation_probability"]
-        result = delta_color_general(network, **kwargs)
     else:
-        params = _params_for(spec["epsilon"])
-        acd = acd_for(spec["epsilon"])
-        if options.get("validate_input", True):
-            validated()
-        if method == "deterministic":
-            result = delta_color_deterministic(
-                network, params=params, acd=acd, validate_input=False,
-                verify=verify,
-            )
-        else:
-            kwargs = {
-                "params": params,
-                "seed": seed,
-                "acd": acd,
-                "validate_input": False,
-                "verify": verify,
-            }
-            if "activation_probability" in options:
-                kwargs["activation_probability"] = options["activation_probability"]
-            result = delta_color_randomized(network, **kwargs)
+        kwargs: dict[str, Any] = {"verify": verify}
+        # The general pipeline owns its sparse-aware ACD and validation.
+        if method != "general":
+            kwargs["acd"] = acd_for(spec["epsilon"])
+            kwargs["validate_input"] = False
+            if options.get("validate_input", True):
+                validated()
+        if method != "deterministic" and "activation_probability" in options:
+            kwargs["activation_probability"] = options["activation_probability"]
+        result = delta_color(
+            network, method=method, params=_params_for(spec["epsilon"]),
+            seed=seed, **kwargs,
+        )
     return {
         "algorithm": result.algorithm,
         "num_colors": result.num_colors,

@@ -6,7 +6,12 @@ import pytest
 
 from repro import delta_color, verify_coloring
 from repro.constants import AlgorithmParameters
-from repro.core import delta_color_deterministic, delta_color_randomized
+from repro.baselines import dcc_layering_coloring, ghkm_randomized_coloring
+from repro.core import (
+    delta_color_deterministic,
+    delta_color_general,
+    delta_color_randomized,
+)
 from repro.errors import GraphStructureError, NotDenseError
 from repro.graphs import hard_clique_graph, hard_clique_torus, mixed_dense_graph
 from repro.local import Network
@@ -133,12 +138,33 @@ class TestRandomized:
         )
         assert rand.rounds < det.rounds
 
-    def test_unknown_branch_rejected(self, hard_instance):
+    def test_unknown_branch_rejected(self, hard_instance, monkeypatch):
+        def no_acd(*args, **kwargs):
+            raise AssertionError("ACD computed before the branch check")
+
+        for module in ("repro.core.deterministic", "repro.core.randomized"):
+            monkeypatch.setattr(f"{module}.compute_acd", no_acd, raising=False)
         with pytest.raises(ValueError, match="branch"):
             delta_color_randomized(
                 hard_instance.network, params=PARAMS, seed=0,
                 force_branch="quantum",
             )
+
+
+@pytest.mark.parametrize(
+    "pipeline",
+    [
+        delta_color_deterministic,
+        delta_color_randomized,
+        delta_color_general,
+        ghkm_randomized_coloring,
+        dcc_layering_coloring,
+    ],
+)
+def test_small_delta_rejected_uniformly(pipeline):
+    cycle = Network.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    with pytest.raises(GraphStructureError, match="Delta = 2.*Brooks"):
+        pipeline(cycle, params=PARAMS)
 
 
 class TestPublicApi:

@@ -9,11 +9,11 @@ import pytest
 from repro.constants import AlgorithmParameters
 from repro.core import classify_cliques, place_t_nodes
 from repro.core.randomized import (
-    _clique_components,
-    _color_component,
     _shattered_cliques,
+    color_component,
     large_delta_threshold,
 )
+from repro.core.shattering import _bad_components
 from repro.local import RoundLedger
 from repro.verify import verify_coloring
 
@@ -105,12 +105,12 @@ class TestColorComponent:
         """Zero T-nodes: the single component must color itself with the
         modified deterministic algorithm."""
         colors: list[int | None] = [None] * hard_instance.n
-        components = _clique_components(
+        components = _bad_components(
             hard_instance.network, classification, list(classification.hard)
         )
         assert len(components) == 1
         ledger = RoundLedger()
-        _color_component(
+        color_component(
             hard_instance.network, classification, components[0],
             colors, list(range(16)), params=PARAMS, ledger=ledger,
         )
@@ -125,7 +125,7 @@ class TestColorComponent:
         colors: list[int | None] = [None] * hard_instance.n
         component = [classification.hard[0]]
         ledger = RoundLedger()
-        _color_component(
+        color_component(
             hard_instance.network, classification, component,
             colors, list(range(16)), params=PARAMS, ledger=ledger,
         )

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 import threading
 import time
 from contextlib import asynccontextmanager
@@ -504,6 +506,23 @@ class TestWorkerPool:
             pass
         with pytest.raises(RuntimeError):
             pool.executor
+
+    def test_worker_forked_under_signal_handler_dies_on_sigterm(self):
+        """Workers forked after ``loop.add_signal_handler(SIGTERM)`` (what
+        ``ColoringServer.start`` does) must still die on SIGTERM."""
+        loop = asyncio.new_event_loop()
+        loop.add_signal_handler(signal.SIGTERM, lambda: None)
+        pool = WorkerPool(1, backoff=0.0)
+        try:
+            pid = pool.submit(os.getpid).result(timeout=30)
+            worker = pool.executor._processes[pid]
+            os.kill(pid, signal.SIGTERM)
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        finally:
+            pool.kill()
+            loop.remove_signal_handler(signal.SIGTERM)
+            loop.close()
 
 
 # ----------------------------------------------------------------------
