@@ -1,6 +1,6 @@
 # Convenience targets for the repro repository.
 
-.PHONY: install test test-all bench chaos trace serve-smoke chaos-serve fleet-smoke dist-smoke report examples ci lint lint-repro typecheck clean
+.PHONY: install test test-all bench perfbench-selftest chaos trace serve-smoke chaos-serve fleet-smoke dist-smoke report examples ci lint lint-repro typecheck clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -13,6 +13,11 @@ test-all:
 
 bench:
 	pytest benchmarks/ --benchmark-only -s
+
+# Self-test of the perfbench harness: every workload on tiny inputs,
+# every declared metric present, failure paths reported as failures.
+perfbench-selftest:
+	timeout 600 python3 perfbench/selftest.py
 
 # Chaos hardening: engine fault injection + campaign-runner resilience.
 chaos:
@@ -58,6 +63,7 @@ ci:
 	$(MAKE) fleet-smoke
 	$(MAKE) dist-smoke
 	$(MAKE) examples
+	$(MAKE) perfbench-selftest
 	$(MAKE) lint
 	$(MAKE) lint-repro
 	$(MAKE) typecheck

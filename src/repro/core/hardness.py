@@ -142,7 +142,6 @@ def _h1_low_degree(
 def _h2_non_clique(
     network: Network, members: list[int]
 ) -> tuple[str, Loophole] | None:
-    member_set = set(members)
     for i, u1 in enumerate(members):
         n1 = network.neighbor_set(u1)
         for u2 in members[i + 1:]:
@@ -160,7 +159,6 @@ def _h2_non_clique(
                 f"AC contains non-adjacent pair ({u1}, {u2}) with fewer "
                 "than two common neighbors; the ACD size bounds are violated"
             )
-    _ = member_set
     return None
 
 
