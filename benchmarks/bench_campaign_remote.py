@@ -14,7 +14,7 @@ adds wire framing and scheduling on top of the same core's compute).
 What the measurement *does* establish:
 
 * the per-cell overhead of the distributed plane vs the inline
-  executor (wire framing, register-then-hash, dispatch bookkeeping) —
+  executor (wire framing, hash-first dispatch, dispatch bookkeeping) —
   the honest price of location transparency;
 * that the overhead does not grow with backend count (windows and
   probes are O(backends), not O(cells × backends));

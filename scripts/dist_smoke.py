@@ -8,11 +8,17 @@ guarantees the distributed campaign plane advertises (DESIGN.md §15):
 2. ``run_campaign(executor="remote")`` against a live 2-shard serve
    fleet completes every cell and its artifact is **byte-identical**
    to the inline reference;
-3. with one shard SIGKILLed mid-campaign (after the fourth completed
+3. the first campaign registered the graph exactly once per shard,
+   and a second campaign on the same graph and the same live fleet
+   ships it to no shard (their ``serve.register`` counters do not
+   move: cells go by hash to shards that already hold it) and its
+   artifact is byte-identical to its inline reference;
+4. with one shard SIGKILLed mid-campaign (after the fourth completed
    cell), the dispatcher re-queues the shard's in-flight cells onto the
    survivor: the campaign still completes 100% of its cells with zero
    failures, rows still byte-identical, and the executor's stats report
-   the backend death.
+   the backend death.  The killed shard's pool worker exits too instead
+   of living on as an orphan.
 
 Exit status 0 on success; nonzero with a FAIL message otherwise.
 """
@@ -97,6 +103,42 @@ def start_shard(sock: str) -> subprocess.Popen:
 OPTIONS = RemoteOptions(probe_interval_s=0.2, probe_timeout_s=1.0)
 
 
+def counter(sock: str, name: str) -> float:
+    """One counter from a shard's ``metrics`` op (0 when never bumped)."""
+    with socket.socket(socket.AF_UNIX) as conn:
+        conn.settimeout(10)
+        conn.connect(sock)
+        conn.sendall(b'{"op": "metrics", "id": 1}\n')
+        reply = b""
+        while not reply.endswith(b"\n"):
+            chunk = conn.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    return json.loads(reply)["metrics"]["counters"].get(name, 0)
+
+
+def children(pid: int) -> list[int]:
+    """Live child pids of ``pid`` (empty without a /proc filesystem)."""
+    found = []
+    for entry in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = entry.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            found.append(int(entry.parent.name))
+    return found
+
+
+def alive(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def clean_fleet_run(reference, campaign, backends) -> None:
     result = run_campaign(
         campaign, backends=backends, remote_options=OPTIONS,
@@ -115,12 +157,34 @@ def clean_fleet_run(reference, campaign, backends) -> None:
     )
 
 
+def second_campaign_ships_nothing(reference, campaign, socks) -> None:
+    before = [counter(sock, "serve.register") for sock in socks]
+    if before != [1] * len(socks):
+        fail(f"first campaign should register once per shard: {before}")
+    result = run_campaign(
+        campaign, backends=[f"unix:{sock}" for sock in socks],
+        remote_options=OPTIONS,
+    )
+    after = [counter(sock, "serve.register") for sock in socks]
+    if result.failures:
+        fail(f"second fleet run recorded failures: {result.failures}")
+    if row_bytes(result) != row_bytes(reference):
+        fail("second fleet artifact differs from the inline reference")
+    if after != before:
+        fail(f"second campaign registered again: {before} -> {after}")
+    ok(
+        f"second campaign byte-identical, no graph re-sent (registers "
+        f"per shard stay {after})"
+    )
+
+
 def kill_mid_run(reference, campaign, backends, victim) -> None:
-    state = {"killed": False}
+    state = {"killed": False, "workers": []}
 
     def on_progress(done: int, total: int, label: str) -> None:
         if done >= KILL_AFTER and not state["killed"]:
             state["killed"] = True
+            state["workers"] = children(victim.pid)
             os.kill(victim.pid, signal.SIGKILL)
             print(
                 f"ok: SIGKILLed shard pid {victim.pid} after "
@@ -149,14 +213,29 @@ def kill_mid_run(reference, campaign, backends, victim) -> None:
         f"shard dead (requeued {stats['requeued']}, deaths "
         f"{stats['backend_deaths']})"
     )
+    for _ in range(100):  # 100 x 100ms = a 10s exit budget
+        if not any(map(alive, state["workers"])):
+            break
+        time.sleep(0.1)
+    orphans = [pid for pid in state["workers"] if alive(pid)]
+    for pid in orphans:
+        os.kill(pid, signal.SIGKILL)
+    if orphans:
+        fail(f"killed shard's pool workers outlived it: {orphans}")
+    ok(f"killed shard's pool workers exited: {state['workers']}")
 
 
 def main() -> int:
     clean = cells("clean", 0)
+    again = cells("again", 200)
     chaos = cells("chaos", 100)
     clean_reference = run_campaign(clean)
+    again_reference = run_campaign(again)
     chaos_reference = run_campaign(chaos)
-    ok(f"inline references collected ({len(clean) + len(chaos)} cells)")
+    ok(
+        f"inline references collected "
+        f"({len(clean) + len(again) + len(chaos)} cells)"
+    )
 
     with tempfile.TemporaryDirectory(prefix="repro-dist-smoke-") as tmp:
         socks = [os.path.join(tmp, f"shard{i}.sock") for i in range(2)]
@@ -164,6 +243,7 @@ def main() -> int:
         backends = [f"unix:{sock}" for sock in socks]
         try:
             clean_fleet_run(clean_reference, clean, backends)
+            second_campaign_ships_nothing(again_reference, again, socks)
             kill_mid_run(chaos_reference, chaos, backends, shards[1])
         finally:
             for shard in shards:

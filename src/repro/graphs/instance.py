@@ -78,6 +78,9 @@ class DenseInstance:
     clique_graph: list[list[int]]
     delta: int
     meta: dict[str, Any] = field(default_factory=dict)
+    _hash: tuple[tuple[Any, ...], str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n(self) -> int:
@@ -101,14 +104,19 @@ class DenseInstance:
         See :func:`canonical_instance_hash` for what the key covers and
         why.  ``save_instance``/``load_instance`` round-trips preserve
         this hash, so a persisted instance and its in-memory original
-        address the same serving-cache entries.
+        address the same serving-cache entries.  Memoized: the network's
+        adjacency is frozen, so the hash is recomputed only when the
+        network, ``delta`` or the (mutable) uid list changed.
         """
-        return canonical_instance_hash(
-            self.network.n,
-            self.network.edges(),
-            self.delta,
-            self.network.uids,
-        )
+        inputs = (self.network, self.delta, tuple(self.network.uids))
+        if self._hash is None or self._hash[0] != inputs:
+            self._hash = (inputs, canonical_instance_hash(
+                self.network.n,
+                self.network.edges(),
+                self.delta,
+                self.network.uids,
+            ))
+        return self._hash[1]
 
     def describe(self) -> str:
         return (

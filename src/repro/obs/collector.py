@@ -20,6 +20,7 @@ to their zero-overhead state.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
@@ -75,7 +76,20 @@ class Collector:
         self.total_sim_rounds = 0
         self.total_sim_messages = 0
         self.started = time.perf_counter()
-        self._stack: list[SpanRecord] = [self.root]
+        self._threads = threading.local()
+
+    @property
+    def _stack(self) -> list[SpanRecord]:
+        """This thread's open spans, innermost last.
+
+        Per thread, so pipelines running concurrently under one
+        collector (in-process servers share the installed one) nest
+        their spans independently; all threads grow the same tree.
+        """
+        stack: list[SpanRecord] | None = getattr(self._threads, "spans", None)
+        if stack is None:
+            stack = self._threads.spans = [self.root]
+        return stack
 
     # ------------------------------------------------------------------
     # Span plumbing (driven by repro.obs.spans._Span)

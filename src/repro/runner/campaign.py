@@ -197,9 +197,11 @@ def run_cell_on_network(
     """Execute one cell against an already-built network.
 
     The serve backends run remote-dispatched cells through this entry:
-    the graph ships once by canonical instance hash (register-then-hash)
-    and the workload builders never run server-side.  ``acd_for`` lets a
-    batch executor share the ACD across batch mates; the default
+    cells reference the graph by canonical instance hash, a backend
+    receives the graph at most once (when it first answers
+    ``unknown_instance``), and the workload builders never run
+    server-side.  ``acd_for`` lets a batch executor share the ACD across
+    batches; the default
     computes it fresh — :func:`repro.acd.compute_acd` is deterministic,
     so either way the row byte-matches :func:`run_cell` for the same
     cell (the executor-equivalence suite pins this).

@@ -13,6 +13,10 @@ recovery moves when a worker misbehaves:
   exponential backoff so a machine-level problem (OOM killer, resource
   exhaustion) is not hammered in a tight loop.
 
+A worker also exits on its own once its parent is gone: a SIGKILLed
+parent (a shard killed by its fleet, a campaign killed mid-run) cannot
+kill its workers, and nothing else would.
+
 :class:`WorkerPool` owns exactly that lifecycle and nothing else —
 scheduling, retries, and accounting stay with the caller, which is why
 the campaign runner's chaos semantics are unchanged by the refactor.
@@ -20,7 +24,9 @@ the campaign runner's chaos semantics are unchanged by the refactor.
 
 from __future__ import annotations
 
+import os
 import signal
+import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import suppress
@@ -31,9 +37,28 @@ __all__ = ["WorkerPool", "kill_executor"]
 #: Cap on the exponential crash-rebuild backoff, in seconds.
 _MAX_BACKOFF = 30.0
 
+#: How often a worker checks that its parent is still alive, in seconds.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit the worker as soon as ``parent`` is no longer its parent."""
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _init_worker() -> None:
+    """Worker initializer: reset signals, then watch the parent."""
+    _reset_signals()
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True,
+        name="parent-watch",
+    ).start()
+
 
 def _reset_signals() -> None:
-    """Worker initializer: undo signal handling inherited over ``fork``.
+    """Undo signal handling inherited over ``fork``.
 
     A pool forked by a process whose asyncio loop handles SIGTERM
     (``repro serve``) inherits the loop's no-op Python handler and its
@@ -48,7 +73,7 @@ def _reset_signals() -> None:
 
 
 def _new_executor(jobs: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=jobs, initializer=_reset_signals)
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker)
 
 
 def kill_executor(pool: ProcessPoolExecutor) -> None:

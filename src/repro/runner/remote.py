@@ -12,12 +12,18 @@ all behave identically, and the artifact bytes are identical too
 
 Dispatch mechanics
 ------------------
-* **Register-then-hash.**  Each distinct workload graph is built once
-  locally, registered once per backend, and every cell afterwards
-  references it by canonical instance hash — a steady-state cell
-  request is a few hundred bytes regardless of graph size.  A backend
-  answering ``unknown_instance`` (a restarted shard lost its registry)
-  is healed by re-registering and retrying once.
+* **Hash-first.**  Every cell references its graph by canonical
+  instance hash, so a cell request is a few hundred bytes regardless of
+  graph size.  A backend registers a graph only when it answers
+  ``unknown_instance`` — on first contact, or after a restart emptied
+  its registry — and the cell is retried once.  Registration is
+  serialized per backend and re-checked under the lock, so a graph
+  crosses the wire at most once per backend per executor even when a
+  whole window of cells makes first contact together; a backend that
+  already holds the graph (an earlier campaign registered it) is never
+  sent it again.  The register payload is built only when a backend
+  asks for it.  This is the policy the fleet router uses toward its
+  shards.
 * **Windows and health scoring.**  Each backend runs at most
   ``window`` concurrent cells.  Backend choice prefers the emptiest
   window, then lowest reported pressure (the ``serve.in_flight`` +
@@ -60,7 +66,20 @@ from repro.runner.campaign import (
 )
 from repro.serve.client import Endpoint, ResilientClient, RetryPolicy
 
-__all__ = ["RemoteExecutor", "RemoteOptions", "run_remote"]
+__all__ = [
+    "InstanceHashMismatch",
+    "RemoteExecutor",
+    "RemoteOptions",
+    "run_remote",
+]
+
+
+class InstanceHashMismatch(ReproError):
+    """A backend registered a graph under a different canonical hash.
+
+    Client and server disagree about the instance's identity, so no cell
+    on that graph can be addressed by hash; retrying cannot help.
+    """
 
 
 @dataclass(frozen=True)
@@ -113,7 +132,10 @@ class _Backend:
     label: str
     client: ResilientClient
     window: int
-    registered: set[str] = field(default_factory=set)
+    #: Instance hash -> number of the registration that sent it.  A
+    #: cell that bounced after being sent under an older number (or
+    #: none) finds a newer one here and retries without registering.
+    registered: dict[str, int] = field(default_factory=dict)
     #: Serializes instance registration: without it, concurrent first
     #: attempts would each ship the graph (it must cross the wire once).
     register_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
@@ -211,10 +233,13 @@ class RemoteExecutor:
         self._meta: dict["asyncio.Task[tuple[str, Any]]", _Attempt] = {}
         self._active: dict[int, set["asyncio.Task[tuple[str, Any]]"]] = {}
         self._latencies: list[float] = []
-        self._instances: dict[
-            tuple[Any, ...], tuple[str, dict[str, Any]]
-        ] = {}
+        self._payloads: dict[str, dict[str, Any]] = {}
+        self._registrations = 0
         self._no_backend_since: float | None = None
+        #: Ends the probe loop even if its cancellation is swallowed
+        #: (``asyncio.wait_for`` in Python 3.11 drops a cancel that
+        #: lands as its awaited response arrives).
+        self._closing = False
         #: Rebound to the event loop's clock in :meth:`run`.
         self._now: Callable[[], float] = time.monotonic
         self._dispatched = 0
@@ -232,6 +257,7 @@ class RemoteExecutor:
         try:
             await self._drive(loop)
         finally:
+            self._closing = True
             probe.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await probe
@@ -331,35 +357,52 @@ class RemoteExecutor:
 
     # -- one attempt ---------------------------------------------------
 
-    def _instance_for(self, cell: CampaignCell) -> tuple[str, dict[str, Any]]:
-        key = (
-            cell.workload, cell.num_cliques, cell.delta,
-            cell.easy_fraction, cell.graph_seed,
-        )
-        entry = self._instances.get(key)
-        if entry is None:
-            instance = _build_instance(cell)
+    def _payload_for(self, cell: CampaignCell) -> dict[str, Any]:
+        """The register payload of ``cell``'s graph, built on first ask."""
+        instance = _build_instance(cell)
+        instance_hash = instance.canonical_hash()
+        payload = self._payloads.get(instance_hash)
+        if payload is None:
             payload = {
                 "n": instance.network.n,
                 "edges": [list(edge) for edge in instance.network.edges()],
                 "delta": instance.delta,
                 "uids": list(instance.network.uids),
             }
-            entry = (instance.canonical_hash(), payload)
-            self._instances[key] = entry
-        return entry
+            self._payloads[instance_hash] = payload
+        return payload
 
     async def _register(
-        self, backend: _Backend, instance_hash: str, payload: dict[str, Any]
-    ) -> str | None:
-        """Register ``payload`` with ``backend``; error text on failure."""
-        body = await backend.client.request(
-            {"op": "register", "instance": payload},
-            timeout_s=self._options.register_timeout_s,
-        )
-        if not body.get("ok"):
-            return _error_text(body)
-        backend.registered.add(instance_hash)
+        self,
+        backend: _Backend,
+        cell: CampaignCell,
+        instance_hash: str,
+        sent_under: int | None,
+    ) -> tuple[str, Any] | None:
+        """Make sure ``backend`` holds the graph a cell just bounced on.
+
+        ``sent_under`` is the registration the cell was sent under.  If
+        a newer one landed meanwhile the graph is already there and
+        nothing is sent.  Returns ``None`` when the cell may be retried,
+        else the attempt's outcome.
+        """
+        async with backend.register_lock:
+            if backend.registered.get(instance_hash) != sent_under:
+                return None
+            body = await backend.client.request(
+                {"op": "register", "instance": self._payload_for(cell)},
+                timeout_s=self._options.register_timeout_s,
+            )
+            if not body.get("ok"):
+                return ("lost", f"register failed ({_error_text(body)})")
+            if body.get("instance_hash") != instance_hash:
+                return ("error", InstanceHashMismatch(
+                    f"backend {backend.label} registered the graph of cell "
+                    f"{cell.label!r} as {body.get('instance_hash')!r}, but "
+                    f"the client hashes it as {instance_hash!r}"
+                ))
+            self._registrations += 1
+            backend.registered[instance_hash] = self._registrations
         return None
 
     async def _attempt(
@@ -368,38 +411,31 @@ class RemoteExecutor:
         """Run one cell on one backend.
 
         Returns ``("row", response)``, ``("error", detail)`` for a
-        server-reported cell failure (deterministic — retrying is
-        pointless), or ``("lost", detail)`` for a transport/overload
-        outcome that justifies re-queueing elsewhere.
+        deterministic failure — server-reported, or an
+        :class:`InstanceHashMismatch` — that retrying cannot fix, or
+        ``("lost", detail)`` for a transport/overload outcome that
+        justifies re-queueing elsewhere.
         """
         cell = self._resolved[index]
-        instance_hash, payload = self._instance_for(cell)
-        if instance_hash not in backend.registered:
-            async with backend.register_lock:
-                if instance_hash not in backend.registered:
-                    failure = await self._register(
-                        backend, instance_hash, payload
-                    )
-                    if failure is not None:
-                        return ("lost", f"register failed ({failure})")
+        instance_hash = _build_instance(cell).canonical_hash()
         request = {
             "op": "cell",
             "cell": cell_to_json(cell),
             "instance_hash": instance_hash,
         }
+        sent_under = backend.registered.get(instance_hash)
         body = await backend.client.request(request)
-        if body.get("ok"):
-            return ("row", body)
         code = (body.get("error") or {}).get("code")
         if code == "unknown_instance":
-            # A restarted shard lost its registry: heal and retry once.
-            backend.registered.discard(instance_hash)
-            failure = await self._register(backend, instance_hash, payload)
-            if failure is None:
-                body = await backend.client.request(request)
-                if body.get("ok"):
-                    return ("row", body)
-                code = (body.get("error") or {}).get("code")
+            outcome = await self._register(
+                backend, cell, instance_hash, sent_under
+            )
+            if outcome is not None:
+                return outcome
+            body = await backend.client.request(request)
+            code = (body.get("error") or {}).get("code")
+        if body.get("ok"):
+            return ("row", body)
         if code in ("unavailable", "shed", "draining", "unknown_instance"):
             return ("lost", _error_text(body))
         return ("error", _error_text(body))
@@ -437,7 +473,7 @@ class RemoteExecutor:
             self._cancel_attempts(meta.index)
             self._finish(
                 meta.index,
-                ReproError(
+                detail if isinstance(detail, ReproError) else ReproError(
                     f"cell {self._resolved[meta.index].label!r} failed on "
                     f"backend {meta.backend.label}: {detail}"
                 ),
@@ -480,8 +516,6 @@ class RemoteExecutor:
 
     def _declare_dead(self, backend: _Backend) -> None:
         backend.alive = False
-        # A restarted shard starts with an empty registry.
-        backend.registered.clear()
         self._deaths += 1
         for task in list(backend.inflight):
             task.cancel()
@@ -570,7 +604,7 @@ class RemoteExecutor:
     # -- health probing ------------------------------------------------
 
     async def _probe_loop(self) -> None:
-        while True:
+        while not self._closing:
             for backend in self._backends:
                 body = await backend.client.request(
                     {"op": "metrics"},

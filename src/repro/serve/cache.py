@@ -18,6 +18,11 @@ Two small pieces:
   canonical hash, so clients upload a graph once (``register`` op, or
   implicitly on the first inline ``color``) and then send requests that
   are a few dozen bytes.
+* :class:`PreparedCache` — what batches derive from a registered
+  payload (the validated network structure, the ACD), kept per worker
+  process so later batches on the same hash skip that work.  It follows
+  the registry: an instance the registry forgot is dropped after the
+  next batch.
 
 The disk tier is multi-writer safe: every write goes to a per-process
 temporary name and is published with an atomic ``rename``.  In the
@@ -35,12 +40,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Collection, Generic, TypeVar
 
 __all__ = [
     "InstanceRegistry",
+    "PreparedCache",
     "ResultCache",
     "make_cache_key",
     "make_cell_cache_key",
@@ -269,6 +276,10 @@ class InstanceRegistry:
     def __contains__(self, instance_hash: str) -> bool:
         return instance_hash in self._payloads
 
+    def hashes(self) -> frozenset[str]:
+        """The hashes held right now (what a batch may keep prepared)."""
+        return frozenset(self._payloads)
+
     def get(self, instance_hash: str) -> dict[str, Any] | None:
         payload = self._payloads.get(instance_hash)
         if payload is not None:
@@ -281,3 +292,55 @@ class InstanceRegistry:
         while len(self._payloads) > self.capacity:
             self._payloads.popitem(last=False)
             self.evictions += 1
+
+
+T = TypeVar("T")
+
+
+class PreparedCache(Generic[T]):
+    """Per-instance products shared across batches, keyed by canonical hash.
+
+    Content-addressed, so every batch and every server in a process may
+    share an entry: equal hashes mean equal instances.  It has no bound
+    of its own.  After each batch the executor calls :meth:`retain` with
+    the hashes its server's :class:`InstanceRegistry` holds, so the
+    cache never holds more instances than the registry and forgets one
+    when the registry does.  Thread-safe: in-process (``jobs=0``)
+    servers run batches on executor threads.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: dict[str, T] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, instance_hash: str, build: Callable[[], T]) -> tuple[T, bool]:
+        """The entry for ``instance_hash``, built on a miss.
+
+        Returns ``(entry, built)``.  A ``build`` that raises stores
+        nothing.  Building holds the lock, so two batches never build
+        the same instance twice.
+        """
+        with self._lock:
+            entry = self._entries.get(instance_hash)
+            if entry is not None:
+                return entry, False
+            entry = self._entries[instance_hash] = build()
+            return entry, True
+
+    def retain(self, hashes: Collection[str]) -> None:
+        """Drop every entry whose hash is not in ``hashes``."""
+        with self._lock:
+            for instance_hash in [h for h in self._entries if h not in hashes]:
+                del self._entries[instance_hash]
+
+    def reset(self) -> None:
+        """Forget everything, without taking the lock.
+
+        For a forked child: the lock may have been held by a thread of
+        the parent that does not exist in the child.
+        """
+        self._lock = threading.Lock()
+        self._entries = {}

@@ -31,8 +31,10 @@ answered by the router tier; a single shard bounces it with
 payload shape as :func:`repro.graphs.save_instance`) or by reference
 (``instance_hash`` of a previously registered/submitted instance) —
 the reference form keeps steady-state requests a few dozen bytes.
-``cell`` accepts the reference form only: the campaign executor
-registers each distinct graph once per backend (register-then-hash).
+``cell`` accepts the reference form only: the campaign executor sends
+every cell by hash and registers a graph only when a backend answers
+``unknown_instance`` (hash-first), so each graph crosses the wire at
+most once per backend.
 
 Error codes: ``bad_request`` (malformed JSON / fields), ``unsupported``
 (unknown op or method), ``unknown_instance`` (hash not registered),
@@ -266,7 +268,7 @@ def parse_cell_request(data: dict[str, Any]) -> CellRequest:
         raise ProtocolError(
             "bad_request",
             "cell op needs an 'instance_hash' of a registered instance "
-            "(register-then-hash; inline instances are not accepted)",
+            "(register it first; inline instances are not accepted)",
         )
     unknown = set(cell) - set(_CELL_FIELDS)
     if unknown:

@@ -12,18 +12,27 @@ worker crash (``BrokenProcessPool``) rebuilds the pool with backoff and
 retries the batch; if the rebuilt pool breaks again the batch's
 requests fail with ``internal`` instead of taking the server down.
 
-Inside a worker, batch mates share per-instance work: the
-:class:`~repro.local.network.Network` is built once per distinct
-instance, the (Δ+1)-clique validation runs once, and the ACD — the
-seed-independent prefix of both dense pipelines — is computed once per
-``(instance, epsilon)`` and passed to every seed's coloring.  This is
-what makes batching *faster* rather than merely fairer: a seed-sweep
-batch pays the structural analysis once.
+Per-instance work is shared across batches, not just within one.  A
+worker process keeps a prepared entry per registered instance (a
+:class:`~repro.serve.cache.PreparedCache`): the adjacency and uids of
+the first, fully validated :class:`~repro.local.network.Network`, the
+(Δ+1)-clique verdict, and the ACD — the seed-independent prefix of the
+dense pipelines — per epsilon.  Each batch builds a fresh ``Network``
+over the stored adjacency without re-validating it, so no node state
+crosses batches or threads, and every seed's coloring reuses the
+stored ACD.  A seed sweep therefore pays the structural analysis once
+per worker, however many batches it spans.  The entries follow the
+server's :class:`~repro.serve.cache.InstanceRegistry`: after each batch
+the worker drops every instance the registry no longer holds.
+Outside input is still validated in full: ``register`` and inline
+instances pass through :func:`~repro.serve.protocol.normalize_instance_payload`,
+and the first ``Network`` of every instance checks its structure.
 
 Determinism note: sharing is sound because ``compute_acd`` is itself
-deterministic, so a shared ACD is identical to the one each call would
-have computed — responses byte-match single-request runs, which the
-smoke test (``scripts/serve_smoke.py``) asserts end to end.
+deterministic and no pipeline mutates the ACD it is given, so a shared
+ACD is identical to the one each call would have computed — responses
+byte-match single-request runs, which the smoke test
+(``scripts/serve_smoke.py``) asserts end to end.
 
 ``jobs=0`` runs batches inline on the default thread executor — no
 process isolation, but instant startup; the test suite and quick local
@@ -35,10 +44,13 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import os
 import signal
+import threading
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, Collection
 
 from repro.constants import PAPER_PARAMETERS, AlgorithmParameters
 from repro.errors import ReproError
@@ -49,6 +61,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.batching import BatcherClosed, MicroBatcher, PendingRequest
 from repro.serve.cache import (
     InstanceRegistry,
+    PreparedCache,
     ResultCache,
     make_cache_key,
     make_cell_cache_key,
@@ -87,6 +100,61 @@ def _colors_digest(colors: list[int]) -> str:
     return hashlib.sha256(
         json.dumps(colors, separators=(",", ":")).encode()
     ).hexdigest()
+
+
+class _Prepared:
+    """The seed-independent products of one instance, shared by batches.
+
+    Built by the first batch that needs the instance; immutable after
+    that except for the lazily filled clique verdict and ACDs, which
+    are filled under a lock.  Only a passed clique check is kept: a
+    failing one raises again on every use.
+    """
+
+    def __init__(self, payload: dict[str, Any]) -> None:
+        from repro.local.network import Network
+
+        first = Network.from_edges(
+            payload["n"],
+            [tuple(edge) for edge in payload["edges"]],
+            payload.get("uids"),
+        )
+        self.adjacency = first.adjacency
+        self.uids = tuple(first.uids)
+        self.delta: int = payload["delta"]
+        self._lock = threading.Lock()
+        self._clique_free = False
+        self._acds: dict[float, Any] = {}
+
+    def network(self) -> Any:
+        """A fresh network over the validated adjacency."""
+        from repro.local.network import Network
+
+        return Network(self.adjacency, self.uids, validate_structure=False)
+
+    def acd(self, epsilon: float, network: Any) -> Any:
+        from repro.acd.decomposition import compute_acd
+
+        with self._lock:
+            acd = self._acds.get(epsilon)
+            if acd is None:
+                acd = self._acds[epsilon] = compute_acd(network, epsilon)
+            return acd
+
+    def validate(self, network: Any) -> None:
+        from repro.graphs.validation import assert_no_delta_plus_one_clique
+
+        with self._lock:
+            if not self._clique_free:
+                assert_no_delta_plus_one_clique(network)
+                self._clique_free = True
+
+
+#: This process's prepared instances.  Bounded by the registries of the
+#: servers whose batches run here (see :meth:`PreparedCache.retain`).
+_PREPARED: PreparedCache[_Prepared] = PreparedCache()
+# A forked pool worker starts empty, whatever the parent's threads held.
+os.register_at_fork(after_in_child=_PREPARED.reset)
 
 
 def _run_spec(
@@ -147,90 +215,78 @@ def _params_for(epsilon: float) -> AlgorithmParameters:
 
 
 def execute_batch(
-    specs: list[dict[str, Any]], instances: dict[str, dict[str, Any]]
+    specs: list[dict[str, Any]],
+    instances: dict[str, dict[str, Any]],
+    registered: Collection[str] | None = None,
 ) -> list[dict[str, Any]]:
     """Run one micro-batch of coloring specs (module-level: picklable).
 
-    Batch mates on the same instance share the parsed ``Network``, the
-    (Δ+1)-clique validation, and — per distinct epsilon — the ACD.  Each
-    spec fails independently: a :class:`~repro.errors.ReproError` from
-    one pipeline run becomes that spec's error entry, never its batch
+    Specs on one instance share a prepared entry from this process's
+    cache — built by the first batch that needs it, reused by every
+    later one (see the module docstring) — and, within the batch, one
+    ``Network``.  ``registered`` is the set of hashes the server's
+    registry holds; after the batch, prepared entries outside it are
+    dropped.  ``None`` keeps only this batch's instances.  The first
+    entry of each instance carries ``"prepared": "build"`` or
+    ``"hit"`` for the server's counters.  Each spec fails
+    independently: a :class:`~repro.errors.ReproError` from one
+    pipeline run becomes that spec's error entry, never its batch
     mates'.
 
     Two spec kinds ride the same batches: ``color`` specs (the default)
     and ``cell`` specs (``kind == "cell"``), which decode a campaign
     cell and run it through :func:`repro.runner.campaign.run_cell_on_network`
-    — the exact executor core inline/pool campaigns use, sharing this
-    batch's network and ACD.  That shared core is the byte-identity
+    — the exact executor core inline/pool campaigns use, sharing the
+    prepared network and ACD.  That shared core is the byte-identity
     argument for the distributed campaign plane.
     """
-    from repro.acd.decomposition import compute_acd
-    from repro.graphs.validation import assert_no_delta_plus_one_clique
-    from repro.local.network import Network
     from repro.runner.campaign import cell_from_json, run_cell_on_network
 
-    networks: dict[str, Any] = {}
-    acds: dict[tuple[str, float], Any] = {}
-    validations: dict[str, bool] = {}
+    keep = set(instances) if registered is None else registered
+    ready: dict[str, tuple[_Prepared, Any]] = {}
     out: list[dict[str, Any]] = []
-    for spec in specs:
-        instance_hash = spec["instance_hash"]
-        try:
-            network = networks.get(instance_hash)
-            if network is None:
-                payload = instances[instance_hash]
-                network = Network.from_edges(
-                    payload["n"],
-                    [tuple(edge) for edge in payload["edges"]],
-                    payload.get("uids"),
-                )
-                networks[instance_hash] = network
-
-            def acd_for(
-                epsilon: float, _hash: str = instance_hash, _net: Any = network
-            ) -> Any:
-                acd = acds.get((_hash, epsilon))
-                if acd is None:
-                    acd = compute_acd(_net, epsilon)
-                    acds[(_hash, epsilon)] = acd
-                return acd
-
-            def validated(
-                _hash: str = instance_hash, _net: Any = network
-            ) -> None:
-                if not validations.get(_hash):
-                    assert_no_delta_plus_one_clique(_net)
-                    validations[_hash] = True
-
-            if spec.get("kind") == "cell":
-                cell = cell_from_json(spec["cell"])
-                row = run_cell_on_network(
-                    cell, network, instances[instance_hash]["delta"],
-                    acd_for=acd_for,
-                )
-                out.append({"key": spec["key"], "result": {"row": row}})
-            else:
-                result = _run_spec(spec, network, acd_for, validated)
-                result["colors_sha256"] = _colors_digest(result["colors"])
-                out.append({"key": spec["key"], "result": result})
-        except ReproError as error:
-            out.append({
-                "key": spec["key"],
-                "error": {
+    try:
+        for spec in specs:
+            instance_hash = spec["instance_hash"]
+            entry: dict[str, Any] = {"key": spec["key"]}
+            out.append(entry)
+            try:
+                if instance_hash not in ready:
+                    prepared, built = _PREPARED.get(
+                        instance_hash,
+                        partial(_Prepared, instances[instance_hash]),
+                    )
+                    entry["prepared"] = "build" if built else "hit"
+                    ready[instance_hash] = (prepared, prepared.network())
+                prepared, network = ready[instance_hash]
+                acd_for = partial(prepared.acd, network=network)
+                if spec.get("kind") == "cell":
+                    row = run_cell_on_network(
+                        cell_from_json(spec["cell"]), network,
+                        prepared.delta, acd_for=acd_for,
+                    )
+                    entry["result"] = {"row": row}
+                else:
+                    result = _run_spec(
+                        spec, network, acd_for,
+                        partial(prepared.validate, network),
+                    )
+                    result["colors_sha256"] = _colors_digest(result["colors"])
+                    entry["result"] = result
+            except ReproError as error:
+                entry["error"] = {
                     "code": "internal",
                     "message": str(error),
                     "type": type(error).__name__,
-                },
-            })
-        except Exception as error:  # pipeline bug: fail the spec, not the batch
-            out.append({
-                "key": spec["key"],
-                "error": {
+                }
+            except Exception as error:  # pipeline bug: fail the spec, not the batch
+                entry["error"] = {
                     "code": "internal",
                     "message": f"{type(error).__name__}: {error}",
                     "type": type(error).__name__,
-                },
-            })
+                }
+    finally:
+        _PREPARED.retain(keep)
     return out
 
 
@@ -245,7 +301,9 @@ class ServeConfig:
 
     ``batch_runner`` is the injection seam mirroring the campaign
     runner's ``cell_runner``: tests swap in stubs that sleep, crash, or
-    count batches.  It must be picklable when ``jobs > 0``.
+    count batches.  It is called like :func:`execute_batch`, as
+    ``runner(specs, instances, registered)``, and must be picklable
+    when ``jobs > 0``.
     """
 
     host: str = "127.0.0.1"
@@ -562,6 +620,7 @@ class ColoringServer:
                     error.code, str(error), request_id=request_id, op="register"
                 )
             self.registry.put(instance_hash, slim)
+            metric_count("serve.register")
             return {
                 "id": request_id,
                 "ok": True,
@@ -778,8 +837,9 @@ class ColoringServer:
 
         Same admission / batching / caching path as ``color``; the spec
         carries the full wire cell and the graph arrives by registered
-        hash only (the campaign executor ships each graph once per
-        backend).  The response row is what the inline executor's
+        hash only (the campaign executor registers a graph when this
+        answers ``unknown_instance``).  The response row is what the
+        inline executor's
         :func:`repro.runner.campaign.run_cell` would produce — cells are
         deterministic, so serving one is cacheable and retry-safe.
         """
@@ -926,6 +986,9 @@ class ColoringServer:
             return
         batch_size = len(live)
         for entry in entries:
+            prepared = entry.get("prepared")
+            if prepared is not None:
+                metric_count(f"serve.prepared.{prepared}")
             group = by_key.pop(entry["key"], [])
             if "error" in entry:
                 outcome: dict[str, Any] = {"error": entry["error"]}
@@ -952,12 +1015,17 @@ class ColoringServer:
     ) -> list[dict[str, Any]]:
         loop = asyncio.get_running_loop()
         runner = self.config.batch_runner
+        registered = self.registry.hashes()
         if self.pool is None:
-            return await loop.run_in_executor(None, runner, specs, instances)
+            return await loop.run_in_executor(
+                None, runner, specs, instances, registered
+            )
         attempts = 0
         while True:
             try:
-                future = self.pool.submit(runner, specs, instances)
+                future = self.pool.submit(
+                    runner, specs, instances, registered
+                )
                 return await asyncio.wrap_future(future)
             except BrokenProcessPool:
                 self.pool_rebuilds += 1

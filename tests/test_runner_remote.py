@@ -23,13 +23,14 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ReproError
 from repro.runner import CampaignCell, load_journal, run_campaign
-from repro.runner.remote import RemoteOptions
+from repro.runner.remote import InstanceHashMismatch, RemoteOptions
 from repro.serve import execute_batch, normalize_instance_payload
 
 #: Small-but-real cells: big enough to exercise run_cell, fast enough
@@ -74,6 +75,13 @@ class FakeBackend:
     die_after:
         after serving this many cells, the next cell request aborts
         every connection and stops listening — a SIGKILL stand-in.
+    register_hash:
+        answer every ``register`` with this hash instead of the
+        canonical one — a client/server hash disagreement.
+
+    Counters: ``cells`` are executed cells, ``bounces`` are cell
+    requests answered ``unknown_instance``, ``registers`` are
+    ``register`` ops.
     """
 
     def __init__(
@@ -83,14 +91,17 @@ class FakeBackend:
         delay: dict[str, float] | None = None,
         fail_labels: tuple[str, ...] = (),
         die_after: int | None = None,
+        register_hash: str | None = None,
     ) -> None:
         self.path = str(path)
         self.spec = f"unix:{self.path}"
         self.delay = dict(delay or {})
         self.fail_labels = set(fail_labels)
         self.die_after = die_after
+        self.register_hash = register_hash
         self.instances: dict[str, dict] = {}
         self.cells = 0
+        self.bounces = 0
         self.registers = 0
         self._writers: set[asyncio.StreamWriter] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -188,6 +199,7 @@ class FakeBackend:
             instance_hash, slim = normalize_instance_payload(
                 data["instance"]
             )
+            instance_hash = self.register_hash or instance_hash
             self.instances[instance_hash] = slim
             return {
                 "id": rid, "ok": True, "op": "register",
@@ -210,9 +222,9 @@ class FakeBackend:
         if self.die_after is not None and self.cells >= self.die_after:
             self._kill()
             return None
-        self.cells += 1
         instance_hash = data["instance_hash"]
         if instance_hash not in self.instances:
+            self.bounces += 1
             return {
                 "id": rid, "ok": False, "op": "cell",
                 "error": {
@@ -220,6 +232,7 @@ class FakeBackend:
                     "message": f"no instance {instance_hash!r}",
                 },
             }
+        self.cells += 1
         if label in self.fail_labels:
             return {
                 "id": rid, "ok": False, "op": "cell",
@@ -233,7 +246,8 @@ class FakeBackend:
         }
         with EXEC_LOCK:
             (entry,) = execute_batch(
-                [spec], {instance_hash: self.instances[instance_hash]}
+                [spec], {instance_hash: self.instances[instance_hash]},
+                self.instances,
             )
         if "error" in entry:
             return {
@@ -279,16 +293,80 @@ class TestExecutorEquivalence:
 class TestDispatch:
     def test_work_spreads_and_each_graph_ships_once(self, tmp_path):
         cells = small_cells(8)  # one shared graph across all cells
+        window = 2
         with FakeBackend(tmp_path / "a.sock") as a, \
                 FakeBackend(tmp_path / "b.sock") as b:
             result = run_campaign(
                 cells, backends=[a.spec, b.spec],
-                remote_options=RemoteOptions(window=2, **FAST),
+                remote_options=RemoteOptions(window=window, **FAST),
             )
             assert a.cells >= 1 and b.cells >= 1
             assert a.cells + b.cells == len(cells)
+            # Hash-first: only cells sent before the graph landed bounce.
+            assert 1 <= a.bounces <= window and 1 <= b.bounces <= window
             assert a.registers == 1 and b.registers == 1
         assert len(result.rows) == len(cells)
+
+    def test_second_campaign_registers_nothing(self, tmp_path):
+        first, second = small_cells(6), small_cells(6, telemetry=True)
+        reference = run_campaign(second)
+        with FakeBackend(tmp_path / "a.sock") as a, \
+                FakeBackend(tmp_path / "b.sock") as b:
+            backends = [a.spec, b.spec]
+            options = RemoteOptions(window=3, **FAST)
+            run_campaign(first, backends=backends, remote_options=options)
+            bounces = a.bounces + b.bounces
+            cells = a.cells + b.cells
+            remote = run_campaign(
+                second, backends=backends, remote_options=options
+            )
+            assert a.registers == 1 and b.registers == 1
+            assert a.bounces + b.bounces == bounces
+            assert a.cells + b.cells == cells + len(second)
+        assert row_bytes(remote) == row_bytes(reference)
+
+    def test_concurrent_first_contact_ships_each_graph_once(self, tmp_path):
+        # Two graphs, a full window of first contacts per backend: each
+        # backend receives each graph at most once.
+        cells = [
+            *small_cells(8),
+            *(replace(cell, label=f"g2-{cell.label}", graph_seed=2)
+              for cell in small_cells(8)),
+        ]
+        reference = run_campaign(cells)
+        window = 4
+        with FakeBackend(tmp_path / "a.sock") as a, \
+                FakeBackend(tmp_path / "b.sock") as b:
+            remote = run_campaign(
+                cells, backends=[a.spec, b.spec],
+                remote_options=RemoteOptions(window=window, **FAST),
+            )
+            for backend in (a, b):
+                assert backend.registers == len(backend.instances) <= 2
+                assert backend.bounces <= window * len(backend.instances)
+        assert row_bytes(remote) == row_bytes(reference)
+
+    def test_register_hash_mismatch_fails_loudly(self, tmp_path):
+        cells = small_cells(2)
+        wrong = "0" * 64
+        with FakeBackend(tmp_path / "a.sock", register_hash=wrong) as a:
+            result = run_campaign(
+                cells, backends=[a.spec], strict=False, retries=3,
+                remote_options=RemoteOptions(**FAST),
+            )
+            with pytest.raises(InstanceHashMismatch, match=wrong):
+                run_campaign(
+                    cells, backends=[a.spec],
+                    remote_options=RemoteOptions(**FAST),
+                )
+            assert a.cells == 0
+        right = normalize_instance_payload(a.instances[wrong])[0]
+        assert len(result.failures) == len(cells)
+        for failure in result.failures:
+            assert failure["kind"] == "error"
+            assert wrong in failure["error"] and right in failure["error"]
+        # Failed once, never re-queued as a lost cell.
+        assert result.remote_stats["requeued"] == 0
 
     def test_server_reported_cell_error_is_not_retried(self, tmp_path):
         cells = [*small_cells(2), CampaignCell(label="doomed", **SMALL)]

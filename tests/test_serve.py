@@ -6,14 +6,18 @@ import asyncio
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from contextlib import asynccontextmanager
+from pathlib import Path
 
 import pytest
 
 from repro.constants import AlgorithmParameters
 from repro.core.deterministic import delta_color_deterministic
+from repro.core.randomized import delta_color_randomized
 from repro.graphs import hard_clique_graph
 from repro.runner import WorkerPool
 from repro.serve import (
@@ -524,6 +528,44 @@ class TestWorkerPool:
             loop.remove_signal_handler(signal.SIGTERM)
             loop.close()
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads process states in /proc"
+    )
+    def test_worker_exits_when_its_parent_is_killed(self, tmp_path):
+        """A SIGKILLed pool owner (a shard the fleet killed) must not
+        leave its worker behind as an orphan."""
+        script = (
+            "import os, signal\n"
+            "from repro.runner import WorkerPool\n"
+            "pool = WorkerPool(1, backoff=0.0)\n"
+            "print(pool.submit(os.getpid).result(timeout=30), flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = tmp_path / "worker.pid"
+        with out.open("w") as sink:
+            subprocess.run(
+                [sys.executable, "-c", script], stdout=sink, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+        worker = int(out.read_text().split()[0])
+
+        def alive() -> bool:
+            try:
+                stat = Path(f"/proc/{worker}/stat").read_text()
+            except OSError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        deadline = time.monotonic() + 10
+        try:
+            while alive() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not alive(), f"pool worker {worker} outlived its parent"
+        finally:
+            if alive():
+                os.kill(worker, signal.SIGKILL)
+
 
 # ----------------------------------------------------------------------
 # Server end-to-end (unix sockets, jobs=0 inline execution)
@@ -546,7 +588,7 @@ async def serving(tmp_path, **overrides):
         await server.close()
 
 
-def slow_runner(specs, instances):
+def slow_runner(specs, instances, registered):
     time.sleep(0.2)
     return [
         {"key": spec["key"], "result": {"colors": [0], "num_colors": 1}}
@@ -717,6 +759,226 @@ class TestServerEndToEnd:
         asyncio.run(scenario())
 
 
+class TestPreparedInstances:
+    """Per-instance work is shared across batches, never across state."""
+
+    @staticmethod
+    def spec(key, method, seed=None):
+        return {
+            "key": key, "instance_hash": "", "method": method,
+            "seed": seed, "epsilon": EPSILON, "options": {},
+        }
+
+    def test_two_batches_prepare_once(self, monkeypatch, instance, payload):
+        import repro.acd.decomposition as decomposition
+        import repro.graphs.validation as validation
+        import repro.local.network as network_module
+        import repro.serve.server as server_module
+        from repro.serve.cache import PreparedCache
+
+        calls = {"parse": 0, "structure": 0, "clique": 0, "acd": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(server_module, "_PREPARED", PreparedCache())
+        monkeypatch.setattr(
+            network_module, "_adjacency_from_edges",
+            counted("parse", network_module._adjacency_from_edges),
+        )
+        monkeypatch.setattr(
+            network_module.Network, "_check_adjacency",
+            counted("structure", network_module.Network._check_adjacency),
+        )
+        monkeypatch.setattr(
+            validation, "assert_no_delta_plus_one_clique",
+            counted("clique", validation.assert_no_delta_plus_one_clique),
+        )
+        monkeypatch.setattr(
+            decomposition, "compute_acd",
+            counted("acd", decomposition.compute_acd),
+        )
+        instance_hash, slim = normalize_instance_payload(payload)
+        instances = {instance_hash: slim}
+        batches = [
+            [self.spec("a", "deterministic")],
+            [self.spec("b", "randomized", 1), self.spec("c", "randomized", 2)],
+        ]
+        entries = []
+        for batch in batches:
+            for spec in batch:
+                spec["instance_hash"] = instance_hash
+            entries.append(execute_batch(batch, instances, {instance_hash}))
+        assert calls == {"parse": 1, "structure": 1, "clique": 1, "acd": 1}
+        assert [entry.get("prepared") for entry in entries[0]] == ["build"]
+        assert [entry.get("prepared") for entry in entries[1]] == ["hit", None]
+        params = AlgorithmParameters(epsilon=EPSILON)
+        direct = [
+            delta_color_deterministic(instance.network, params=params),
+            delta_color_randomized(instance.network, params=params, seed=1),
+            delta_color_randomized(instance.network, params=params, seed=2),
+        ]
+        results = [entry["result"] for batch in entries for entry in batch]
+        for result, expected in zip(results, direct):
+            assert result["colors"] == expected.colors
+            assert result["rounds"] == expected.rounds
+            assert result["messages"] == expected.messages
+
+    def test_cache_follows_registry_eviction(self, monkeypatch, tmp_path):
+        import repro.serve.server as server_module
+        from repro.serve.cache import PreparedCache
+
+        monkeypatch.setattr(server_module, "_PREPARED", PreparedCache())
+        graphs = [hard_clique_graph(16, 8, seed=seed) for seed in (3, 4)]
+        params = AlgorithmParameters(epsilon=EPSILON)
+        direct = [
+            delta_color_randomized(graph.network, params=params, seed=5)
+            for graph in graphs
+        ]
+        payloads = [
+            {
+                "n": graph.n,
+                "edges": [list(edge) for edge in graph.network.edges()],
+                "delta": graph.delta,
+                "uids": list(graph.network.uids),
+            }
+            for graph in graphs
+        ]
+
+        async def scenario():
+            async with serving(tmp_path, registry_size=1) as (server, client):
+                for round_index in range(4):
+                    which = round_index % 2
+                    response = await client.request({
+                        "op": "color", "method": "randomized", "seed": 5,
+                        "epsilon": EPSILON, "instance": payloads[which],
+                        "no_cache": True,
+                    })
+                    assert response["ok"], response
+                    assert response["result"]["colors"] == direct[which].colors
+                    assert len(server.registry) == 1
+                    assert len(server_module._PREPARED) <= 1
+                metrics = await client.request({"op": "metrics"})
+                counters = metrics["metrics"]["counters"]
+                # Every alternation evicted the other instance.
+                assert counters["serve.prepared.build"] == 4
+                assert "serve.prepared.hit" not in counters
+
+        asyncio.run(scenario())
+
+    def test_counters_register_build_hit(self, monkeypatch, tmp_path,
+                                         payload):
+        import repro.serve.server as server_module
+        from repro.serve.cache import PreparedCache
+
+        monkeypatch.setattr(server_module, "_PREPARED", PreparedCache())
+
+        async def scenario():
+            async with serving(tmp_path) as (_, client):
+                registered = await client.request(
+                    {"op": "register", "instance": payload}
+                )
+                for seed in (1, 2):
+                    response = await client.request({
+                        "op": "color", "method": "randomized", "seed": seed,
+                        "epsilon": EPSILON,
+                        "instance_hash": registered["instance_hash"],
+                    })
+                    assert response["ok"], response
+                metrics = await client.request({"op": "metrics"})
+                counters = metrics["metrics"]["counters"]
+                assert counters["serve.register"] == 1
+                assert counters["serve.prepared.build"] == 1
+                assert counters["serve.prepared.hit"] == 1
+
+        asyncio.run(scenario())
+
+    def test_two_servers_color_one_hash_concurrently(self, tmp_path, instance,
+                                                     payload):
+        params = AlgorithmParameters(epsilon=EPSILON)
+        seeds = range(6)
+        direct = {
+            seed: delta_color_randomized(
+                instance.network, params=params, seed=seed
+            )
+            for seed in seeds
+        }
+
+        async def sweep(client, instance_hash):
+            return await asyncio.gather(*(
+                client.request({
+                    "op": "color", "method": "randomized", "seed": seed,
+                    "epsilon": EPSILON, "instance_hash": instance_hash,
+                })
+                for seed in seeds
+            ))
+
+        async def scenario():
+            (tmp_path / "a").mkdir()
+            (tmp_path / "b").mkdir()
+            async with serving(tmp_path / "a", max_batch=2) as (_, a), \
+                    serving(tmp_path / "b", max_batch=2) as (_, b):
+                hashes = [
+                    (await client.request(
+                        {"op": "register", "instance": payload}
+                    ))["instance_hash"]
+                    for client in (a, b)
+                ]
+                assert hashes[0] == hashes[1]
+                answers = await asyncio.gather(
+                    sweep(a, hashes[0]), sweep(b, hashes[1])
+                )
+            for responses in answers:
+                for seed, response in zip(seeds, responses):
+                    assert response["ok"], response
+                    expected = direct[seed]
+                    assert response["result"]["colors"] == expected.colors
+                    assert response["result"]["rounds"] == expected.rounds
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("pipeline", [
+        "deterministic", "randomized", "general", "ghkm", "dcc",
+    ])
+    def test_pipelines_leave_a_passed_acd_unchanged(self, pipeline,
+                                                    instance):
+        import pickle
+
+        from repro.acd import compute_acd
+        from repro.baselines import (
+            dcc_layering_coloring,
+            ghkm_randomized_coloring,
+        )
+        from repro.core.sparse import delta_color_general
+
+        params = AlgorithmParameters(epsilon=EPSILON)
+        network = instance.network
+        acd = compute_acd(network, EPSILON)
+        before = pickle.dumps(acd)
+        # Low activation leaves bad cliques, so the shattered-component
+        # path runs too.
+        if pipeline == "deterministic":
+            delta_color_deterministic(network, params=params, acd=acd)
+        elif pipeline == "randomized":
+            delta_color_randomized(
+                network, params=params, seed=3, acd=acd,
+                activation_probability=0.02,
+            )
+        elif pipeline == "general":
+            delta_color_general(network, params=params, seed=0, acd=acd)
+        elif pipeline == "ghkm":
+            ghkm_randomized_coloring(
+                network, params=params, seed=3, acd=acd,
+                activation_probability=0.02,
+            )
+        else:
+            dcc_layering_coloring(network, params=params, acd=acd)
+        assert pickle.dumps(acd) == before
+
+
 class TestServerOverload:
     def test_sheds_past_queue_bound(self, tmp_path, payload):
         async def scenario():
@@ -838,7 +1100,7 @@ class TestServerOverload:
         asyncio.run(scenario())
 
 
-def crashing_runner(specs, instances):
+def crashing_runner(specs, instances, registered):
     import os
 
     os._exit(13)
@@ -906,9 +1168,9 @@ class TestOps:
         """The in_flight gauge reflects admitted-but-unfinished work."""
         release = threading.Event()
 
-        def stalling_runner(specs, instances):
+        def stalling_runner(specs, instances, registered):
             release.wait(timeout=10.0)
-            return execute_batch(specs, instances)
+            return execute_batch(specs, instances, registered)
 
         async def scenario():
             async with serving(

@@ -34,14 +34,14 @@ def payload():
     }
 
 
-def fast_runner(specs, instances):
+def fast_runner(specs, instances, registered):
     return [
         {"key": spec["key"], "result": {"colors": [0], "num_colors": 1}}
         for spec in specs
     ]
 
 
-def slow_runner(specs, instances):
+def slow_runner(specs, instances, registered):
     time.sleep(0.25)
     return [
         {"key": spec["key"], "result": {"colors": [1], "num_colors": 1}}

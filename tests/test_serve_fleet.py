@@ -378,7 +378,7 @@ class TestRouterEndToEnd:
     def test_draining_shard_leaves_ring_without_dropping_inflight(
         self, tmp_path, payload
     ):
-        def slow_runner(specs, instances):
+        def slow_runner(specs, instances, registered):
             time.sleep(0.2)
             return [
                 {"key": spec["key"],

@@ -68,7 +68,7 @@ async def server_still_serves(config) -> None:
         await writer.wait_closed()
 
 
-def slow_runner(specs, instances):
+def slow_runner(specs, instances, registered):
     time.sleep(0.3)
     return [
         {"key": spec["key"], "result": {"colors": [0], "num_colors": 1}}
