@@ -323,81 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
              "sockets; 0 disables)",
     )
 
-    loadgen = commands.add_parser(
-        "loadgen",
-        help="drive a deterministic workload against a running server",
-        description=(
-            "Seeded open- or closed-loop client: registers one generated "
-            "instance, issues per-seed color requests, and reports "
-            "throughput, latency percentiles, and shed/cache counts."
-        ),
-    )
-    loadgen.add_argument("--host", default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, default=0)
-    loadgen.add_argument("--unix", default=None, metavar="PATH")
-    loadgen.add_argument("-n", "--requests", type=int, default=100)
-    loadgen.add_argument("--mode", choices=("open", "closed"), default="open")
-    loadgen.add_argument(
-        "-c", "--concurrency", type=int, default=32,
-        help="open: max outstanding; closed: serial lanes",
-    )
-    loadgen.add_argument(
-        "--method", choices=("deterministic", "randomized", "general",
-                             "baseline-brooks", "baseline-dplus1"),
-        default="randomized",
-    )
-    loadgen.add_argument("--workload", choices=("hard", "mixed"),
-                         default="hard")
-    loadgen.add_argument("--cliques", type=int, default=16)
-    loadgen.add_argument("--delta", type=int, default=8)
-    loadgen.add_argument("--easy-fraction", type=float, default=0.5)
-    loadgen.add_argument("--graph-seed", type=int, default=3)
-    loadgen.add_argument("--epsilon", type=float, default=0.25)
-    loadgen.add_argument("--base-seed", type=int, default=1)
-    loadgen.add_argument(
-        "--duplicate-fraction", type=float, default=0.0,
-        help="fraction of requests reusing an earlier seed (cache hits)",
-    )
-    loadgen.add_argument(
-        "--hot-keys", type=int, default=0,
-        help="draw request seeds from this many keys under a Zipf "
-             "distribution instead of distinct seeds (0: off)",
-    )
-    loadgen.add_argument(
-        "--zipf-s", type=float, default=1.1,
-        help="Zipf exponent for --hot-keys (default 1.1; larger = "
-             "more skew)",
-    )
-    loadgen.add_argument("--deadline-ms", type=float, default=None)
-    loadgen.add_argument(
-        "--endpoint", action="append", default=None, metavar="SPEC",
-        dest="endpoints",
-        help="extra server endpoint ('host:port' or 'unix:/path'); "
-             "repeatable — more than one enables failover and hedging",
-    )
-    loadgen.add_argument(
-        "--attempts", type=int, default=1,
-        help="resilient-client attempts per request (default 1: no retry)",
-    )
-    loadgen.add_argument(
-        "--timeout-ms", type=float, default=None,
-        help="per-request client timeout; unanswered attempts are retried "
-             "when safe",
-    )
-    loadgen.add_argument(
-        "--hedge-ms", type=float, default=None,
-        help="fire a backup attempt on the next-best endpoint after this "
-             "delay (needs >= 2 endpoints)",
-    )
-    loadgen.add_argument(
-        "--retry-seed", type=int, default=0,
-        help="seed of the deterministic backoff schedule (default 0)",
-    )
-    loadgen.add_argument("--json", action="store_true",
-                         help="print the full report as JSON")
-    loadgen.add_argument("-o", "--output", default=None,
-                         help="write the report JSON to a file")
-
     chaosproxy = commands.add_parser(
         "chaosproxy",
         help="seeded TCP chaos proxy in front of a coloring server",
@@ -491,10 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-dispatch timeout (default: none, trust shard deadlines)",
     )
     router.add_argument(
-        "--hedge-ms", type=float, default=None,
-        help="hedge the dispatch to the next ring owner after this delay",
-    )
-    router.add_argument(
         "--probe-interval", type=float, default=0.5, metavar="SECONDS",
         help="shard health-probe period (0 disables; default 0.5s)",
     )
@@ -555,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--ring-seed", type=int, default=0)
     fleet.add_argument("--attempts", type=int, default=2)
     fleet.add_argument("--timeout-ms", type=float, default=None)
-    fleet.add_argument("--hedge-ms", type=float, default=None)
     fleet.add_argument("--probe-interval", type=float, default=0.5,
                        metavar="SECONDS")
     fleet.add_argument("--max-inflight", type=int, default=1024)
@@ -938,72 +858,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return asyncio.run(_serve())
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.serve import LoadgenConfig, run_loadgen
-
-    if args.unix is None and args.port == 0:
-        raise ReproError("loadgen needs a target: --port or --unix")
-    config = LoadgenConfig(
-        host=args.host,
-        port=args.port,
-        unix_path=args.unix,
-        requests=args.requests,
-        mode=args.mode,
-        concurrency=args.concurrency,
-        method=args.method,
-        workload=args.workload,
-        cliques=args.cliques,
-        delta=args.delta,
-        easy_fraction=args.easy_fraction,
-        graph_seed=args.graph_seed,
-        epsilon=args.epsilon,
-        base_seed=args.base_seed,
-        duplicate_fraction=args.duplicate_fraction,
-        hot_keys=args.hot_keys,
-        zipf_s=args.zipf_s,
-        deadline_ms=args.deadline_ms,
-        endpoints=tuple(args.endpoints or ()),
-        attempts=args.attempts,
-        timeout_ms=args.timeout_ms,
-        hedge_ms=args.hedge_ms,
-        retry_seed=args.retry_seed,
-    )
-    try:
-        report = run_loadgen(config)
-    except ConnectionError as error:
-        raise ReproError(f"cannot reach the server: {error}") from error
-    except OSError as error:
-        raise ReproError(f"cannot reach the server: {error}") from error
-    if args.output:
-        from pathlib import Path
-
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=1))
-    if args.json:
-        print(json.dumps(report, indent=1))
-    else:
-        latency = report["latency_ms"]
-        print(
-            f"{report['mode']} loadgen: {report['completed']}/"
-            f"{report['requests']} ok, {report['throughput_rps']} req/s, "
-            f"p50 {latency['p50']}ms p99 {latency['p99']}ms, "
-            f"statuses {report['by_status']}"
-        )
-        resilience = report.get("resilience") or {}
-        if resilience.get("retried") or resilience.get("hedged"):
-            print(
-                f"resilience: {resilience['retried']} retried, "
-                f"{resilience['attempts_total']} attempts, "
-                f"{resilience['hedged']} hedged "
-                f"({resilience['hedged_won']} hedge wins), "
-                f"{resilience['reconnects']} reconnects"
-            )
-        if args.output:
-            print(f"report written to {args.output}")
-    return 0
-
-
 def _cmd_chaosproxy(args: argparse.Namespace) -> int:
     import asyncio
     import signal
@@ -1073,7 +927,6 @@ def _cmd_router(args: argparse.Namespace) -> int:
         ring_seed=args.ring_seed,
         attempts=args.attempts,
         timeout_ms=args.timeout_ms,
-        hedge_ms=args.hedge_ms,
         probe_interval_s=args.probe_interval,
         max_inflight=args.max_inflight,
         idle_timeout_s=args.idle_timeout,
@@ -1126,7 +979,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         ring_seed=args.ring_seed,
         attempts=args.attempts,
         timeout_ms=args.timeout_ms,
-        hedge_ms=args.hedge_ms,
         probe_interval_s=args.probe_interval,
         max_inflight=args.max_inflight,
         drain_timeout_s=args.drain_timeout,
@@ -1168,7 +1020,6 @@ _COMMANDS = {
     "lint": _cmd_lint,
     "campaign": _cmd_campaign,
     "serve": _cmd_serve,
-    "loadgen": _cmd_loadgen,
     "chaosproxy": _cmd_chaosproxy,
     "router": _cmd_router,
     "fleet": _cmd_fleet,

@@ -149,17 +149,11 @@ class _Backend:
     completed: int = 0
     losses: int = 0
 
-    def latency_ewma_ms(self) -> float:
-        states = self.client.endpoint_states()
-        state = next(iter(states.values()))
-        ewma = state.get("latency_ewma_ms")
-        return float(ewma) if ewma is not None else 0.0
-
     def rank(self) -> tuple[float, float, str]:
         """Lower is better: window fill + probed pressure, then EWMA."""
         return (
             len(self.inflight) + self.pressure,
-            self.latency_ewma_ms(),
+            self.client.latency_ewma_ms or 0.0,
             self.label,
         )
 
@@ -215,7 +209,7 @@ class RemoteExecutor:
             _Backend(
                 label=Endpoint.parse(spec).label,
                 client=ResilientClient(
-                    endpoints=[Endpoint.parse(spec)],
+                    Endpoint.parse(spec),
                     retry=RetryPolicy(seed=base_seed),
                     request_timeout_s=options.request_timeout_s,
                 ),

@@ -4,15 +4,13 @@ Turns the repro pipelines into a long-lived service: a line-delimited
 JSON protocol (:mod:`protocol`), admission control with load shedding
 (:mod:`admission`), micro-batching onto a crash-isolated worker pool
 (:mod:`batching`, :mod:`server`), a determinism-backed result cache
-(:mod:`cache`), a resilient multi-endpoint client with retries,
-circuit breakers, and hedging (:mod:`client`), a seeded network chaos
-proxy (:mod:`chaos`), a deterministic load generator (:mod:`loadgen`),
-and the sharded fleet tier — a consistent-hashing router
-(:mod:`router`) plus a supervisor that spawns, restarts, and drains
-backend shard processes (:mod:`fleet`).  ``repro serve`` /
-``repro loadgen`` / ``repro chaosproxy`` / ``repro router`` /
-``repro fleet`` are the CLI entry points; see DESIGN.md §10–§14
-for the architecture.
+(:mod:`cache`), a one-endpoint client with reconnects, retries and
+a circuit breaker (:mod:`client`), a seeded network chaos proxy
+(:mod:`chaos`), and the sharded fleet tier — a consistent-hashing
+router (:mod:`router`) plus a supervisor that spawns, restarts, and
+drains backend shard processes (:mod:`fleet`).  ``repro serve`` /
+``repro chaosproxy`` / ``repro router`` / ``repro fleet`` are the CLI
+entry points; see DESIGN.md §10–§14 for the architecture.
 
 Everything here measures wall-clock time and talks to sockets, so the
 package is exempt from the determinism lint rule — the *results* it
@@ -49,7 +47,6 @@ from repro.serve.client import (
     ServeClient,
 )
 from repro.serve.fleet import FleetConfig, FleetSupervisor, run_fleet
-from repro.serve.loadgen import LoadgenConfig, run_loadgen
 from repro.serve.protocol import (
     CELL_METHODS,
     METHODS,
@@ -94,7 +91,6 @@ __all__ = [
     "FleetSupervisor",
     "HashRing",
     "InstanceRegistry",
-    "LoadgenConfig",
     "MicroBatcher",
     "RouterConfig",
     "Outcome",
@@ -116,7 +112,6 @@ __all__ = [
     "parse_request",
     "run_chaos_proxy",
     "run_fleet",
-    "run_loadgen",
     "run_router",
     "run_server",
 ]

@@ -6,11 +6,11 @@ framing, request/response matching by ``id`` (responses arrive in
 minimal implementation of the wire contract and stays deliberately
 dumb: no reconnect, no retry, no timeouts.
 
-:class:`ResilientClient` is the fleet-facing client.  It layers the
-transport robustness the sharded serving fleet needs on top of the same
-protocol:
+:class:`ResilientClient` is the fleet-facing client for *one* endpoint.
+It layers the transport robustness a router shard hop or a remote
+campaign backend needs on top of a :class:`ServeClient` connection:
 
-* **connect/reconnect lifecycle** — connections are opened lazily and
+* **connect/reconnect lifecycle** — the connection is opened lazily and
   reopened transparently after a reset; a broken connection fails only
   the requests that were in flight on it;
 * **per-request timeouts** — an unanswered request counts as an
@@ -18,15 +18,13 @@ protocol:
 * **seeded-jitter exponential backoff** — the retry schedule is a pure
   function of ``(RetryPolicy.seed, call index)``, so two runs with the
   same seed retry at identical offsets (asserted in tests);
-* **per-endpoint circuit breakers** — closed/open/half-open with a
-  failure-rate window, so a dead endpoint is probed, not hammered;
-* **health scoring** — latency EWMA plus breaker state plus the
-  ``health``/``metrics`` ops rank endpoints; requests go to the
-  best-scoring endpoint whose breaker admits them;
-* **hedged requests** — when more than one endpoint is configured, a
-  backup attempt fires on the next-best endpoint after
-  ``hedge_after_s`` and the first success wins.  This is exactly the
-  sibling-shard hedging mechanism the sharded fleet reuses.
+* **a circuit breaker** — closed/open/half-open with a failure-rate
+  window, so a dead endpoint is probed, not hammered;
+* **a latency EWMA** — the router's ``fleet`` op reports it and the
+  remote executor ranks backends by it.
+
+Choosing *between* endpoints is the caller's job: the router walks its
+hash ring, the remote executor ranks its backends.
 
 Retry safety.  A retry is only ever issued for outcomes that cannot
 duplicate side effects: connect failures (nothing was written), ``shed``
@@ -38,8 +36,8 @@ are deterministic*: a re-sent ``color`` is cache-keyed on
 a byte-identical response, so executing it twice is indistinguishable
 from executing it once (DESIGN.md §13).  ``cell`` is in the set for the
 same reason: a campaign cell's row is a pure function of the cell.
-``drain`` is never retried after an ambiguous write: a duplicate drain
-on a second endpoint would stop a healthy server.
+``drain`` is never retried after an ambiguous write: if the first one
+landed, a re-sent drain could reach a restarted server and stop it too.
 """
 
 from __future__ import annotations
@@ -49,8 +47,8 @@ import json
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.runner.campaign import derive_cell_seed
@@ -74,12 +72,17 @@ class ClientError(ReproError):
 
 
 # ----------------------------------------------------------------------
-# Reference client (previously loadgen.ServeClient).
+# The reference client.
 # ----------------------------------------------------------------------
 
 
 class ServeClient:
-    """Minimal asyncio client: one connection, id-matched futures."""
+    """Minimal asyncio client: one connection, id-matched futures.
+
+    ``closed`` turns true once the connection is gone — closed by either
+    side, reset, or broken by a failed write — and never back: a new
+    connection is a new :class:`ServeClient`.
+    """
 
     def __init__(
         self,
@@ -91,6 +94,7 @@ class ServeClient:
         self.host = host
         self.port = port
         self.unix_path = unix_path
+        self.closed = False
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._pending: dict[Any, asyncio.Future] = {}
@@ -111,6 +115,7 @@ class ServeClient:
         )
 
     async def close(self) -> None:
+        self.closed = True
         if self._writer is not None:
             self._writer.close()
             try:
@@ -123,43 +128,56 @@ class ServeClient:
                 await self._reader_task
             except (asyncio.CancelledError, ConnectionError, OSError):
                 pass
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(ConnectionError("client closed"))
-        self._pending.clear()
+        self._fail_pending("client closed")
 
     async def request(self, body: dict[str, Any]) -> dict[str, Any]:
         """Send one request and await its (id-matched) response."""
-        assert self._writer is not None, "connect() first"
+        if self.closed or self._writer is None:
+            raise ConnectionError("connection is closed")
         if "id" not in body:
             self._next_id += 1
             body = {**body, "id": f"c{self._next_id}"}
+        request_id = body["id"]
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[body["id"]] = future
-        self._writer.write(
-            json.dumps(body, separators=(",", ":")).encode() + b"\n"
-        )
-        await self._writer.drain()
-        return await future
+        self._pending[request_id] = future
+        try:
+            self._writer.write(
+                json.dumps(body, separators=(",", ":")).encode() + b"\n"
+            )
+            await self._writer.drain()
+            return await future
+        except (ConnectionError, OSError):
+            self.closed = True
+            raise
+        finally:
+            # A failed write or an abandoned wait (timeout, cancel)
+            # leaves no future behind for close() to fail unobserved.
+            self._pending.pop(request_id, None)
 
     async def _read_loop(self) -> None:
         assert self._reader is not None
-        while True:
-            line = await self._reader.readline()
-            if not line:
-                break
-            try:
-                body = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            future = self._pending.pop(body.get("id"), None)
-            if future is not None and not future.done():
-                future.set_result(body)
+        try:
+            while True:
+                line = await self._reader.readline()
+                if not line:
+                    break
+                try:
+                    body = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                future = self._pending.pop(body.get("id"), None)
+                if future is not None and not future.done():
+                    future.set_result(body)
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            self.closed = True
+            self._fail_pending("server closed the connection")
+
+    def _fail_pending(self, reason: str) -> None:
         for future in self._pending.values():
             if not future.done():
-                future.set_exception(
-                    ConnectionError("server closed the connection")
-                )
+                future.set_exception(ConnectionError(reason))
         self._pending.clear()
 
 
@@ -294,9 +312,9 @@ class CircuitBreaker:
         return self._state
 
     def allow(self) -> bool:
-        """May a request go to this endpoint now?  Half-open admission
-        consumes a probe slot, so only call this for the endpoint the
-        request will actually use."""
+        """May a request go to the endpoint now?  Half-open admission
+        consumes a probe slot, so only call this for an attempt that
+        will actually be sent."""
         state = self.state
         if state == "closed":
             return True
@@ -348,300 +366,101 @@ RETRY_SAFE_OPS = frozenset(
 )
 
 #: Error responses the server sends *instead of* doing work — always
-#: safe to retry, ideally on a different endpoint.
+#: safe to retry.
 RETRYABLE_ERROR_CODES = frozenset({"shed", "draining"})
-
-_STATE_RANK = {"closed": 0, "half_open": 1, "open": 2}
 
 
 @dataclass
 class Outcome:
     """The result of one :meth:`ResilientClient.call`.
 
-    ``latency_ms`` is the winning attempt's send-to-response time only —
-    abandoned first attempts (hedged losers, retried failures) are
-    excluded so latency percentiles built from outcomes cannot
-    double-count retries.
+    ``latency_ms`` is the final attempt's send-to-response time only —
+    retried failures are excluded so latency percentiles built from
+    outcomes cannot double-count retries.
     """
 
     body: dict[str, Any]
     ok: bool
     attempts: int
     retried: bool
-    hedged: bool
-    hedge_won: bool
     latency_ms: float
-    endpoint: str | None
-
-
-@dataclass
-class _EndpointState:
-    endpoint: Endpoint
-    breaker: CircuitBreaker
-    order: int
-    connection: "_Connection | None" = None
-    latency_ewma_ms: float | None = None
-    draining: bool = False
-    successes: int = 0
-    failures: int = 0
-    connect_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-
-    def score(self) -> float:
-        """Lower is better: latency EWMA plus a drain penalty."""
-        latency = self.latency_ewma_ms if self.latency_ewma_ms is not None else 0.0
-        return latency + (1e9 if self.draining else 0.0)
-
-    def note(self, ok: bool, latency_ms: float | None) -> None:
-        if ok:
-            self.successes += 1
-            self.breaker.record_success()
-        else:
-            self.failures += 1
-            self.breaker.record_failure()
-        if latency_ms is not None:
-            if self.latency_ewma_ms is None:
-                self.latency_ewma_ms = latency_ms
-            else:
-                self.latency_ewma_ms += 0.2 * (latency_ms - self.latency_ewma_ms)
-
-
-class _Connection:
-    """One NDJSON connection with a reader task and id-matched futures."""
-
-    def __init__(self, endpoint: Endpoint):
-        self.endpoint = endpoint
-        self.closed = False
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._reader_task: asyncio.Task | None = None
-        self._pending: dict[Any, asyncio.Future] = {}
-
-    async def open(self) -> None:
-        if self.endpoint.unix_path is not None:
-            self._reader, self._writer = await asyncio.open_unix_connection(
-                self.endpoint.unix_path, limit=MAX_LINE_BYTES
-            )
-        else:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.endpoint.host, self.endpoint.port, limit=MAX_LINE_BYTES
-            )
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
-
-    async def send(self, body: dict[str, Any]) -> asyncio.Future:
-        """Write one request; return the future its response resolves."""
-        if self.closed or self._writer is None:
-            raise ConnectionError("connection is closed")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[body["id"]] = future
-        try:
-            self._writer.write(
-                json.dumps(body, separators=(",", ":")).encode() + b"\n"
-            )
-            await self._writer.drain()
-        except (ConnectionError, OSError):
-            self._pending.pop(body["id"], None)
-            self.closed = True
-            raise
-        return future
-
-    def forget(self, request_id: Any) -> None:
-        """Drop a pending entry (timed-out or cancelled attempt)."""
-        self._pending.pop(request_id, None)
-
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                try:
-                    body = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                future = self._pending.pop(body.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(body)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            self.closed = True
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(
-                        ConnectionError("connection reset by server")
-                    )
-            self._pending.clear()
-
-    async def close(self) -> None:
-        self.closed = True
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(ConnectionError("client closed"))
-        self._pending.clear()
 
 
 class ResilientClient:
-    """Multi-endpoint NDJSON client with retries, breakers, and hedging.
+    """One-endpoint NDJSON client with retries, timeouts and a breaker.
 
-    Single-endpoint usage is a drop-in upgrade of :class:`ServeClient`::
-
-        client = ResilientClient(unix_path="/tmp/serve.sock")
-        await client.connect()
-        response = await client.request({"op": "health"})
-
-    Fleet usage passes several endpoints plus policies::
+    A drop-in upgrade of :class:`ServeClient`::
 
         client = ResilientClient(
-            endpoints=[Endpoint(port=9001), Endpoint(port=9002)],
+            unix_path="/tmp/serve.sock",
             retry=RetryPolicy(attempts=4, seed=7),
             request_timeout_s=2.0,
-            hedge_after_s=0.05,
         )
+        await client.connect()
+        outcome = await client.call({"op": "health"})
     """
 
     def __init__(
         self,
-        endpoints: Sequence[Endpoint] | None = None,
+        endpoint: Endpoint | None = None,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
         unix_path: str | None = None,
         retry: RetryPolicy | None = None,
         request_timeout_s: float | None = None,
-        hedge_after_s: float | None = None,
         breaker: BreakerConfig | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if endpoints is None:
-            endpoints = [Endpoint(host=host, port=port, unix_path=unix_path)]
-        if not endpoints:
-            raise ClientError("at least one endpoint is required")
+        self.endpoint = endpoint or Endpoint(
+            host=host, port=port, unix_path=unix_path
+        )
         self.retry = retry or RetryPolicy()
         self.request_timeout_s = request_timeout_s
-        self.hedge_after_s = hedge_after_s
-        self._states = {
-            endpoint.label: _EndpointState(
-                endpoint, CircuitBreaker(breaker, clock), order
-            )
-            for order, endpoint in enumerate(endpoints)
-        }
-        if len(self._states) != len(endpoints):
-            raise ClientError("duplicate endpoints")
+        self.breaker = CircuitBreaker(breaker, clock)
+        #: Smoothed response latency; ``None`` until the first answer.
+        self.latency_ewma_ms: float | None = None
+        self._connection: ServeClient | None = None
+        self._connect_lock = asyncio.Lock()
         self._next_id = 0
         self._call_index = 0
-        self.requests = 0
-        self.retries = 0
         self.reconnects = 0
-        self.hedges = 0
-        self.hedge_wins = 0
 
     # -- lifecycle -----------------------------------------------------
 
     async def connect(self) -> None:
-        """Eagerly connect the best endpoint (verifies reachability)."""
-        errors: list[str] = []
-        for state in self._ordered():
-            try:
-                await self._ensure_connection(state)
-                return
-            except (ConnectionError, OSError) as error:
-                errors.append(f"{state.endpoint.label}: {error}")
-        raise ConnectionError(
-            "no endpoint reachable: " + "; ".join(errors)
-        )
+        """Eagerly connect (verifies reachability)."""
+        try:
+            await self._ensure_connection()
+        except (ConnectionError, OSError) as error:
+            raise ConnectionError(
+                f"{self.endpoint.label} unreachable: {error}"
+            ) from error
 
     async def close(self) -> None:
-        for state in self._states.values():
-            if state.connection is not None:
-                await state.connection.close()
-                state.connection = None
+        if self._connection is not None:
+            await self._connection.close()
+            self._connection = None
 
-    def endpoint_states(self) -> dict[str, dict[str, Any]]:
-        """Diagnostic snapshot: breaker state and score per endpoint."""
-        return {
-            label: {
-                "breaker": state.breaker.state,
-                "opens": state.breaker.opens,
-                "latency_ewma_ms": (
-                    round(state.latency_ewma_ms, 3)
-                    if state.latency_ewma_ms is not None else None
-                ),
-                "draining": state.draining,
-                "successes": state.successes,
-                "failures": state.failures,
-            }
-            for label, state in self._states.items()
-        }
-
-    # -- endpoint selection --------------------------------------------
-
-    def _ordered(self, exclude: frozenset[str] = frozenset()) -> list[_EndpointState]:
-        return sorted(
-            (
-                state for state in self._states.values()
-                if state.endpoint.label not in exclude
-            ),
-            key=lambda s: (_STATE_RANK[s.breaker.state], s.score(), s.order),
-        )
-
-    def _pick(self, exclude: frozenset[str] = frozenset()) -> _EndpointState | None:
-        for state in self._ordered(exclude):
-            if state.breaker.allow():
-                return state
-        return None
-
-    async def _ensure_connection(self, state: _EndpointState) -> _Connection:
-        if state.connection is not None and not state.connection.closed:
-            return state.connection
-        # Serialized per endpoint: concurrent attempts racing here would
-        # each open their own connection, and every loser would leak an
-        # unclosed socket plus its reader task.
-        async with state.connect_lock:
-            if state.connection is None or state.connection.closed:
-                if state.connection is not None:
-                    await state.connection.close()
+    async def _ensure_connection(self) -> ServeClient:
+        if self._connection is not None and not self._connection.closed:
+            return self._connection
+        # Serialized: concurrent attempts racing here would each open
+        # their own connection, and every loser would leak an unclosed
+        # socket plus its reader task.
+        async with self._connect_lock:
+            if self._connection is None or self._connection.closed:
+                if self._connection is not None:
+                    await self._connection.close()
                     self.reconnects += 1
-                connection = _Connection(state.endpoint)
-                await connection.open()
-                state.connection = connection
-        return state.connection
-
-    # -- health probing ------------------------------------------------
-
-    async def probe_health(
-        self, timeout_s: float = 1.0
-    ) -> dict[str, str]:
-        """Send ``health`` to every endpoint; update scores and drain
-        flags.  Returns label → status ('ok', 'draining', 'unreachable')."""
-        results: dict[str, str] = {}
-        for label, state in self._states.items():
-            response, failure, latency_ms = await self._attempt(
-                state, {"op": "health"}, timeout_s
-            )
-            if response is None:
-                state.note(False, None)
-                results[label] = failure or "unreachable"
-                continue
-            status = response.get("status", "ok")
-            state.draining = status == "draining"
-            state.note(True, latency_ms)
-            results[label] = status
-        return results
+                connection = ServeClient(
+                    host=self.endpoint.host,
+                    port=self.endpoint.port,
+                    unix_path=self.endpoint.unix_path,
+                )
+                await connection.connect()
+                self._connection = connection
+        return self._connection
 
     # -- the request path ----------------------------------------------
 
@@ -657,42 +476,25 @@ class ResilientClient:
     async def call(
         self, body: dict[str, Any], *, timeout_s: float | None = None
     ) -> Outcome:
-        """Send one request with retries/hedging; return the full
+        """Send one request with retries; return the full
         :class:`Outcome` (final body + attempt accounting)."""
         op = body.get("op")
         timeout = timeout_s if timeout_s is not None else self.request_timeout_s
         call_index = self._call_index
         self._call_index += 1
-        self.requests += 1
         delays = self.retry.delays(call_index)
-        tried: set[str] = set()
         attempts = 0
-        hedged = False
-        hedge_won = False
         last_response: dict[str, Any] | None = None
         last_failure: str | None = None
         for attempt in range(self.retry.attempts):
-            # Prefer an endpoint this call has not failed on yet;
-            # fall back to retrying one it has.
-            state = self._pick(frozenset(tried)) or self._pick()
-            if state is None:
+            if not self.breaker.allow():
                 last_failure = "circuit_open"
-                response = None
             else:
                 attempts += 1
-                if self.hedge_after_s is not None and len(self._states) > 1:
-                    (
-                        response, failure, latency_ms, served_by, did_hedge,
-                        won,
-                    ) = await self._hedged_attempt(state, body, timeout)
-                    hedged = hedged or did_hedge
-                    hedge_won = hedge_won or won
-                else:
-                    response, failure, latency_ms = await self._attempt(
-                        state, body, timeout
-                    )
-                    served_by = state.endpoint.label
-                    self._note_outcome(state, response, failure, latency_ms)
+                response, failure, latency_ms = await self._attempt(
+                    body, timeout
+                )
+                self._note_outcome(response, latency_ms)
                 if response is not None:
                     last_response = response
                     if response.get("ok") or not self._retryable(op, None, response):
@@ -701,20 +503,14 @@ class ResilientClient:
                             ok=bool(response.get("ok")),
                             attempts=attempts,
                             retried=attempts > 1,
-                            hedged=hedged,
-                            hedge_won=hedge_won,
                             latency_ms=latency_ms,
-                            endpoint=served_by,
                         )
                 else:
                     last_failure = failure
                     if not self._retryable(op, failure, None):
                         break
-                tried.add(state.endpoint.label)
-            if attempt < self.retry.attempts - 1:
-                self.retries += 1
-                if delays[attempt] > 0:
-                    await asyncio.sleep(delays[attempt])
+            if attempt < self.retry.attempts - 1 and delays[attempt] > 0:
+                await asyncio.sleep(delays[attempt])
         if last_response is not None:
             body_out = last_response
         else:
@@ -725,7 +521,7 @@ class ResilientClient:
                     "code": "unavailable",
                     "message": (
                         f"request failed after {attempts} attempt(s): "
-                        f"{last_failure or 'no endpoint available'}"
+                        f"{last_failure}"
                     ),
                 },
             }
@@ -734,10 +530,7 @@ class ResilientClient:
             ok=False,
             attempts=attempts,
             retried=attempts > 1,
-            hedged=hedged,
-            hedge_won=hedge_won,
             latency_ms=0.0,
-            endpoint=None,
         )
 
     @staticmethod
@@ -756,31 +549,29 @@ class ResilientClient:
         return False
 
     def _note_outcome(
-        self,
-        state: _EndpointState,
-        response: dict[str, Any] | None,
-        failure: str | None,
-        latency_ms: float | None,
+        self, response: dict[str, Any] | None, latency_ms: float
     ) -> None:
+        """Feed the breaker and the latency EWMA with one attempt."""
         if response is None:
-            state.note(False, None)
+            self.breaker.record_failure()
             return
         code = (response.get("error") or {}).get("code")
         if code in RETRYABLE_ERROR_CODES:
             # The endpoint answered but refused work: healthy transport,
-            # degraded capacity.  Count against its score, not hard
-            # enough to open the breaker on its own unless persistent.
-            state.note(False, latency_ms)
+            # degraded capacity.  Count it against the breaker, not hard
+            # enough to open it on its own unless persistent.
+            self.breaker.record_failure()
         else:
-            state.note(True, latency_ms)
+            self.breaker.record_success()
+        if self.latency_ewma_ms is None:
+            self.latency_ewma_ms = latency_ms
+        else:
+            self.latency_ewma_ms += 0.2 * (latency_ms - self.latency_ewma_ms)
 
     async def _attempt(
-        self,
-        state: _EndpointState,
-        body: dict[str, Any],
-        timeout: float | None,
+        self, body: dict[str, Any], timeout: float | None
     ) -> tuple[dict[str, Any] | None, str | None, float]:
-        """One request on one endpoint.
+        """One request on the endpoint.
 
         Returns ``(response, failure_kind, latency_ms)`` where
         ``failure_kind`` is ``'connect'``, ``'reset'``, ``'timeout'``,
@@ -791,100 +582,16 @@ class ResilientClient:
         self._next_id += 1
         attempt_body = {**body, "id": f"r{self._next_id}"}
         try:
-            connection = await self._ensure_connection(state)
+            connection = await self._ensure_connection()
         except (ConnectionError, OSError):
             return None, "connect", (loop.time() - started) * 1000.0
         try:
-            future = await connection.send(attempt_body)
-        except (ConnectionError, OSError):
-            return None, "reset", (loop.time() - started) * 1000.0
-        try:
-            if timeout is not None:
-                response = await asyncio.wait_for(future, timeout)
-            else:
-                response = await future
+            response = await asyncio.wait_for(
+                connection.request(attempt_body), timeout
+            )
         except asyncio.TimeoutError:
-            connection.forget(attempt_body["id"])
             return None, "timeout", (loop.time() - started) * 1000.0
         except (ConnectionError, OSError):
             return None, "reset", (loop.time() - started) * 1000.0
-        except asyncio.CancelledError:
-            connection.forget(attempt_body["id"])
-            raise
         response = {**response, "id": body.get("id")}
         return response, None, (loop.time() - started) * 1000.0
-
-    async def _hedged_attempt(
-        self,
-        primary: _EndpointState,
-        body: dict[str, Any],
-        timeout: float | None,
-    ) -> tuple[dict[str, Any] | None, str | None, float, str | None, bool, bool]:
-        """Primary attempt, backed by a hedge to the next-best endpoint
-        after ``hedge_after_s``.  First *success* wins; the loser is
-        cancelled.  Returns the attempt tuple plus
-        ``(served_by, hedged, hedge_won)``."""
-        loop = asyncio.get_running_loop()
-        primary_task = loop.create_task(self._attempt(primary, body, timeout))
-        done, _ = await asyncio.wait({primary_task}, timeout=self.hedge_after_s)
-        if done:
-            response, failure, latency_ms = primary_task.result()
-            self._note_outcome(primary, response, failure, latency_ms)
-            return (
-                response, failure, latency_ms, primary.endpoint.label,
-                False, False,
-            )
-        backup = self._pick(frozenset({primary.endpoint.label}))
-        if backup is None:
-            response, failure, latency_ms = await primary_task
-            self._note_outcome(primary, response, failure, latency_ms)
-            return (
-                response, failure, latency_ms, primary.endpoint.label,
-                False, False,
-            )
-        self.hedges += 1
-        backup_task = loop.create_task(self._attempt(backup, body, timeout))
-        owners = {primary_task: primary, backup_task: backup}
-        results: list[tuple[asyncio.Task, tuple]] = []
-        winner: tuple[asyncio.Task, tuple] | None = None
-        pending: set[asyncio.Task] = set(owners)
-        while pending and winner is None:
-            done, pending = await asyncio.wait(
-                pending, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                result = task.result()
-                self._note_outcome(owners[task], *result)
-                response = result[0]
-                if response is not None and response.get("ok"):
-                    winner = (task, result)
-                else:
-                    results.append((task, result))
-        for task in pending:
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass
-        if winner is not None:
-            task, (response, failure, latency_ms) = winner
-            won = task is backup_task
-            if won:
-                self.hedge_wins += 1
-            return (
-                response, failure, latency_ms,
-                owners[task].endpoint.label, True, won,
-            )
-        # Both attempts failed: prefer a concrete response (it carries
-        # an error body the caller can classify) over a transport kind.
-        for task, (response, failure, latency_ms) in results:
-            if response is not None:
-                return (
-                    response, failure, latency_ms,
-                    owners[task].endpoint.label, True, False,
-                )
-        task, (response, failure, latency_ms) = results[0]
-        return (
-            response, failure, latency_ms,
-            owners[task].endpoint.label, True, False,
-        )

@@ -73,7 +73,6 @@ class FleetConfig:
     ring_seed: int = 0
     attempts: int = 2
     timeout_ms: float | None = None
-    hedge_ms: float | None = None
     probe_interval_s: float = 0.5
     max_inflight: int = 1024
     idle_timeout_s: float | None = None
@@ -145,7 +144,6 @@ class FleetSupervisor:
             ring_seed=config.ring_seed,
             attempts=config.attempts,
             timeout_ms=config.timeout_ms,
-            hedge_ms=config.hedge_ms,
             probe_interval_s=config.probe_interval_s,
             max_inflight=config.max_inflight,
             idle_timeout_s=config.idle_timeout_s,

@@ -27,9 +27,7 @@ sound for the same reason retries are: pipelines are deterministic, so
 any shard produces byte-identical responses.  ``unknown_instance`` from
 a shard is *healed*: the router re-registers the instance from its own
 registry (shards lose their in-memory registries on restart) and
-retries the same shard once.  With ``hedge_ms`` set, the first dispatch
-is hedged to the next ring owner on deadline risk, reusing the sibling
-shard as a backup.  ``register`` fans out to every live shard;
+retries the same shard once.  ``register`` fans out to every live shard;
 ``health``/``status``/``metrics`` aggregate across the fleet; the
 ``fleet`` op reports per-shard health, ring ownership, and routing
 counters.  ``drain`` drains the *router* (stop admitting, finish
@@ -176,8 +174,6 @@ class RouterConfig:
     retry_seed: int = 0
     #: Per-dispatch timeout; ``None`` trusts shard deadlines.
     timeout_ms: float | None = None
-    #: Hedge the first dispatch to the next ring owner after this long.
-    hedge_ms: float | None = None
     #: Health-probe period (0 disables; transitions then rely on
     #: forward outcomes only).
     probe_interval_s: float = 0.5
@@ -197,8 +193,6 @@ class RouterConfig:
             raise ReproError(f"attempts must be >= 1, got {self.attempts}")
         if self.timeout_ms is not None and self.timeout_ms <= 0:
             raise ReproError(f"timeout_ms must be positive, got {self.timeout_ms}")
-        if self.hedge_ms is not None and self.hedge_ms < 0:
-            raise ReproError(f"hedge_ms must be >= 0, got {self.hedge_ms}")
         if self.probe_interval_s < 0:
             raise ReproError(
                 f"probe_interval_s must be >= 0, got {self.probe_interval_s}"
@@ -245,8 +239,6 @@ class FleetRouter:
         self.connections = 0
         self.requests_total = 0
         self.rerouted = 0
-        self.hedged = 0
-        self.hedge_wins = 0
         self.unavailable = 0
         self.healed = 0
         self._shards: dict[str, _ShardState] = {}
@@ -258,7 +250,7 @@ class FleetRouter:
             if endpoint.label in self._shards:
                 raise ReproError(f"duplicate shard endpoint {endpoint.label!r}")
             client = ResilientClient(
-                [endpoint],
+                endpoint,
                 retry=RetryPolicy(
                     attempts=config.attempts, seed=config.retry_seed
                 ),
@@ -570,23 +562,11 @@ class FleetRouter:
                 request_id=data.get("id"), op="color",
             )
         last: dict[str, Any] | None = None
-        for index, label in enumerate(candidates):
-            if (
-                index == 0
-                and self.config.hedge_ms is not None
-                and len(candidates) > 1
-            ):
-                response, served_by = await self._hedged_dispatch(
-                    data, instance_hash, candidates[0], candidates[1]
-                )
-            else:
-                response = await self._dispatch_once(
-                    data, instance_hash, label
-                )
-                served_by = label
+        for label in candidates:
+            response = await self._dispatch_once(data, instance_hash, label)
             code = (response.get("error") or {}).get("code")
             if response.get("ok") or code not in REDISPATCH_CODES:
-                if served_by != candidates[0]:
+                if label != candidates[0]:
                     self.rerouted += 1
                 return response
             last = response
@@ -621,7 +601,10 @@ class FleetRouter:
                 code = (response.get("error") or {}).get("code")
         if response.get("ok"):
             state.served += 1
-            if state.status != "ok":
+            # Only a shard marked down returns on an ok forward: a
+            # draining one still finishes work it admitted before the
+            # drain, and must stay out of the ring until a probe says ok.
+            if state.status == "down":
                 self.mark_up(label)
         else:
             if code == "draining":
@@ -630,59 +613,6 @@ class FleetRouter:
                 state.failures += 1
                 self.mark_down(label)
         return response
-
-    async def _hedged_dispatch(
-        self,
-        data: dict[str, Any],
-        instance_hash: str,
-        primary: str,
-        backup: str,
-    ) -> tuple[dict[str, Any], str]:
-        """Dispatch to the ring owner, hedging to the next owner on
-        deadline risk.  First *ok* response wins; with none, the
-        primary's answer is preferred (it is the owner)."""
-        assert self.config.hedge_ms is not None
-        loop = asyncio.get_running_loop()
-        primary_task = loop.create_task(
-            self._dispatch_once(data, instance_hash, primary)
-        )
-        done, _ = await asyncio.wait(
-            {primary_task}, timeout=self.config.hedge_ms / 1000.0
-        )
-        if done:
-            return primary_task.result(), primary
-        self.hedged += 1
-        backup_task = loop.create_task(
-            self._dispatch_once(data, instance_hash, backup)
-        )
-        owners = {primary_task: primary, backup_task: backup}
-        pending: set[asyncio.Task] = set(owners)
-        failed: list[asyncio.Task] = []
-        winner: asyncio.Task | None = None
-        while pending and winner is None:
-            done, pending = await asyncio.wait(
-                pending, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                if task.result().get("ok"):
-                    winner = task
-                else:
-                    failed.append(task)
-        for task in pending:
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass
-        if winner is not None:
-            if winner is backup_task:
-                self.hedge_wins += 1
-            return winner.result(), owners[winner]
-        # Both answered without ok: prefer the owner's verdict.
-        for task in failed:
-            if owners[task] == primary:
-                return task.result(), primary
-        return failed[0].result(), owners[failed[0]]
 
     # -- register ------------------------------------------------------
 
@@ -799,8 +729,6 @@ class FleetRouter:
         return {
             "router.requests": self.requests_total,
             "router.rerouted": self.rerouted,
-            "router.hedged": self.hedged,
-            "router.hedge_wins": self.hedge_wins,
             "router.unavailable": self.unavailable,
             "router.healed_registrations": self.healed,
             "router.shed": self.admission.shed_total,
@@ -836,15 +764,18 @@ class FleetRouter:
         ownership = self.ring.ownership()
         shards: dict[str, Any] = {}
         for label, state in self._shards.items():
-            breaker = state.client.endpoint_states().get(label, {})
+            client = state.client
+            ewma = client.latency_ewma_ms
             shards[label] = {
                 "endpoint": label,
                 "state": health.get(label, state.status),
                 "in_ring": label in self.ring,
                 "ownership": round(ownership.get(label, 0.0), 4),
-                "breaker": breaker.get("breaker"),
-                "breaker_opens": breaker.get("opens"),
-                "latency_ewma_ms": breaker.get("latency_ewma_ms"),
+                "breaker": client.breaker.state,
+                "breaker_opens": client.breaker.opens,
+                "latency_ewma_ms": (
+                    round(ewma, 3) if ewma is not None else None
+                ),
                 "dispatched": state.dispatched,
                 "served": state.served,
                 "failures": state.failures,

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -83,3 +87,25 @@ class TestColorAndVerify:
     def test_deterministic_color(self, instance_file, capsys):
         assert main(["color", str(instance_file)]) == 0
         assert "deterministic" in capsys.readouterr().out
+
+
+class TestReadme:
+    def test_module_table_lists_every_subcommand(self):
+        # The `cli.py` row of README's module table spells the commands
+        # as "python -m repro a/b/c/" and may wrap onto indented lines.
+        lines = README.read_text().splitlines()
+        start = next(
+            i for i, line in enumerate(lines)
+            if line.startswith("  cli.py ")
+        )
+        row = lines[start].split("python -m repro", 1)[1]
+        for line in lines[start + 1:]:
+            if not line.startswith("   "):
+                break
+            row += line.strip()
+        listed = [name for name in row.strip().split("/") if name]
+        (subparsers,) = (
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert listed == list(subparsers.choices)

@@ -87,44 +87,6 @@ class TestServeArgs:
         assert "error:" in err and fragment in err
 
 
-class TestLoadgenArgs:
-    def test_loadgen_needs_a_target(self, capsys):
-        assert main(["loadgen"]) == 1
-        assert "target" in capsys.readouterr().err
-
-    def test_loadgen_rejects_unknown_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["loadgen", "--mode", "silly"])
-
-    def test_loadgen_rejects_zero_requests(self, capsys):
-        assert main(["loadgen", "--unix", "/tmp/x.sock", "-n", "0"]) == 1
-        assert "requests" in capsys.readouterr().err
-
-    def test_loadgen_rejects_bad_duplicate_fraction(self, capsys):
-        assert main([
-            "loadgen", "--unix", "/tmp/x.sock", "--duplicate-fraction", "2",
-        ]) == 1
-        assert "duplicate_fraction" in capsys.readouterr().err
-
-    def test_loadgen_unreachable_server(self, tmp_path, capsys):
-        missing = tmp_path / "nowhere.sock"
-        assert main(["loadgen", "--unix", str(missing), "-n", "1"]) == 1
-        assert "cannot reach the server" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv, fragment", [
-        (["loadgen", "--unix", "/tmp/x.sock", "--hot-keys", "-1"],
-         "hot_keys"),
-        (["loadgen", "--unix", "/tmp/x.sock", "--hot-keys", "4",
-          "--zipf-s", "0"], "zipf_s"),
-        (["loadgen", "--unix", "/tmp/x.sock", "--hot-keys", "4",
-          "--duplicate-fraction", "0.5"], "not both"),
-    ])
-    def test_loadgen_rejects_bad_zipf_knobs(self, argv, fragment, capsys):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and fragment in err
-
-
 class TestRouterArgs:
     def test_router_requires_a_shard(self):
         with pytest.raises(SystemExit):
@@ -137,8 +99,6 @@ class TestRouterArgs:
          "attempts"),
         (["router", "--shard", "unix:/tmp/a.sock", "--timeout-ms", "0"],
          "timeout_ms"),
-        (["router", "--shard", "unix:/tmp/a.sock", "--hedge-ms", "-1"],
-         "hedge_ms"),
         (["router", "--shard", "unix:/tmp/a.sock", "--max-inflight", "0"],
          "max_inflight"),
         (["router", "--shard", "unix:/tmp/a.sock",

@@ -439,49 +439,6 @@ class TestMicroBatcher:
 
 
 # ----------------------------------------------------------------------
-# Loadgen percentile computation
-# ----------------------------------------------------------------------
-
-
-class TestPercentile:
-    """Ceiling nearest-rank: the smallest value with at least the
-    requested fraction of the sample at or below it.  The previous
-    floor-truncating index systematically under-read the tail on small
-    samples (p99 of 50 read index 48, not 49)."""
-
-    def test_p99_of_50_is_the_maximum(self):
-        from repro.serve.loadgen import _percentile
-
-        values = [float(v) for v in range(1, 51)]
-        # ceil(0.99 * 50) = 50 -> index 49.  The old floor rank read 49.0.
-        assert _percentile(values, 0.99) == 50.0
-
-    def test_hand_computed_small_samples(self):
-        from repro.serve.loadgen import _percentile
-
-        ten = [float(v) for v in range(1, 11)]
-        # ceil(0.90 * 10) = 9 exactly — binary float noise
-        # (0.9 * 10 == 9.000000000000002) must not bump the rank to 10.
-        assert _percentile(ten, 0.90) == 9.0
-        assert _percentile(ten, 0.50) == 5.0
-        assert _percentile(ten, 0.99) == 10.0
-        four = [1.0, 2.0, 3.0, 4.0]
-        assert _percentile(four, 0.50) == 2.0   # ceil(2.0) = 2 -> index 1
-        five = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert _percentile(five, 0.50) == 3.0   # ceil(2.5) = 3 -> index 2
-
-    def test_degenerate_inputs(self):
-        from repro.serve.loadgen import _percentile
-
-        assert _percentile([], 0.99) == 0.0
-        assert _percentile([7.5], 0.50) == 7.5
-        assert _percentile([7.5], 0.99) == 7.5
-        values = [1.0, 2.0, 3.0]
-        assert _percentile(values, 1.0) == 3.0
-        assert _percentile(values, 0.0) == 1.0  # rank clamps to the minimum
-
-
-# ----------------------------------------------------------------------
 # WorkerPool lifecycle (the campaign/serve shared refactor)
 # ----------------------------------------------------------------------
 
