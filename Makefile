@@ -64,6 +64,7 @@ ci:
 	$(MAKE) dist-smoke
 	$(MAKE) examples
 	$(MAKE) perfbench-selftest
+	python scripts/build_report.py --check
 	$(MAKE) lint
 	$(MAKE) lint-repro
 	$(MAKE) typecheck

@@ -5,6 +5,9 @@ Run the benchmarks first (they drop JSON rows under
 
     python scripts/build_report.py
 
+``--check`` writes nothing and exits 1 when the committed REPORT.md
+differs from what the artifacts generate (CI and ``make ci`` run it).
+
 The resulting REPORT.md is the machine-generated companion to the
 hand-annotated EXPERIMENTS.md: one markdown table per experiment, raw
 numbers only, regenerated from whatever the latest benchmark run
@@ -13,6 +16,7 @@ measured.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -107,7 +111,13 @@ def decomposition_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="exit 1 if REPORT.md is stale instead of rewriting it",
+    )
+    args = parser.parse_args(argv)
     if not ARTIFACTS.is_dir():
         print(
             "no artifacts found — run `pytest benchmarks/ --benchmark-only` "
@@ -160,7 +170,17 @@ def main() -> int:
         "`scripts/build_report.py`; see EXPERIMENTS.md for the annotated "
         "expected-vs-measured discussion.\n\n" + "\n".join(sections)
     )
-    (ROOT / "REPORT.md").write_text(report)
+    target = ROOT / "REPORT.md"
+    if args.check:
+        if target.read_text() != report:
+            print(
+                "REPORT.md is stale: run `python scripts/build_report.py`",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"REPORT.md is up to date ({len(sections)} experiment tables)")
+        return 0
+    target.write_text(report)
     print(f"wrote REPORT.md ({len(sections)} experiment tables)")
     return 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro import __version__, delta_color
 from repro.acd import compute_acd
@@ -261,12 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated serve endpoints (host:port or unix:/path); "
              "dispatch cells to this fleet instead of local processes — "
              "rows are byte-identical to a local run",
-    )
-    campaign.add_argument(
-        "--straggler-quantile", type=float, default=None, metavar="Q",
-        help="with --backends: re-dispatch cells running longer than "
-             "3x this completion-latency quantile to a second backend, "
-             "first result wins (default 0.75; 0 disables)",
     )
     campaign.add_argument(
         "--remote-window", type=int, default=None, metavar="N",
@@ -719,19 +713,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         ]
         if not backends:
             raise ReproError("--backends names no endpoints")
-        overrides: dict[str, Any] = {}
-        if args.straggler_quantile is not None:
-            overrides["straggler_quantile"] = (
-                args.straggler_quantile if args.straggler_quantile > 0
-                else None
-            )
-        if args.remote_window is not None:
-            overrides["window"] = args.remote_window
-        remote_options = RemoteOptions(**overrides)
-    elif args.straggler_quantile is not None or args.remote_window is not None:
-        raise ReproError(
-            "--straggler-quantile/--remote-window require --backends"
+        remote_options = (
+            RemoteOptions() if args.remote_window is None
+            else RemoteOptions(window=args.remote_window)
         )
+    elif args.remote_window is not None:
+        raise ReproError("--remote-window requires --backends")
     try:
         result = run_campaign(
             cells,

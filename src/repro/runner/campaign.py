@@ -434,7 +434,8 @@ def run_campaign(
         executor; see :mod:`repro.runner.remote`.
     remote_options:
         A :class:`repro.runner.remote.RemoteOptions` tuning dispatch
-        windows, straggler re-dispatch, and health probing.
+        windows, health probing and timeouts (straggler re-dispatch
+        runs at fixed module constants).
 
     Raises
     ------

@@ -14,34 +14,35 @@ Dispatch mechanics
 ------------------
 * **Hash-first.**  Every cell references its graph by canonical
   instance hash, so a cell request is a few hundred bytes regardless of
-  graph size.  A backend registers a graph only when it answers
-  ``unknown_instance`` — on first contact, or after a restart emptied
-  its registry — and the cell is retried once.  Registration is
-  serialized per backend and re-checked under the lock, so a graph
-  crosses the wire at most once per backend per executor even when a
-  whole window of cells makes first contact together; a backend that
-  already holds the graph (an earlier campaign registered it) is never
-  sent it again.  The register payload is built only when a backend
-  asks for it.  This is the policy the fleet router uses toward its
-  shards.
-* **Windows and health scoring.**  Each backend runs at most
-  ``window`` concurrent cells.  Backend choice prefers the emptiest
-  window, then lowest reported pressure (the ``serve.in_flight`` +
-  ``serve.queue_depth`` gauges from periodic ``metrics`` probes), then
-  the client's latency EWMA.
-* **Straggler re-dispatch.**  Once enough cells have completed, a cell
-  running longer than ``straggler_factor`` × the
-  ``straggler_quantile`` completion latency is hedged on a second
-  backend; the first returned row wins.  Sound because cells are
-  deterministic: both attempts are entitled to byte-identical rows,
-  so recording whichever lands first changes nothing.
-* **Backend loss.**  A transport-dead backend (``unavailable`` after
-  the resilient client's own retries, or repeated probe failures) has
-  its in-flight cells cancelled and re-queued elsewhere, charged one
-  attempt each — mirroring the pool executor's crash accounting — and
-  is only failed (kind ``"crash"``) once its charges exceed
-  ``retries``.  The ``done`` guard ensures a late row from a
-  half-dead backend can never double-record a cell.
+  graph size.  A backend receives a graph only when it answers
+  ``unknown_instance`` (first contact, or a restart emptied its
+  registry), once per backend however many cells bounced, and never if
+  an earlier campaign registered it: :meth:`ResilientClient.request_hashed
+  <repro.serve.client.ResilientClient.request_hashed>`, the path the
+  fleet router heals its shards with.  The register payload is built
+  only when a backend asks for it.
+* **Windows and health.**  Each backend runs at most ``window``
+  concurrent cells.  Backend choice prefers the emptiest window, then
+  the client's latency EWMA.  Every ``probe_interval_s`` each client
+  sends a ``health`` probe (:meth:`ResilientClient.probe
+  <repro.serve.client.ResilientClient.probe>`); only ``ok`` backends get
+  new cells, and a ``draining`` one keeps the cells it already has.
+* **Straggler re-dispatch.**  Once :data:`STRAGGLER_MIN_SAMPLES` cells
+  have completed, a cell running longer than :data:`STRAGGLER_FACTOR` ×
+  the :data:`STRAGGLER_QUANTILE` completion latency (and at least
+  :data:`STRAGGLER_MIN_S`) is hedged on a second backend; the first
+  returned row wins.  Sound because cells are deterministic: both
+  attempts are entitled to byte-identical rows, so recording whichever
+  lands first changes nothing.
+* **Backend loss.**  A backend goes ``down`` after
+  :data:`~repro.serve.client.PROBE_DOWN_AFTER` failed probes or lost
+  cells in a row (``unavailable`` after the resilient client's own
+  retries, or ``shed``; a draining backend's refusals do not count).
+  Its in-flight cells are cancelled and re-queued elsewhere, charged
+  one attempt each — mirroring the pool executor's crash accounting —
+  and a cell is only failed (kind ``"crash"``) once its charges exceed
+  ``retries``.  The ``done`` guard ensures a late row from a half-dead
+  backend can never double-record a cell.
 
 Everything here talks to sockets and reads the event-loop clock, so the
 module lives in the determinism-exempt ``runner`` package; the *rows*
@@ -64,22 +65,27 @@ from repro.runner.campaign import (
     _build_instance,
     cell_to_json,
 )
-from repro.serve.client import Endpoint, ResilientClient, RetryPolicy
+from repro.serve.client import (
+    Endpoint,
+    InstanceHashMismatch,
+    ResilientClient,
+    RetryPolicy,
+)
 
 __all__ = [
-    "InstanceHashMismatch",
     "RemoteExecutor",
     "RemoteOptions",
     "run_remote",
 ]
 
-
-class InstanceHashMismatch(ReproError):
-    """A backend registered a graph under a different canonical hash.
-
-    Client and server disagree about the instance's identity, so no cell
-    on that graph can be addressed by hash; retrying cannot help.
-    """
+#: Completion-latency quantile that arms straggler re-dispatch.
+STRAGGLER_QUANTILE = 0.75
+#: A cell is a straggler after this many times the quantile latency.
+STRAGGLER_FACTOR = 3.0
+#: Never hedge a cell before it has run this many seconds.
+STRAGGLER_MIN_S = 1.0
+#: Completions required before the quantile is trusted.
+STRAGGLER_MIN_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -88,22 +94,10 @@ class RemoteOptions:
 
     #: Max concurrent cells per backend.
     window: int = 4
-    #: Completion-latency quantile that arms straggler re-dispatch
-    #: (None disables hedging).
-    straggler_quantile: float | None = 0.75
-    #: A cell is a straggler after ``factor`` × the quantile latency.
-    straggler_factor: float = 3.0
-    #: Never hedge before this many seconds have elapsed.
-    straggler_min_s: float = 1.0
-    #: Completions required before the quantile is trusted.
-    straggler_min_samples: int = 5
-    #: Seconds between ``metrics`` probes of every backend.
+    #: Seconds between ``health`` probes of every backend.
     probe_interval_s: float = 1.0
     #: Per-probe transport timeout.
     probe_timeout_s: float = 2.0
-    #: Consecutive failed probes (or losses) before a backend is
-    #: declared dead and its in-flight cells re-queued.
-    probe_strikes: int = 2
     #: Transport timeout per cell attempt (None: rely on the campaign
     #: timeout and straggler hedging instead).
     request_timeout_s: float | None = None
@@ -118,41 +112,25 @@ class RemoteOptions:
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ReproError(f"window must be >= 1, got {self.window}")
-        quantile = self.straggler_quantile
-        if quantile is not None and not 0 < quantile <= 1:
-            raise ReproError(
-                f"straggler_quantile must be in (0, 1], got {quantile}"
-            )
 
 
 @dataclass
 class _Backend:
-    """One serve endpoint plus the executor's view of its health."""
+    """One serve endpoint; its client holds the endpoint's health."""
 
     label: str
     client: ResilientClient
     window: int
-    #: Instance hash -> number of the registration that sent it.  A
-    #: cell that bounced after being sent under an older number (or
-    #: none) finds a newer one here and retries without registering.
-    registered: dict[str, int] = field(default_factory=dict)
-    #: Serializes instance registration: without it, concurrent first
-    #: attempts would each ship the graph (it must cross the wire once).
-    register_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     inflight: set["asyncio.Task[tuple[str, Any]]"] = field(
         default_factory=set
     )
-    alive: bool = True
-    strikes: int = 0
-    #: in_flight + queue_depth from the last successful metrics probe.
-    pressure: float = 0.0
     completed: int = 0
     losses: int = 0
 
-    def rank(self) -> tuple[float, float, str]:
-        """Lower is better: window fill + probed pressure, then EWMA."""
+    def rank(self) -> tuple[int, float, str]:
+        """Lower is better: window fill, then EWMA."""
         return (
-            len(self.inflight) + self.pressure,
+            len(self.inflight),
             self.client.latency_ewma_ms or 0.0,
             self.label,
         )
@@ -228,7 +206,6 @@ class RemoteExecutor:
         self._active: dict[int, set["asyncio.Task[tuple[str, Any]]"]] = {}
         self._latencies: list[float] = []
         self._payloads: dict[str, dict[str, Any]] = {}
-        self._registrations = 0
         self._no_backend_since: float | None = None
         #: Ends the probe loop even if its cancellation is swallowed
         #: (``asyncio.wait_for`` in Python 3.11 drops a cancel that
@@ -278,7 +255,7 @@ class RemoteExecutor:
                 backend.label: {
                     "completed": backend.completed,
                     "losses": backend.losses,
-                    "alive": backend.alive,
+                    "status": backend.client.status,
                 }
                 for backend in self._backends
             },
@@ -288,7 +265,7 @@ class RemoteExecutor:
 
     async def _drive(self, loop: asyncio.AbstractEventLoop) -> None:
         while self._queue or self._meta:
-            if any(backend.alive for backend in self._backends):
+            if self._accepting():
                 self._no_backend_since = None
             self._expire_timeouts()
             self._hedge_stragglers()
@@ -323,7 +300,7 @@ class RemoteExecutor:
         candidates = [
             backend
             for backend in self._backends
-            if backend.alive
+            if backend.client.status == "ok"
             and backend.label not in exclude
             and len(backend.inflight) < backend.window
         ]
@@ -366,39 +343,6 @@ class RemoteExecutor:
             self._payloads[instance_hash] = payload
         return payload
 
-    async def _register(
-        self,
-        backend: _Backend,
-        cell: CampaignCell,
-        instance_hash: str,
-        sent_under: int | None,
-    ) -> tuple[str, Any] | None:
-        """Make sure ``backend`` holds the graph a cell just bounced on.
-
-        ``sent_under`` is the registration the cell was sent under.  If
-        a newer one landed meanwhile the graph is already there and
-        nothing is sent.  Returns ``None`` when the cell may be retried,
-        else the attempt's outcome.
-        """
-        async with backend.register_lock:
-            if backend.registered.get(instance_hash) != sent_under:
-                return None
-            body = await backend.client.request(
-                {"op": "register", "instance": self._payload_for(cell)},
-                timeout_s=self._options.register_timeout_s,
-            )
-            if not body.get("ok"):
-                return ("lost", f"register failed ({_error_text(body)})")
-            if body.get("instance_hash") != instance_hash:
-                return ("error", InstanceHashMismatch(
-                    f"backend {backend.label} registered the graph of cell "
-                    f"{cell.label!r} as {body.get('instance_hash')!r}, but "
-                    f"the client hashes it as {instance_hash!r}"
-                ))
-            self._registrations += 1
-            backend.registered[instance_hash] = self._registrations
-        return None
-
     async def _attempt(
         self, backend: _Backend, index: int
     ) -> tuple[str, Any]:
@@ -417,17 +361,14 @@ class RemoteExecutor:
             "cell": cell_to_json(cell),
             "instance_hash": instance_hash,
         }
-        sent_under = backend.registered.get(instance_hash)
-        body = await backend.client.request(request)
-        code = (body.get("error") or {}).get("code")
-        if code == "unknown_instance":
-            outcome = await self._register(
-                backend, cell, instance_hash, sent_under
+        try:
+            body = await backend.client.request_hashed(
+                request, instance_hash, lambda: self._payload_for(cell),
+                register_timeout_s=self._options.register_timeout_s,
             )
-            if outcome is not None:
-                return outcome
-            body = await backend.client.request(request)
-            code = (body.get("error") or {}).get("code")
+        except InstanceHashMismatch as error:
+            return ("error", error)
+        code = (body.get("error") or {}).get("code")
         if body.get("ok"):
             return ("row", body)
         if code in ("unavailable", "shed", "draining", "unknown_instance"):
@@ -458,7 +399,6 @@ class RemoteExecutor:
             self._cancel_attempts(meta.index)
             self._latencies.append(self._now() - meta.started)
             meta.backend.completed += 1
-            meta.backend.strikes = 0
             if detail.get("cached"):
                 self._cache_hits += 1
             self._finish(meta.index, None, detail["row"])
@@ -482,12 +422,11 @@ class RemoteExecutor:
 
     def _note_loss(self, meta: _Attempt, detail: str) -> None:
         meta.backend.losses += 1
-        meta.backend.strikes += 1
-        if (
-            meta.backend.alive
-            and meta.backend.strikes >= self._options.probe_strikes
-        ):
-            self._declare_dead(meta.backend)
+        if meta.backend.client.status == "ok":
+            # A draining backend refuses new cells but keeps the ones it
+            # admitted; only its failed probes can take it down.
+            meta.backend.client.note_failure()
+            self._check_death(meta.backend, "ok")
         if self._active.get(meta.index):
             return  # a hedge mate is still running; it owns the cell
         charged = self._attempts.get(meta.index, 0) + 1
@@ -508,15 +447,19 @@ class RemoteExecutor:
                 kind="crash",
             )
 
-    def _declare_dead(self, backend: _Backend) -> None:
-        backend.alive = False
-        self._deaths += 1
-        for task in list(backend.inflight):
-            task.cancel()
+    def _check_death(self, backend: _Backend, before: str) -> None:
+        """Re-queue ``backend``'s cells if its client just went down."""
+        if before != "down" and backend.client.status == "down":
+            self._deaths += 1
+            for task in list(backend.inflight):
+                task.cancel()
+
+    def _accepting(self) -> bool:
+        return any(backend.client.status == "ok" for backend in self._backends)
 
     def _check_stranded(self) -> None:
-        """Fail queued cells once every backend has been dead too long."""
-        if any(backend.alive for backend in self._backends):
+        """Fail queued cells once no backend has taken cells too long."""
+        if self._accepting():
             return
         if self._no_backend_since is None:
             self._no_backend_since = self._now()
@@ -568,16 +511,11 @@ class RemoteExecutor:
             )
 
     def _hedge_stragglers(self) -> None:
-        quantile = self._options.straggler_quantile
-        if (
-            quantile is None
-            or len(self._latencies) < self._options.straggler_min_samples
-        ):
+        if len(self._latencies) < STRAGGLER_MIN_SAMPLES:
             return
         threshold = max(
-            self._options.straggler_min_s,
-            self._options.straggler_factor
-            * _quantile(self._latencies, quantile),
+            STRAGGLER_MIN_S,
+            STRAGGLER_FACTOR * _quantile(self._latencies, STRAGGLER_QUANTILE),
         )
         now = self._now()
         loop = asyncio.get_running_loop()
@@ -600,31 +538,9 @@ class RemoteExecutor:
     async def _probe_loop(self) -> None:
         while not self._closing:
             for backend in self._backends:
-                body = await backend.client.request(
-                    {"op": "metrics"},
-                    timeout_s=self._options.probe_timeout_s,
-                )
-                if body.get("ok"):
-                    metrics = body.get("metrics") or {}
-                    gauges = metrics.get("gauges") or {}
-                    server = body.get("server") or {}
-                    backend.pressure = float(
-                        gauges.get("serve.in_flight", server.get("depth", 0))
-                    ) + float(
-                        gauges.get(
-                            "serve.queue_depth", server.get("queued", 0)
-                        )
-                    )
-                    backend.strikes = 0
-                    backend.alive = True
-                else:
-                    backend.pressure = 0.0
-                    backend.strikes += 1
-                    if (
-                        backend.alive
-                        and backend.strikes >= self._options.probe_strikes
-                    ):
-                        self._declare_dead(backend)
+                before = backend.client.status
+                await backend.client.probe(self._options.probe_timeout_s)
+                self._check_death(backend, before)
             await asyncio.sleep(self._options.probe_interval_s)
 
 

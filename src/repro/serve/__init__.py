@@ -41,6 +41,7 @@ from repro.serve.client import (
     CircuitBreaker,
     ClientError,
     Endpoint,
+    InstanceHashMismatch,
     Outcome,
     ResilientClient,
     RetryPolicy,
@@ -90,6 +91,7 @@ __all__ = [
     "FleetRouter",
     "FleetSupervisor",
     "HashRing",
+    "InstanceHashMismatch",
     "InstanceRegistry",
     "MicroBatcher",
     "RouterConfig",

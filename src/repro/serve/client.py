@@ -21,7 +21,12 @@ campaign backend needs on top of a :class:`ServeClient` connection:
 * **a circuit breaker** — closed/open/half-open with a failure-rate
   window, so a dead endpoint is probed, not hammered;
 * **a latency EWMA** — the router's ``fleet`` op reports it and the
-  remote executor ranks backends by it.
+  remote executor ranks backends by it;
+* **endpoint health** — ``status`` is ``ok``, ``draining`` or
+  ``down`` (:meth:`~ResilientClient.probe`);
+* **hash-first registration** — a graph is sent only when the endpoint
+  asks for it, once however many requests asked
+  (:meth:`~ResilientClient.request_hashed`).
 
 Choosing *between* endpoints is the caller's job: the router walks its
 hash ring, the remote executor ranks its backends.
@@ -55,11 +60,13 @@ from repro.runner.campaign import derive_cell_seed
 from repro.serve.protocol import MAX_LINE_BYTES
 
 __all__ = [
+    "PROBE_DOWN_AFTER",
     "RETRY_SAFE_OPS",
     "BreakerConfig",
     "CircuitBreaker",
     "ClientError",
     "Endpoint",
+    "InstanceHashMismatch",
     "Outcome",
     "ResilientClient",
     "RetryPolicy",
@@ -69,6 +76,14 @@ __all__ = [
 
 class ClientError(ReproError):
     """A client-side failure (bad endpoint spec, misuse)."""
+
+
+class InstanceHashMismatch(ReproError):
+    """An endpoint registered a graph under a different canonical hash.
+
+    Client and server disagree about the instance's identity, so no
+    request on that graph can be addressed by hash; retrying cannot help.
+    """
 
 
 # ----------------------------------------------------------------------
@@ -369,6 +384,9 @@ RETRY_SAFE_OPS = frozenset(
 #: safe to retry.
 RETRYABLE_ERROR_CODES = frozenset({"shed", "draining"})
 
+#: Failed probes or lost requests in a row before an endpoint is down.
+PROBE_DOWN_AFTER = 2
+
 
 @dataclass
 class Outcome:
@@ -420,6 +438,14 @@ class ResilientClient:
         self.breaker = CircuitBreaker(breaker, clock)
         #: Smoothed response latency; ``None`` until the first answer.
         self.latency_ewma_ms: float | None = None
+        #: ``"ok"`` | ``"draining"`` | ``"down"`` (see :meth:`probe`).
+        self.status = "ok"
+        #: Graphs this client registered (:meth:`request_hashed`).
+        self.registrations = 0
+        self._failures = 0
+        #: Instance hash -> number of the registration that sent it.
+        self._registered: dict[str, int] = {}
+        self._register_lock = asyncio.Lock()
         self._connection: ServeClient | None = None
         self._connect_lock = asyncio.Lock()
         self._next_id = 0
@@ -533,6 +559,78 @@ class ResilientClient:
             latency_ms=0.0,
         )
 
+    async def probe(self, timeout_s: float | None = None) -> str:
+        """Send ``health``; update and return :attr:`status`.
+
+        ``down`` takes :data:`PROBE_DOWN_AFTER` failed probes or lost
+        requests (:meth:`note_failure`) in a row; any answer that is not
+        a refusal brings a ``down`` endpoint back.  A ``draining``
+        refusal marks it draining, and only a probe's ``ok`` ends that:
+        a draining server still answers the work it admitted before.
+        """
+        body = await self.request({"op": "health"}, timeout_s=timeout_s)
+        if body.get("ok"):
+            self.status = "draining" if body.get("status") == "draining" else "ok"
+        else:
+            self.note_failure()
+        return self.status
+
+    def note_failure(self) -> None:
+        """Count a failed probe or a lost request against the endpoint:
+        :data:`PROBE_DOWN_AFTER` in a row mark it ``down``."""
+        self._failures += 1
+        if self._failures >= PROBE_DOWN_AFTER:
+            self.status = "down"
+
+    def note_answer(self) -> None:
+        """Count an answer (a caller's own health check included): the
+        failure count restarts and a ``down`` endpoint is back."""
+        self._failures = 0
+        if self.status == "down":
+            self.status = "ok"
+
+    async def request_hashed(
+        self,
+        request: dict[str, Any],
+        instance_hash: str,
+        payload: Callable[[], dict[str, Any] | None],
+        *,
+        register_timeout_s: float | None = None,
+    ) -> dict[str, Any]:
+        """Send ``request``, which names its graph by ``instance_hash``;
+        on ``unknown_instance`` register ``payload()`` and retry once.
+
+        Registration is serialized per endpoint and skipped when a
+        concurrent bounce re-registered the graph since ``request`` was
+        sent.  A failed registration returns its error body, a ``None``
+        payload the bounce.  Raises :class:`InstanceHashMismatch` when
+        the endpoint registers the graph under another hash.
+        """
+        sent_under = self._registered.get(instance_hash)
+        body = await self.request(request)
+        if (body.get("error") or {}).get("code") != "unknown_instance":
+            return body
+        async with self._register_lock:
+            if self._registered.get(instance_hash) == sent_under:
+                instance = payload()
+                if instance is None:
+                    return body
+                registered = await self.request(
+                    {"op": "register", "instance": instance},
+                    timeout_s=register_timeout_s,
+                )
+                if not registered.get("ok"):
+                    return registered
+                if registered.get("instance_hash") != instance_hash:
+                    raise InstanceHashMismatch(
+                        f"{self.endpoint.label} registered instance "
+                        f"{instance_hash!r} as "
+                        f"{registered.get('instance_hash')!r}"
+                    )
+                self.registrations += 1
+                self._registered[instance_hash] = self.registrations
+        return await self.request(request)
+
     @staticmethod
     def _retryable(
         op: Any, failure: str | None, response: dict[str, Any] | None
@@ -551,7 +649,8 @@ class ResilientClient:
     def _note_outcome(
         self, response: dict[str, Any] | None, latency_ms: float
     ) -> None:
-        """Feed the breaker and the latency EWMA with one attempt."""
+        """Feed the breaker, the latency EWMA and the health status with
+        one attempt."""
         if response is None:
             self.breaker.record_failure()
             return
@@ -561,8 +660,11 @@ class ResilientClient:
             # degraded capacity.  Count it against the breaker, not hard
             # enough to open it on its own unless persistent.
             self.breaker.record_failure()
+            if code == "draining":
+                self.status = "draining"
         else:
             self.breaker.record_success()
+            self.note_answer()
         if self.latency_ewma_ms is None:
             self.latency_ewma_ms = latency_ms
         else:

@@ -25,9 +25,10 @@ transport is exhausted (the client's canonical ``unavailable``) is
 skipped and the request is re-dispatched to the next ring owner —
 sound for the same reason retries are: pipelines are deterministic, so
 any shard produces byte-identical responses.  ``unknown_instance`` from
-a shard is *healed*: the router re-registers the instance from its own
-registry (shards lose their in-memory registries on restart) and
-retries the same shard once.  ``register`` fans out to every live shard;
+a shard (its registry is lost on restart) is *healed* from the router's
+registry by the shard's client, which also owns the shard's health
+(:class:`~repro.serve.client.ResilientClient`); the ring holds the
+``ok`` shards.  ``register`` fans out to every live shard;
 ``health``/``status``/``metrics`` aggregate across the fleet; the
 ``fleet`` op reports per-shard health, ring ownership, and routing
 counters.  ``drain`` drains the *router* (stop admitting, finish
@@ -47,7 +48,12 @@ from typing import Any
 from repro.errors import ReproError
 from repro.serve.admission import AdmissionController
 from repro.serve.cache import InstanceRegistry, make_cache_key
-from repro.serve.client import Endpoint, ResilientClient, RetryPolicy
+from repro.serve.client import (
+    Endpoint,
+    InstanceHashMismatch,
+    ResilientClient,
+    RetryPolicy,
+)
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -66,9 +72,6 @@ __all__ = ["FleetRouter", "HashRing", "RouterConfig", "run_router"]
 #: client's transport-exhaustion synthesis.  Everything else (including
 #: ``internal``) is an authoritative per-request answer and is forwarded.
 REDISPATCH_CODES = frozenset({"shed", "draining", "unavailable"})
-
-#: Consecutive failed health probes before a shard leaves the ring.
-PROBE_DOWN_AFTER = 2
 
 
 def _position(seed: int, kind: str, token: str) -> int:
@@ -218,9 +221,6 @@ class _ShardState:
     label: str
     endpoint: Endpoint
     client: ResilientClient
-    #: "ok" | "draining" | "down"
-    status: str = "ok"
-    probe_failures: int = 0
     dispatched: int = 0
     served: int = 0
     failures: int = 0
@@ -240,7 +240,6 @@ class FleetRouter:
         self.requests_total = 0
         self.rerouted = 0
         self.unavailable = 0
-        self.healed = 0
         self._shards: dict[str, _ShardState] = {}
         timeout_s = (
             config.timeout_ms / 1000.0 if config.timeout_ms is not None else None
@@ -366,25 +365,27 @@ class FleetRouter:
         ``fleet`` op surfaces it."""
         self._shards[label].meta.update(meta)
 
+    @property
+    def healed(self) -> int:
+        """Registrations sent to heal ``unknown_instance`` answers."""
+        return sum(state.client.registrations for state in self._shards.values())
+
     def mark_down(self, label: str) -> None:
         """Remove a shard from the ring (crash or supervisor notice)."""
-        state = self._shards[label]
-        if state.status != "down":
-            state.status = "down"
-        self.ring.remove(label)
+        self._shards[label].client.status = "down"
+        self._sync_ring(label)
 
     def mark_up(self, label: str) -> None:
         """Re-register a recovered shard: same label ⇒ identical slots."""
-        state = self._shards[label]
-        state.status = "ok"
-        state.probe_failures = 0
-        self.ring.add(label)
+        self._shards[label].client.note_answer()
+        self._sync_ring(label)
 
-    def _mark_draining(self, label: str) -> None:
-        state = self._shards[label]
-        if state.status != "draining":
-            state.status = "draining"
-        self.ring.remove(label)
+    def _sync_ring(self, label: str) -> None:
+        """The ring holds exactly the shards whose client is ``ok``."""
+        if self._shards[label].client.status == "ok":
+            self.ring.add(label)
+        else:
+            self.ring.remove(label)
 
     async def _probe_loop(self) -> None:
         while True:
@@ -395,20 +396,10 @@ class FleetRouter:
         """Health-probe every shard; update ring membership."""
         results: dict[str, str] = {}
         for label, state in self._shards.items():
-            response = await state.client.request(
-                {"op": "health"}, timeout_s=self.config.probe_timeout_s
+            results[label] = await state.client.probe(
+                self.config.probe_timeout_s
             )
-            if response.get("ok"):
-                state.probe_failures = 0
-                if response.get("status") == "draining":
-                    self._mark_draining(label)
-                else:
-                    self.mark_up(label)
-            else:
-                state.probe_failures += 1
-                if state.probe_failures >= PROBE_DOWN_AFTER:
-                    self.mark_down(label)
-            results[label] = state.status
+            self._sync_ring(label)
         return results
 
     # -- connection handling -------------------------------------------
@@ -585,33 +576,22 @@ class FleetRouter:
         """One dispatch to one shard, with unknown-instance healing."""
         state = self._shards[label]
         state.dispatched += 1
-        response = await state.client.request(data)
-        code = (response.get("error") or {}).get("code")
-        if code == "unknown_instance" and instance_hash in self.registry:
-            # The shard lost its registry (restart) — re-register and
-            # retry it once before falling through to the next owner.
-            payload = self.registry.get(instance_hash)
-            registered = await state.client.request(
-                {"op": "register", "instance": payload}
+        try:
+            response = await state.client.request_hashed(
+                data, instance_hash, lambda: self.registry.get(instance_hash)
             )
-            if registered.get("ok"):
-                self.healed += 1
-                state.dispatched += 1
-                response = await state.client.request(data)
-                code = (response.get("error") or {}).get("code")
+        except InstanceHashMismatch as error:
+            response = error_body(
+                "internal", str(error), request_id=data.get("id"), op="color"
+            )
         if response.get("ok"):
             state.served += 1
-            # Only a shard marked down returns on an ok forward: a
-            # draining one still finishes work it admitted before the
-            # drain, and must stay out of the ring until a probe says ok.
-            if state.status == "down":
-                self.mark_up(label)
-        else:
-            if code == "draining":
-                self._mark_draining(label)
-            elif code == "unavailable":
-                state.failures += 1
-                self.mark_down(label)
+        elif (response.get("error") or {}).get("code") == "unavailable":
+            state.failures += 1
+            state.client.status = "down"
+        # An answer brings a down shard back; a draining one stays out
+        # until a probe says ok (see ResilientClient.status).
+        self._sync_ring(label)
         return response
 
     # -- register ------------------------------------------------------
@@ -637,7 +617,8 @@ class FleetRouter:
             )
         self.registry.put(instance_hash, slim)
         targets = [
-            state for state in self._shards.values() if state.status != "down"
+            state for state in self._shards.values()
+            if state.client.status != "down"
         ]
         responses = await asyncio.gather(*(
             state.client.request({"op": "register", "instance": slim})
@@ -669,7 +650,7 @@ class FleetRouter:
     async def _shard_bodies(self, op: str) -> dict[str, dict[str, Any]]:
         labels = [
             label for label, state in self._shards.items()
-            if state.status != "down"
+            if state.client.status != "down"
         ]
         responses = await asyncio.gather(*(
             self._shards[label].client.request(
@@ -681,7 +662,7 @@ class FleetRouter:
         for label, state in self._shards.items():
             if label not in bodies:
                 bodies[label] = error_body(
-                    "unavailable", f"shard is {state.status}", op=op
+                    "unavailable", f"shard is {state.client.status}", op=op
                 )
         return bodies
 
@@ -768,7 +749,7 @@ class FleetRouter:
             ewma = client.latency_ewma_ms
             shards[label] = {
                 "endpoint": label,
-                "state": health.get(label, state.status),
+                "state": health[label],
                 "in_ring": label in self.ring,
                 "ownership": round(ownership.get(label, 0.0), 4),
                 "breaker": client.breaker.state,

@@ -582,8 +582,8 @@ class ColoringServer:
             }
         if op == "metrics":
             # Pressure gauges are sampled at answer time (the admission
-            # controller and batcher already track them) so remote
-            # health scorers see backend load, not just latency.
+            # controller and batcher already track them) so a metrics
+            # reader sees backend load, not just latency.
             # Written through the server's own registry, not the
             # process-global collector: several servers can share one
             # process (tests, fleets) without crosstalk.

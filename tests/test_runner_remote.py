@@ -7,7 +7,7 @@ because server-side cells run the exact same
 :func:`repro.runner.campaign.run_cell_on_network` core.
 
 Most tests use :class:`FakeBackend`: an in-process NDJSON listener that
-answers the serve protocol (register / cell / health / metrics) by
+answers the serve protocol (register / cell / health) by
 calling the real :func:`repro.serve.execute_batch`, so the wire path is
 exercised without subprocess spin-up.  One test drives a real
 two-subprocess ``repro serve`` fleet end to end.
@@ -30,8 +30,12 @@ import pytest
 
 from repro.errors import ReproError
 from repro.runner import CampaignCell, load_journal, run_campaign
-from repro.runner.remote import InstanceHashMismatch, RemoteOptions
-from repro.serve import execute_batch, normalize_instance_payload
+from repro.runner.remote import RemoteOptions
+from repro.serve import (
+    InstanceHashMismatch,
+    execute_batch,
+    normalize_instance_payload,
+)
 
 #: Small-but-real cells: big enough to exercise run_cell, fast enough
 #: for a test suite.
@@ -78,6 +82,10 @@ class FakeBackend:
     register_hash:
         answer every ``register`` with this hash instead of the
         canonical one — a client/server hash disagreement.
+    admitted:
+        when set, the backend is draining: ``health`` says so, and every
+        cell whose label is not listed (admitted before the drain) is
+        refused with ``draining``.
 
     Counters: ``cells`` are executed cells, ``bounces`` are cell
     requests answered ``unknown_instance``, ``registers`` are
@@ -92,6 +100,7 @@ class FakeBackend:
         fail_labels: tuple[str, ...] = (),
         die_after: int | None = None,
         register_hash: str | None = None,
+        admitted: tuple[str, ...] | None = None,
     ) -> None:
         self.path = str(path)
         self.spec = f"unix:{self.path}"
@@ -99,6 +108,7 @@ class FakeBackend:
         self.fail_labels = set(fail_labels)
         self.die_after = die_after
         self.register_hash = register_hash
+        self.admitted = admitted
         self.instances: dict[str, dict] = {}
         self.cells = 0
         self.bounces = 0
@@ -185,15 +195,8 @@ class FakeBackend:
         op = data.get("op")
         rid = data.get("id")
         if op == "health":
-            return {"id": rid, "ok": True, "op": "health", "status": "ok"}
-        if op == "metrics":
-            return {
-                "id": rid, "ok": True, "op": "metrics",
-                "metrics": {"gauges": {
-                    "serve.in_flight": 0.0, "serve.queue_depth": 0.0,
-                }},
-                "server": {},
-            }
+            status = "ok" if self.admitted is None else "draining"
+            return {"id": rid, "ok": True, "op": "health", "status": status}
         if op == "register":
             self.registers += 1
             instance_hash, slim = normalize_instance_payload(
@@ -216,6 +219,11 @@ class FakeBackend:
     async def _respond_cell(self, data: dict, rid) -> dict | None:
         cell = data["cell"]
         label = cell.get("label")
+        if self.admitted is not None and label not in self.admitted:
+            return {
+                "id": rid, "ok": False, "op": "cell",
+                "error": {"code": "draining", "message": "draining"},
+            }
         delay = self.delay.get(label, 0.0)
         if delay:
             await asyncio.sleep(delay)
@@ -471,16 +479,40 @@ class TestBackendLoss:
         stats = remote.remote_stats
         assert stats["backend_deaths"] >= 1
         assert stats["requeued"] >= 1
-        assert stats["backends"][f"unix:{tmp_path}/b.sock"]["alive"] is False
+        assert stats["backends"][f"unix:{tmp_path}/b.sock"]["status"] == "down"
+
+    def test_draining_backend_keeps_its_cells_and_gets_no_new_ones(
+        self, tmp_path
+    ):
+        # A first campaign registers the graph on both backends.  In the
+        # second, "slow" lands on a first (label tie-break) and counts
+        # as admitted before a's drain; a refuses the other cells it is
+        # sent.  They move to b, a gets no more, and "slow" stays on a.
+        cells = [CampaignCell(label="slow", **SMALL), *small_cells(5)]
+        reference = run_campaign(cells)
+        options = RemoteOptions(**FAST)
+        with FakeBackend(tmp_path / "a.sock", delay={"slow": 0.2}) as a, \
+                FakeBackend(tmp_path / "b.sock") as b:
+            backends = [a.spec, b.spec]
+            run_campaign(cells, backends=backends, remote_options=options)
+            a.cells = b.cells = 0
+            a.admitted = ("slow",)
+            remote = run_campaign(
+                cells, backends=backends, remote_options=options
+            )
+            assert a.cells == 1 and b.cells == len(cells) - 1
+        assert row_bytes(remote) == row_bytes(reference)
+        stats = remote.remote_stats
+        assert stats["backend_deaths"] == 0
+        assert stats["backends"][a.spec]["completed"] == 1
+        assert stats["backends"][a.spec]["status"] == "draining"
 
     def test_no_live_backend_strands_cells_as_crashes(self, tmp_path):
         cells = small_cells(3)
         result = run_campaign(
             cells, backends=[f"unix:{tmp_path}/ghost.sock"],
             strict=False, retries=0,
-            remote_options=RemoteOptions(
-                probe_strikes=1, no_backend_grace_s=0.3, **FAST
-            ),
+            remote_options=RemoteOptions(no_backend_grace_s=0.3, **FAST),
         )
         assert len(result.failures) == len(cells)
         assert all(f["kind"] == "crash" for f in result.failures)
@@ -492,9 +524,7 @@ class TestBackendLoss:
             run_campaign(
                 cells, backends=[f"unix:{tmp_path}/ghost.sock"],
                 retries=0,
-                remote_options=RemoteOptions(
-                    probe_strikes=1, no_backend_grace_s=0.3, **FAST
-                ),
+                remote_options=RemoteOptions(no_backend_grace_s=0.3, **FAST),
             )
 
 
@@ -502,9 +532,10 @@ class TestStragglerHedging:
     def test_straggler_hedged_first_result_wins(self, tmp_path):
         # "slow" is queued first; with both backends idle the picker
         # tie-breaks on label, so it deterministically lands on a —
-        # which stalls it for 30s.  The fast cells build the latency
-        # sample, the hedger re-dispatches "slow" to b, and b's row
-        # wins; rows stay byte-identical to an inline run.
+        # which stalls it for 30s.  The five fast cells build the
+        # latency sample, the hedger re-dispatches "slow" to b after
+        # STRAGGLER_MIN_S (about 1s), and b's row wins; rows stay
+        # byte-identical to an inline run.
         cells = [CampaignCell(label="slow", **SMALL), *small_cells(5)]
         reference = run_campaign(cells)
         with FakeBackend(tmp_path / "a.sock", delay={"slow": 30.0}) as a, \
@@ -512,10 +543,7 @@ class TestStragglerHedging:
             started = time.monotonic()
             remote = run_campaign(
                 cells, backends=[a.spec, b.spec],
-                remote_options=RemoteOptions(
-                    straggler_quantile=0.5, straggler_factor=1.5,
-                    straggler_min_s=0.2, straggler_min_samples=3, **FAST
-                ),
+                remote_options=RemoteOptions(**FAST),
             )
             elapsed = time.monotonic() - started
         assert row_bytes(remote) == row_bytes(reference)

@@ -23,6 +23,7 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
 )
+from repro.serve.client import PROBE_DOWN_AFTER
 
 EPSILON = 0.25
 
@@ -359,3 +360,43 @@ class TestResilientClientEndToEnd:
         assert retryable("color", None, shed) is True
         bad = {"ok": False, "error": {"code": "bad_request"}}
         assert retryable("color", None, bad) is False
+
+
+# ----------------------------------------------------------------------
+# Health probing
+# ----------------------------------------------------------------------
+
+
+class TestProbe:
+    def test_ok_then_draining_once_the_server_drains(self, tmp_path):
+        async def scenario():
+            async with one_server(tmp_path, "p") as server:
+                client = ResilientClient(unix_path=server.config.unix_path)
+                try:
+                    assert await client.probe(1.0) == "ok"
+                    server.admission.begin_drain()
+                    assert await client.probe(1.0) == "draining"
+                    assert client.status == "draining"
+                finally:
+                    await client.close()
+
+        asyncio.run(scenario())
+
+    def test_down_after_consecutive_failures_and_back_on_one_answer(
+        self, tmp_path
+    ):
+        async def scenario():
+            client = ResilientClient(
+                unix_path=str(tmp_path / "p.sock"),
+                retry=RetryPolicy(attempts=1),
+            )
+            try:
+                for _ in range(PROBE_DOWN_AFTER - 1):
+                    assert await client.probe(1.0) == "ok"
+                assert await client.probe(1.0) == "down"
+                async with one_server(tmp_path, "p"):
+                    assert await client.probe(1.0) == "ok"
+            finally:
+                await client.close()
+
+        asyncio.run(scenario())

@@ -156,13 +156,17 @@ async def routed(tmp_path, shards=3, per_shard=None, **router_overrides):
             await server.close()
 
 
-def seed_owned_by(router, instance_hash, label, *, method="randomized"):
-    """The first seed whose cache key the given shard owns."""
-    for seed in range(500):
-        key = make_cache_key(instance_hash, method, seed, EPSILON, {})
-        if router.ring.owners(key)[0] == label:
-            return seed
-    raise AssertionError(f"no seed owned by {label}")
+def seeds_owned_by(router, instance_hash, label, count=1):
+    """The first ``count`` randomized seeds whose cache key the given
+    shard owns."""
+    seeds = [
+        seed for seed in range(500)
+        if router.ring.owners(
+            make_cache_key(instance_hash, "randomized", seed, EPSILON, {})
+        )[0] == label
+    ][:count]
+    assert len(seeds) == count, f"too few seeds owned by {label}"
+    return seeds
 
 
 async def crash_shard(router, servers, index):
@@ -242,7 +246,7 @@ class TestRouterEndToEnd:
                     {"op": "register", "instance": payload}
                 )
                 label = router.shard_labels()[0]
-                seed = seed_owned_by(
+                (seed,) = seeds_owned_by(
                     router, registered["instance_hash"], label
                 )
                 body = {
@@ -279,7 +283,7 @@ class TestRouterEndToEnd:
                 )
                 assert total == pytest.approx(1.0, abs=0.01)
                 label = await crash_shard(router, servers, 0)
-                seed = seed_owned_by(
+                (seed,) = seeds_owned_by(
                     router, registered["instance_hash"], label
                 )
                 await client.request({
@@ -301,30 +305,74 @@ class TestRouterEndToEnd:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("concurrent", [1, 4])
     def test_unknown_instance_is_healed_from_router_registry(
-        self, tmp_path, payload
+        self, tmp_path, payload, concurrent
     ):
+        class CountingRegistry(InstanceRegistry):
+            puts = 0
+
+            def put(self, instance_hash, instance):
+                self.puts += 1
+                super().put(instance_hash, instance)
+
         async def scenario():
             async with routed(tmp_path) as (router, servers, client):
                 registered = await client.request(
                     {"op": "register", "instance": payload}
                 )
+                instance_hash = registered["instance_hash"]
                 label = router.shard_labels()[0]
-                seed = seed_owned_by(
-                    router, registered["instance_hash"], label
+                seeds = seeds_owned_by(
+                    router, instance_hash, label, concurrent
                 )
                 # The shard restarts conceptually: registry and memory
-                # cache both gone, so the dispatch hits unknown_instance.
+                # cache both gone, so every dispatch hits unknown_instance.
+                servers[0].registry = wiped = CountingRegistry(8)
+                servers[0].cache._entries.clear()
+                responses = await asyncio.gather(*(
+                    client.request({
+                        "op": "color", "method": "randomized", "seed": seed,
+                        "epsilon": EPSILON, "instance_hash": instance_hash,
+                    })
+                    for seed in seeds
+                ))
+                assert all(response["ok"] for response in responses)
+                # However many requests bounced, the graph is sent once.
+                assert router.healed == 1 and wiped.puts == 1
+                assert instance_hash in wiped
+
+        asyncio.run(scenario())
+
+    def test_heal_under_another_hash_is_an_error(
+        self, tmp_path, payload, monkeypatch
+    ):
+        import repro.serve.server as server_module
+
+        async def scenario():
+            async with routed(tmp_path) as (router, servers, client):
+                registered = await client.request(
+                    {"op": "register", "instance": payload}
+                )
+                instance_hash = registered["instance_hash"]
+                label = router.shard_labels()[0]
+                (seed,) = seeds_owned_by(router, instance_hash, label)
                 servers[0].registry = InstanceRegistry(8)
                 servers[0].cache._entries.clear()
+                wrong = "0" * 64
+                normalize = server_module.normalize_instance_payload
+                monkeypatch.setattr(
+                    server_module, "normalize_instance_payload",
+                    lambda body: (wrong, normalize(body)[1]),
+                )
                 response = await client.request({
                     "op": "color", "method": "randomized", "seed": seed,
-                    "epsilon": EPSILON,
-                    "instance_hash": registered["instance_hash"],
+                    "epsilon": EPSILON, "instance_hash": instance_hash,
                 })
-                assert response["ok"]
-                assert router.healed == 1
-                assert registered["instance_hash"] in servers[0].registry
+                assert not response["ok"]
+                message = response["error"]["message"]
+                assert instance_hash in message and wrong in message
+                assert router.healed == 0
 
         asyncio.run(scenario())
 
@@ -349,7 +397,7 @@ class TestRouterEndToEnd:
                     {"op": "register", "instance": payload}
                 )
                 label = router.shard_labels()[0]
-                seed = seed_owned_by(
+                (seed,) = seeds_owned_by(
                     router, registered["instance_hash"], label
                 )
                 inflight = loop.create_task(
