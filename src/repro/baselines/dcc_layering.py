@@ -148,7 +148,7 @@ def lifted_clique_cycle(
                 detour = next(
                     w
                     for w in members
-                    if w != entry and w in network.neighbor_set(entry)
+                    if w != entry and w in network.adjacency[entry]
                 )
                 position = lifted.index(entry)
                 lifted.insert(position + 1, detour)

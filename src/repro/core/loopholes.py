@@ -106,13 +106,13 @@ def is_loophole(
     cycle = loophole.vertices
     k = len(cycle)
     for i in range(k):
-        if cycle[(i + 1) % k] not in network.neighbor_set(cycle[i]):
+        if cycle[(i + 1) % k] not in network.adjacency[cycle[i]]:
             return False
     if len(set(cycle)) != k:
         return False
     # Non-clique: some pair non-adjacent.
     return any(
-        cycle[j] not in network.neighbor_set(cycle[i])
+        cycle[j] not in network.adjacency[cycle[i]]
         for i in range(k)
         for j in range(i + 1, k)
     )
@@ -145,7 +145,7 @@ def _find_nonclique_cycle(network: Network, v: int, length: int) -> list[int] | 
 
     def dfs() -> list[int] | None:
         if len(path) == length:
-            if path[0] in network.neighbor_set(path[-1]) and _is_nonclique(
+            if path[0] in network.adjacency[path[-1]] and _is_nonclique(
                 network, path
             ):
                 return list(path)
@@ -167,7 +167,7 @@ def _find_nonclique_cycle(network: Network, v: int, length: int) -> list[int] | 
 
 def _is_nonclique(network: Network, vertices: Sequence[int]) -> bool:
     return any(
-        vertices[j] not in network.neighbor_set(vertices[i])
+        vertices[j] not in network.adjacency[vertices[i]]
         for i in range(len(vertices))
         for j in range(i + 1, len(vertices))
     )

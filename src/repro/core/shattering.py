@@ -182,7 +182,8 @@ def _draw_candidate(
     if not options:
         return None
     u, w = options[rng.randrange(len(options))]
-    mates = [v for v in members if v != u and v not in network.neighbor_set(w)]
+    nw = network.neighbor_set(w)
+    mates = [v for v in members if v != u and v not in nw]
     if not mates:
         raise InvariantViolation(
             f"clique {index}: external neighbor {w} is adjacent to every "

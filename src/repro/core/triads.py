@@ -80,15 +80,15 @@ def form_slack_triads(
                     f"{params.outgoing_kept}"
                 )
             (u, w), (v, _v_prime) = edges[0], edges[1]
-            if w in network.neighbor_set(v):
+            if w in network.adjacency[v]:
                 raise InvariantViolation(
                     f"slack pair ({w}, {v}) of clique {index} is adjacent; "
                     "Lemma 9 property 3 (no outside vertex with two "
                     "neighbors in a hard clique) was violated"
                 )
             if (
-                v not in network.neighbor_set(u)
-                or w not in network.neighbor_set(u)
+                v not in network.adjacency[u]
+                or w not in network.adjacency[u]
             ):
                 raise InvariantViolation(
                     f"triad ({u}, {v}, {w}) of clique {index} is not a "

@@ -89,8 +89,8 @@ def plant_shared_outside_neighbor(
         v
         for v in instance.cliques[d_index]
         if v != w
-        and v in network.neighbor_set(w)
-        and v not in network.neighbor_set(x)
+        and v in network.adjacency[w]
+        and v not in network.adjacency[x]
         and v != x
     )
     drop = {(min(u2, x), max(u2, x)), (min(w, w_prime), max(w, w_prime))}
@@ -130,17 +130,17 @@ def plant_external_edge(
     if len(externals) < 2:
         raise GraphStructureError(f"clique {clique} has too few external edges")
     x, y = externals
-    if y in network.neighbor_set(x):
+    if y in network.adjacency[x]:
         raise GraphStructureError("the adversarial edge already exists")
     x_prime = next(
         v for v in instance.cliques[owner[x]]
-        if v != x and v in network.neighbor_set(x)
+        if v != x and v in network.adjacency[x]
     )
     y_prime = next(
         v for v in instance.cliques[owner[y]]
         if v != y
-        and v in network.neighbor_set(y)
-        and v not in network.neighbor_set(x_prime)
+        and v in network.adjacency[y]
+        and v not in network.adjacency[x_prime]
         and v != x_prime
     )
     drop = {(min(x, x_prime), max(x, x_prime)),
@@ -169,15 +169,15 @@ def plant_nonclique_pair(instance: DenseInstance, clique: int = 0) -> DenseInsta
     a1, a2 = members_a[0], members_a[1]
     b1 = next(
         v for v in members_b
-        if v not in network.neighbor_set(a1)
-        and v not in network.neighbor_set(a2)
+        if v not in network.adjacency[a1]
+        and v not in network.adjacency[a2]
     )
     b2 = next(
         v for v in members_b
         if v != b1
-        and v in network.neighbor_set(b1)
-        and v not in network.neighbor_set(a1)
-        and v not in network.neighbor_set(a2)
+        and v in network.adjacency[b1]
+        and v not in network.adjacency[a1]
+        and v not in network.adjacency[a2]
     )
     drop = {(min(a1, a2), max(a1, a2)), (min(b1, b2), max(b1, b2))}
     edges = [

@@ -103,14 +103,13 @@ def clique_blowup(
                 "non-clique 4-cycle, i.e. a loophole, appears)"
             )
 
-    edges: list[tuple[int, int]] = []
+    # ``Network.from_edges`` order: clique mates, then external neighbors.
     cliques: list[list[int]] = []
+    adjacency: list[list[int]] = []
     for i in range(t):
         members = list(range(i * s, (i + 1) * s))
         cliques.append(members)
-        for a in range(s):
-            for b in range(a + 1, s):
-                edges.append((members[a], members[b]))
+        adjacency.extend([w for w in members if w != v] for v in members)
 
     # Deterministically assign each clique's incident clique-graph edges to
     # its members, k edges per member; each clique-graph edge {i, j} gets
@@ -126,14 +125,16 @@ def clique_blowup(
             if i < j:
                 u = next(slot_iters[i])
                 v = next(slot_iters[j])
-                edges.append((u, v))
+                adjacency[u].append(v)
+                adjacency[v].append(u)
     # Every slot must be consumed; leftover slots mean the clique graph was
     # inconsistent with (s, k).
     for i, it in enumerate(slot_iters):
         if next(it, None) is not None:
             raise GraphStructureError(f"unconsumed external slot in clique {i}")
 
-    network = Network.from_edges(t * s, edges, name="clique-blowup")
+    # Simple and symmetric by construction (parallel edges rejected above).
+    network = Network(adjacency, name="clique-blowup", validate_structure=False)
     instance = DenseInstance(
         network=network,
         cliques=cliques,
@@ -316,12 +317,14 @@ def mixed_dense_graph(
         members = instance.cliques[index]
         u, v = members[0], members[1]
         removed.add((min(u, v), max(u, v)))
-    edges = [
-        (u, v)
-        for u, v in instance.network.edges()
-        if (min(u, v), max(u, v)) not in removed
-    ]
-    network = Network.from_edges(instance.n, edges, name="mixed-dense")
+    # ``Network.from_edges`` order; a subgraph of a simple graph is simple.
+    adjacency: list[list[int]] = [[] for _ in range(instance.n)]
+    for v, neighbors in enumerate(instance.network.adjacency):
+        for u in neighbors:
+            if v < u and (v, u) not in removed:
+                adjacency[v].append(u)
+                adjacency[u].append(v)
+    network = Network(adjacency, name="mixed-dense", validate_structure=False)
     return DenseInstance(
         network=network,
         cliques=instance.cliques,

@@ -8,6 +8,11 @@ fast-forwarded while still being counted — so a color-class sweep over
 ``O(Delta^2)`` classes is cheap to simulate but reports its true LOCAL
 round cost.
 
+A network holds one copy of its topology, the frozen adjacency (a LOCAL
+node knows only its neighbor list), and caches only ``max_degree`` and
+``edge_count``.  Neighbor sets and edge lists are built per call.  Sends
+are validated against the sender's adjacency row.
+
 The execution hot path is written for throughput: per-node inbox buffers
 are preallocated once per run, the per-round schedule is a plain int list
 deduplicated in place, broadcasts expand lazily against the (immutable)
@@ -80,8 +85,11 @@ def _adjacency_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[list
         if key in seen:
             continue
         seen.add(key)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+        try:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        except IndexError:
+            raise SimulationError(f"edge ({u}, {v}) out of range for {n} vertices") from None
     return adjacency
 
 
@@ -97,8 +105,8 @@ class Network:
         ``validate_structure`` is False.  Adjacency is immutable after
         construction — it is frozen to a tuple of tuples, so mutation
         attempts raise ``TypeError`` — which lets the network cache
-        ``max_degree``, ``edges()`` and the per-vertex neighbor sets
-        without staleness hazards.
+        ``max_degree`` and ``edge_count`` without staleness hazards.  It
+        is the network's only copy of the topology.
     uids:
         Unique identifiers, one per vertex.  Defaults to the identity.
         Algorithms must break symmetry through these, never through the
@@ -110,7 +118,8 @@ class Network:
         construction pass False to skip the redundant ``O(m)`` re-check.
     validate_sends:
         When True (default) every ``send`` is verified to target a
-        neighbor.  This is a *model* guarantee, independent of how the
+        neighbor (a scan of the sender's adjacency row).  This is a
+        *model* guarantee, independent of how the
         network was built — derived networks keep it on, so algorithms
         running on induced or virtual graphs cannot silently cheat the
         LOCAL model.
@@ -126,9 +135,9 @@ class Network:
         validate_sends: bool = True,
     ):
         self.name = name
-        # Frozen to a tuple of tuples: every lazy cache below assumes
-        # post-construction immutability.  A mutation attempt now raises
-        # instead of silently serving stale degrees/edges/neighbor sets.
+        # Frozen to a tuple of tuples: the lazy caches below assume
+        # post-construction immutability.  A mutation attempt raises
+        # instead of silently serving a stale degree or edge count.
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(nbrs) for nbrs in adjacency
         )
@@ -143,11 +152,9 @@ class Network:
         self._validate_sends = validate_sends
         if validate_structure:
             self._check_adjacency()
-        # Caches over the immutable adjacency, all built lazily.
-        self._neighbor_sets: list[frozenset[int]] | None = None
+        # Scalar caches over the immutable adjacency, built lazily.
         self._max_degree: int | None = None
         self._edge_count: int | None = None
-        self._edges: list[tuple[int, int]] | None = None
         self.nodes = [
             Node(index, self.uids[index], self.adjacency[index])
             for index in range(self.n)
@@ -216,26 +223,17 @@ class Network:
         return self._edge_count
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as ``(u, v)`` with ``u < v`` (fresh list, cached scan)."""
-        if self._edges is None:
-            self._edges = [
-                (v, u)
-                for v in range(self.n)
-                for u in self.adjacency[v]
-                if v < u
-            ]
-        return list(self._edges)
-
-    def _neighbor_set_list(self) -> list[frozenset[int]]:
-        sets = self._neighbor_sets
-        if sets is None:
-            sets = self._neighbor_sets = [
-                frozenset(nbrs) for nbrs in self.adjacency
-            ]
-        return sets
+        """All edges as ``(u, v)`` with ``u < v`` (a fresh list per call)."""
+        return [
+            (v, u)
+            for v, nbrs in enumerate(self.adjacency)
+            for u in nbrs
+            if v < u
+        ]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._neighbor_set_list()[v]
+        """``N(v)`` as a fresh frozenset; hoist it out of inner loops."""
+        return frozenset(self.adjacency[v])
 
     def subnetwork(
         self, vertices: Iterable[int], *, name: str | None = None
@@ -330,7 +328,6 @@ class Network:
         heappush = heapq.heappush
         heappop = heapq.heappop
         validate = self._validate_sends
-        neighbor_sets = self._neighbor_set_list() if validate else None
         track = measure_bandwidth or bandwidth_limit is not None
 
         # Per-node inbox buffers, preallocated once.  A node's buffer is
@@ -419,7 +416,7 @@ class Network:
                             append_receiver(nbr)
                         box.append(pair)
                 else:
-                    if validate and dst not in neighbor_sets[src]:
+                    if validate and dst not in adjacency[src]:
                         raise SimulationError(
                             f"{algorithm.name}: node {src} sent to "
                             f"non-neighbor {dst}"

@@ -37,7 +37,8 @@ Dispatch mechanics
 * **Backend loss.**  A backend goes ``down`` after
   :data:`~repro.serve.client.PROBE_DOWN_AFTER` failed probes or lost
   cells in a row (``unavailable`` after the resilient client's own
-  retries, or ``shed``; a draining backend's refusals do not count).
+  retries, or ``shed``; a draining backend's refusals do not count),
+  or at once when its UNIX socket refuses a connect.
   Its in-flight cells are cancelled and re-queued elsewhere, charged
   one attempt each — mirroring the pool executor's crash accounting —
   and a cell is only failed (kind ``"crash"``) once its charges exceed
@@ -126,6 +127,8 @@ class _Backend:
     )
     completed: int = 0
     losses: int = 0
+    #: Whether the executor has already counted the client's ``down``.
+    dead: bool = False
 
     def rank(self) -> tuple[int, float, str]:
         """Lower is better: window fill, then EWMA."""
@@ -265,6 +268,7 @@ class RemoteExecutor:
 
     async def _drive(self, loop: asyncio.AbstractEventLoop) -> None:
         while self._queue or self._meta:
+            self._check_deaths()
             if self._accepting():
                 self._no_backend_since = None
             self._expire_timeouts()
@@ -426,7 +430,7 @@ class RemoteExecutor:
             # A draining backend refuses new cells but keeps the ones it
             # admitted; only its failed probes can take it down.
             meta.backend.client.note_failure()
-            self._check_death(meta.backend, "ok")
+        self._check_deaths()
         if self._active.get(meta.index):
             return  # a hedge mate is still running; it owns the cell
         charged = self._attempts.get(meta.index, 0) + 1
@@ -447,12 +451,16 @@ class RemoteExecutor:
                 kind="crash",
             )
 
-    def _check_death(self, backend: _Backend, before: str) -> None:
-        """Re-queue ``backend``'s cells if its client just went down."""
-        if before != "down" and backend.client.status == "down":
-            self._deaths += 1
-            for task in list(backend.inflight):
-                task.cancel()
+    def _check_deaths(self) -> None:
+        """Count each backend that went down once and re-queue its cells
+        (a client can go down mid-request, on a refused connect)."""
+        for backend in self._backends:
+            down = backend.client.status == "down"
+            if down and not backend.dead:
+                self._deaths += 1
+                for task in list(backend.inflight):
+                    task.cancel()
+            backend.dead = down
 
     def _accepting(self) -> bool:
         return any(backend.client.status == "ok" for backend in self._backends)
@@ -538,9 +546,7 @@ class RemoteExecutor:
     async def _probe_loop(self) -> None:
         while not self._closing:
             for backend in self._backends:
-                before = backend.client.status
                 await backend.client.probe(self._options.probe_timeout_s)
-                self._check_death(backend, before)
             await asyncio.sleep(self._options.probe_interval_s)
 
 

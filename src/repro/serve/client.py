@@ -563,7 +563,8 @@ class ResilientClient:
         """Send ``health``; update and return :attr:`status`.
 
         ``down`` takes :data:`PROBE_DOWN_AFTER` failed probes or lost
-        requests (:meth:`note_failure`) in a row; any answer that is not
+        requests (:meth:`note_failure`) in a row, or one refused connect
+        to a UNIX socket (its server is gone); any answer that is not
         a refusal brings a ``down`` endpoint back.  A ``draining``
         refusal marks it draining, and only a probe's ``ok`` ends that:
         a draining server still answers the work it admitted before.
@@ -685,7 +686,10 @@ class ResilientClient:
         attempt_body = {**body, "id": f"r{self._next_id}"}
         try:
             connection = await self._ensure_connection()
-        except (ConnectionError, OSError):
+        except (ConnectionError, OSError) as error:
+            # A refused UNIX connect: the socket file outlived its server.
+            if self.endpoint.unix_path and isinstance(error, ConnectionRefusedError):
+                self.status = "down"
             return None, "connect", (loop.time() - started) * 1000.0
         try:
             response = await asyncio.wait_for(

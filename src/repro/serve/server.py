@@ -55,7 +55,6 @@ from typing import Any, Callable, Collection
 from repro.constants import PAPER_PARAMETERS, AlgorithmParameters
 from repro.errors import ReproError
 from repro.obs.collector import Collector, active_collector, install, uninstall
-from repro.obs.metrics import metric_count, metric_observe
 from repro.runner.pool import WorkerPool
 from repro.serve.admission import AdmissionController
 from repro.serve.batching import BatcherClosed, MicroBatcher, PendingRequest
@@ -370,6 +369,9 @@ class ColoringServer:
             max_concurrent=max(1, config.jobs),
         )
         self.collector = Collector(sample_rounds=False)
+        # Own ``serve.*`` counters bypass the process-global slot, which
+        # holds only the last-started server's collector.
+        self._metrics = self.collector.registry
         self.pool: WorkerPool | None = None
         self.pool_rebuilds = 0
         self.connections = 0
@@ -497,7 +499,7 @@ class ColoringServer:
                     # complete request starve the accept loop).
                     if tasks:
                         continue
-                    metric_count("serve.idle_timeout")
+                    self._metrics.count("serve.idle_timeout")
                     await self._write(writer, lock, error_body(
                         "idle_timeout",
                         f"no request within {idle_timeout:g}s; "
@@ -517,7 +519,7 @@ class ColoringServer:
                 try:
                     data = parse_request(line)
                 except ProtocolError as error:
-                    metric_count("serve.bad_request")
+                    self._metrics.count("serve.bad_request")
                     await self._write(
                         writer, lock, error_body(error.code, str(error))
                     )
@@ -615,12 +617,12 @@ class ColoringServer:
             try:
                 instance_hash, slim = normalize_instance_payload(payload)
             except ProtocolError as error:
-                metric_count("serve.bad_request")
+                self._metrics.count("serve.bad_request")
                 return error_body(
                     error.code, str(error), request_id=request_id, op="register"
                 )
             self.registry.put(instance_hash, slim)
-            metric_count("serve.register")
+            self._metrics.count("serve.register")
             return {
                 "id": request_id,
                 "ok": True,
@@ -690,7 +692,7 @@ class ColoringServer:
         try:
             request = parse_color_request(data)
         except ProtocolError as error:
-            metric_count("serve.bad_request")
+            self._metrics.count("serve.bad_request")
             await self._write(writer, lock, error_body(
                 error.code, str(error), request_id=data.get("id"), op="color"
             ))
@@ -705,7 +707,7 @@ class ColoringServer:
                 instance_hash = request.instance_hash or ""
                 found = self.registry.get(instance_hash)
                 if found is None:
-                    metric_count("serve.unknown_instance")
+                    self._metrics.count("serve.unknown_instance")
                     await self._write(writer, lock, error_body(
                         "unknown_instance",
                         f"no registered instance with hash {instance_hash!r}; "
@@ -715,7 +717,7 @@ class ColoringServer:
                     return
                 payload = found
         except ProtocolError as error:
-            metric_count("serve.bad_request")
+            self._metrics.count("serve.bad_request")
             await self._write(writer, lock, error_body(
                 error.code, str(error), request_id=request.id, op="color"
             ))
@@ -728,16 +730,16 @@ class ColoringServer:
         if not request.no_cache:
             cached = self.cache.get(key)
             if cached is not None:
-                metric_count("serve.cache_hit")
+                self._metrics.count("serve.cache_hit")
                 await self._write(writer, lock, self._color_body(
                     request, instance_hash, cached, cached_result=True
                 ))
                 return
-            metric_count("serve.cache_miss")
+            self._metrics.count("serve.cache_miss")
 
         refusal = self.admission.try_admit()
         if refusal is not None:
-            metric_count(f"serve.{refusal}")
+            self._metrics.count(f"serve.{refusal}")
             detail = (
                 f"queue depth {self.admission.max_depth} at bound; retry later"
                 if refusal == "shed"
@@ -775,7 +777,7 @@ class ColoringServer:
             except BatcherClosed:
                 # Lost the race against shutdown: close() already posted
                 # the queue sentinel, so the item would never dispatch.
-                metric_count("serve.draining")
+                self._metrics.count("serve.draining")
                 await self._write(writer, lock, error_body(
                     "draining", "server is draining; no new work accepted",
                     request_id=request.id, op="color",
@@ -784,7 +786,7 @@ class ColoringServer:
             outcome = await item.future
             if "error" in outcome:
                 error = outcome["error"]
-                metric_count(f"serve.{error['code']}")
+                self._metrics.count(f"serve.{error['code']}")
                 body = error_body(
                     error["code"], error["message"],
                     request_id=request.id, op="color",
@@ -793,10 +795,10 @@ class ColoringServer:
                     body["error"]["type"] = error["type"]
                 await self._write(writer, lock, body)
             else:
-                metric_observe(
+                self._metrics.observe(
                     "serve.latency_ms", (loop.time() - started) * 1000.0
                 )
-                metric_count("serve.completed")
+                self._metrics.count("serve.completed")
                 response = self._color_body(
                     request, instance_hash, outcome["result"],
                     cached_result=False,
@@ -848,14 +850,14 @@ class ColoringServer:
         try:
             request = parse_cell_request(data)
         except ProtocolError as error:
-            metric_count("serve.bad_request")
+            self._metrics.count("serve.bad_request")
             await self._write(writer, lock, error_body(
                 error.code, str(error), request_id=data.get("id"), op="cell"
             ))
             return
         payload = self.registry.get(request.instance_hash)
         if payload is None:
-            metric_count("serve.unknown_instance")
+            self._metrics.count("serve.unknown_instance")
             await self._write(writer, lock, error_body(
                 "unknown_instance",
                 f"no registered instance with hash "
@@ -867,16 +869,16 @@ class ColoringServer:
         key = make_cell_cache_key(request.instance_hash, request.cell)
         cached = self.cache.get(key)
         if cached is not None:
-            metric_count("serve.cache_hit")
+            self._metrics.count("serve.cache_hit")
             await self._write(writer, lock, self._cell_body(
                 request, cached["row"], cached_result=True
             ))
             return
-        metric_count("serve.cache_miss")
+        self._metrics.count("serve.cache_miss")
 
         refusal = self.admission.try_admit()
         if refusal is not None:
-            metric_count(f"serve.{refusal}")
+            self._metrics.count(f"serve.{refusal}")
             detail = (
                 f"queue depth {self.admission.max_depth} at bound; retry later"
                 if refusal == "shed"
@@ -904,7 +906,7 @@ class ColoringServer:
             try:
                 self.batcher.submit(item)
             except BatcherClosed:
-                metric_count("serve.draining")
+                self._metrics.count("serve.draining")
                 await self._write(writer, lock, error_body(
                     "draining", "server is draining; no new work accepted",
                     request_id=request.id, op="cell",
@@ -913,7 +915,7 @@ class ColoringServer:
             outcome = await item.future
             if "error" in outcome:
                 error = outcome["error"]
-                metric_count(f"serve.{error['code']}")
+                self._metrics.count(f"serve.{error['code']}")
                 body = error_body(
                     error["code"], error["message"],
                     request_id=request.id, op="cell",
@@ -922,10 +924,10 @@ class ColoringServer:
                     body["error"]["type"] = error["type"]
                 await self._write(writer, lock, body)
             else:
-                metric_observe(
+                self._metrics.observe(
                     "serve.latency_ms", (loop.time() - started) * 1000.0
                 )
-                metric_count("serve.completed")
+                self._metrics.count("serve.completed")
                 await self._write(writer, lock, self._cell_body(
                     request, outcome["result"]["row"], cached_result=False
                 ))
@@ -973,7 +975,7 @@ class ColoringServer:
             group[0].instance_hash: group[0].payload
             for group in by_key.values()
         }
-        metric_observe("serve.batch_size", len(live))
+        self._metrics.observe("serve.batch_size", len(live))
         try:
             entries = await self._execute(specs, instances)
         except Exception as error:
@@ -988,7 +990,7 @@ class ColoringServer:
         for entry in entries:
             prepared = entry.get("prepared")
             if prepared is not None:
-                metric_count(f"serve.prepared.{prepared}")
+                self._metrics.count(f"serve.prepared.{prepared}")
             group = by_key.pop(entry["key"], [])
             if "error" in entry:
                 outcome: dict[str, Any] = {"error": entry["error"]}
@@ -1029,7 +1031,7 @@ class ColoringServer:
                 return await asyncio.wrap_future(future)
             except BrokenProcessPool:
                 self.pool_rebuilds += 1
-                metric_count("serve.pool_rebuild")
+                self._metrics.count("serve.pool_rebuild")
                 if attempts >= self.config.dispatch_retries:
                     raise
                 attempts += 1

@@ -133,7 +133,7 @@ def cv_forest_coloring(
         if p == -1:
             continue
         non_roots += 1
-        if p not in network.neighbor_set(v):
+        if p not in network.adjacency[v]:
             raise SubroutineError(f"parent {p} of {v} is not a neighbor")
     if non_roots != network.edge_count:
         raise SubroutineError(

@@ -194,7 +194,7 @@ def verify_forests(
         raise SubroutineError("forest labels must cover every edge once")
     out_seen: set[tuple[int, int]] = set()
     for (tail, head), forest in zip(oriented, forest_of):
-        if head not in network.neighbor_set(tail):
+        if head not in network.adjacency[tail]:
             raise SubroutineError(f"({tail}, {head}) is not an edge")
         key = (tail, forest)
         if key in out_seen:

@@ -44,7 +44,7 @@ def line_network(
         if len(set(edge_list)) != len(edge_list):
             raise SubroutineError("duplicate edges in the line-network subset")
         for u, v in edge_list:
-            if v not in network.neighbor_set(u):
+            if v not in network.adjacency[u]:
                 raise SubroutineError(f"({u}, {v}) is not an edge of the network")
 
     incident: dict[int, list[int]] = {}
@@ -112,7 +112,7 @@ def verify_matching(
     candidate edge set when one is given."""
     used: set[int] = set()
     for u, v in matching:
-        if v not in network.neighbor_set(u):
+        if v not in network.adjacency[u]:
             raise SubroutineError(f"matching contains non-edge ({u}, {v})")
         if u in used or v in used:
             raise SubroutineError(f"matching is not a matching at edge ({u}, {v})")

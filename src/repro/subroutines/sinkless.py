@@ -58,7 +58,7 @@ def verify_sinkless(network: Network, oriented: Sequence[tuple[int, int]]) -> No
     """Raise unless every vertex (of degree >= 3) has an outgoing edge."""
     has_out = [False] * network.n
     for tail, head in oriented:
-        if head not in network.neighbor_set(tail):
+        if head not in network.adjacency[tail]:
             raise SubroutineError(f"oriented pair ({tail}, {head}) is not an edge")
         has_out[tail] = True
     for v in range(network.n):

@@ -27,9 +27,14 @@ def coloring_violations(
             problems.append(
                 f"vertex {v} has color {color} outside range(0, {num_colors})"
             )
-    for u, v in network.edges():
-        if colors[u] is not None and colors[u] == colors[v]:
-            problems.append(f"edge ({u}, {v}) is monochromatic (color {colors[u]})")
+    # Each edge from its smaller end, in ``Network.edges()`` order.
+    for u, neighbors in enumerate(network.adjacency):
+        color = colors[u]
+        if color is None:
+            continue
+        for v in neighbors:
+            if colors[v] == color and u < v:
+                problems.append(f"edge ({u}, {v}) is monochromatic (color {color})")
     return problems
 
 

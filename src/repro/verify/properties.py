@@ -54,8 +54,9 @@ def check_lemma9(
                     f"Lemma 9.2: vertex {v} has {len(external)} external "
                     f"neighbors, expected {expected_external}"
                 )
+            nv = network.neighbor_set(v)
             for u in members:
-                if u != v and u not in network.neighbor_set(v):
+                if u != v and u not in nv:
                     raise InvariantViolation(
                         f"Lemma 9.1: hard clique {index} misses edge ({v}, {u})"
                     )
@@ -78,7 +79,7 @@ def check_oriented_matching(
     """The F2/F3 edge sets are matchings of actual graph edges."""
     used: set[int] = set()
     for tail, head in edges:
-        if head not in network.neighbor_set(tail):
+        if head not in network.adjacency[tail]:
             raise InvariantViolation(f"({tail}, {head}) is not an edge")
         if tail in used or head in used:
             raise InvariantViolation(
@@ -165,11 +166,11 @@ def check_lemma15(
             raise InvariantViolation(
                 f"slack vertex {u} is not in clique {triad.clique}"
             )
-        if v not in network.neighbor_set(u) or w not in network.neighbor_set(u):
+        if v not in network.adjacency[u] or w not in network.adjacency[u]:
             raise InvariantViolation(
                 f"triad {triad}: pair vertices must neighbor the slack vertex"
             )
-        if w in network.neighbor_set(v):
+        if w in network.adjacency[v]:
             raise InvariantViolation(f"triad {triad}: pair is adjacent")
         for x in triad.vertices:
             if x in seen:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import GraphStructureError
@@ -15,6 +17,7 @@ from repro.graphs import (
     mixed_dense_graph,
     regular_bipartite_graph,
 )
+from repro.local import Network
 
 
 class TestRegularBipartite:
@@ -220,3 +223,55 @@ class TestHeterogeneousCliques:
             heterogeneous_hard_cliques(0, 16)
         with pytest.raises(GraphStructureError):
             heterogeneous_hard_cliques(1, 3)
+
+
+def _hard_via_edge_list(num_cliques, delta, seed, k=1):
+    """``hard_clique_graph`` the edge-list way: clique edges, then one
+    edge per clique-graph edge from shuffled member slots, all through
+    ``Network.from_edges``."""
+    s = delta - k + 1
+    rng = random.Random(seed)
+    clique_graph = regular_bipartite_graph(num_cliques // 2, s * k, rng)
+    edges = []
+    for i in range(num_cliques):
+        members = range(i * s, (i + 1) * s)
+        edges += [(a, b) for a in members for b in members if a < b]
+    slot_iters = []
+    for i in range(num_cliques):
+        slots = [i * s + a for a in range(s) for _ in range(k)]
+        rng.shuffle(slots)
+        slot_iters.append(iter(slots))
+    for i in range(num_cliques):
+        for j in clique_graph[i]:
+            if i < j:
+                edges.append((next(slot_iters[i]), next(slot_iters[j])))
+    return Network.from_edges(num_cliques * s, edges)
+
+
+class TestDirectAdjacency:
+    """The generators build adjacency lists directly; they must match
+    what ``Network.from_edges`` gives for the same edges, order and
+    all, since adjacency order feeds message delivery order."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7919])
+    @pytest.mark.parametrize("cliques, delta", [(16, 8), (68, 32)])
+    def test_hard_matches_edge_list_path(self, cliques, delta, seed):
+        direct = hard_clique_graph(cliques, delta, seed=seed).network
+        reference = _hard_via_edge_list(cliques, delta, seed)
+        assert direct.adjacency == reference.adjacency
+        assert direct.uids == reference.uids
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7919])
+    @pytest.mark.parametrize("cliques, delta", [(16, 8), (136, 32)])
+    def test_mixed_matches_edge_list_path(self, cliques, delta, seed):
+        mixed = mixed_dense_graph(cliques, delta, easy_fraction=0.25, seed=seed)
+        hard = hard_clique_graph(cliques, delta, seed=seed).network
+        removed = {
+            tuple(sorted(mixed.cliques[index][:2]))
+            for index in mixed.meta["easy_cliques"]
+        }
+        reference = Network.from_edges(
+            hard.n, [e for e in hard.edges() if e not in removed]
+        )
+        assert mixed.network.adjacency == reference.adjacency
+        assert mixed.network.edge_count == hard.edge_count - len(removed)

@@ -144,6 +144,11 @@ class TestConstruction:
         with pytest.raises(SimulationError, match="asymmetric"):
             Network([[1], []])
 
+    @pytest.mark.parametrize("edge", [(0, 5), (5, 0), (0, 3)])
+    def test_out_of_range_edge_rejected(self, edge):
+        with pytest.raises(SimulationError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
+            Network.from_edges(3, [edge])
+
     def test_parallel_edges_deduplicated(self):
         net = Network.from_edges(2, [(0, 1), (1, 0), (0, 1)])
         assert net.edge_count == 1
@@ -167,10 +172,10 @@ class TestConstruction:
 
     def test_adjacency_is_immutable_after_construction(self):
         """Mutating adjacency would silently desync the lazy caches
-        (``max_degree``, ``edge_count``, ``edges()``, neighbor sets) and
-        any engine-side snapshots — before rows were frozen, appending a
-        neighbor after first cached access left ``max_degree`` stale and
-        ``edges()`` missing the new edge.  Now the mutation itself fails."""
+        (``max_degree``, ``edge_count``) and any engine-side snapshots —
+        before rows were frozen, appending a neighbor after first cached
+        access left ``max_degree`` stale and ``edges()`` missing the new
+        edge.  Now the mutation itself fails."""
         net = path_network(3)
         assert net.max_degree == 2          # populate the lazy caches
         assert net.edge_count == 2

@@ -1121,6 +1121,27 @@ class TestOps:
 
         asyncio.run(scenario())
 
+    def test_counters_stay_with_their_server(self, tmp_path, payload):
+        # Two servers in one process: a register sent to the first is
+        # counted by the first only, whichever of them started last.
+        async def counters(client):
+            metrics = await client.request({"op": "metrics"})
+            return metrics["metrics"]["counters"]
+
+        async def scenario():
+            (tmp_path / "a").mkdir()
+            (tmp_path / "b").mkdir()
+            async with serving(tmp_path / "a") as (_, a), \
+                    serving(tmp_path / "b") as (_, b):
+                registered = await a.request(
+                    {"op": "register", "instance": payload}
+                )
+                assert registered["ok"], registered
+                assert (await counters(a)).get("serve.register", 0) == 1
+                assert (await counters(b)).get("serve.register", 0) == 0
+
+        asyncio.run(scenario())
+
     def test_metrics_in_flight_gauge_sees_pressure(self, tmp_path, payload):
         """The in_flight gauge reflects admitted-but-unfinished work."""
         release = threading.Event()

@@ -6,6 +6,7 @@ import asyncio
 import gc
 import json
 import logging
+import socket
 import time
 from contextlib import asynccontextmanager
 
@@ -394,6 +395,31 @@ class TestProbe:
                 for _ in range(PROBE_DOWN_AFTER - 1):
                     assert await client.probe(1.0) == "ok"
                 assert await client.probe(1.0) == "down"
+                async with one_server(tmp_path, "p"):
+                    assert await client.probe(1.0) == "ok"
+            finally:
+                await client.close()
+
+        asyncio.run(scenario())
+
+    def test_refused_unix_connect_is_down_at_once(self, tmp_path):
+        # A socket file nothing listens on is what a killed server
+        # leaves behind: the first refused connect convicts, and an
+        # answer from a restarted server brings the endpoint back.
+        path = tmp_path / "p.sock"
+        orphan = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        orphan.bind(str(path))
+        orphan.close()
+
+        async def scenario():
+            client = ResilientClient(
+                unix_path=str(path), retry=RetryPolicy(attempts=1)
+            )
+            try:
+                body = await client.request({"op": "health"})
+                assert body["error"]["code"] == "unavailable"
+                assert client.status == "down"
+                path.unlink()
                 async with one_server(tmp_path, "p"):
                     assert await client.probe(1.0) == "ok"
             finally:
