@@ -1,6 +1,6 @@
 # Convenience targets for the repro repository.
 
-.PHONY: install test test-all bench perfbench-selftest chaos trace serve-smoke chaos-serve fleet-smoke dist-smoke report examples ci lint lint-repro typecheck clean
+.PHONY: install test test-all bench bench-pairs perfbench-selftest chaos trace serve-smoke chaos-serve fleet-smoke dist-smoke report examples ci lint lint-repro typecheck clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -18,6 +18,16 @@ bench:
 # every declared metric present, failure paths reported as failures.
 perfbench-selftest:
 	timeout 600 python3 perfbench/selftest.py
+
+# Interleaved parent/change pairs of one perfbench workload, each tree a
+# clean archive with its own bytecode cache; appends an entry (medians,
+# quartiles, per-pair ratios, machine) to BENCH_<workload>.json.
+#   make bench-pairs WORKLOAD=campaign_remote BASE=HEAD~1 CHANGE=HEAD
+WORKLOAD ?= campaign_remote
+BASE ?= HEAD~1
+CHANGE ?= HEAD
+bench-pairs:
+	python3 scripts/bench_pairs.py --workload $(WORKLOAD) --base $(BASE) --change $(CHANGE)
 
 # Chaos hardening: engine fault injection + campaign-runner resilience.
 chaos:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Iterable, Sequence
 
 from repro.local.network import Network
 
-__all__ = ["DenseInstance", "canonical_instance_hash"]
+__all__ = ["DenseInstance", "adjacency_instance_hash", "canonical_instance_hash"]
 
 
 def canonical_instance_hash(
@@ -39,17 +40,52 @@ def canonical_instance_hash(
     machines (unlike ``hash()``, which is salted per interpreter), which
     is what makes it usable as a serving-cache key.
     """
-    if uids is None:
-        uids = range(n)
-    canonical = sorted(
+    return _instance_digest(n, delta, uids, sorted(
         (u, v) if u < v else (v, u) for u, v in edges
-    )
-    digest = hashlib.sha256()
-    digest.update(f"v1:{n}:{delta}:".encode())
-    digest.update(",".join(str(uid) for uid in uids).encode())
+    ))
+
+
+def adjacency_instance_hash(
+    adjacency: Sequence[Sequence[int]],
+    delta: int,
+    uids: Sequence[int] | None = None,
+) -> str:
+    """:func:`canonical_instance_hash` of the simple graph ``adjacency``.
+
+    Streams the sorted pairs row by row (for each ``u``, its sorted
+    neighbours ``v > u``) instead of building and sorting an edge list.
+    """
+    return _instance_digest(len(adjacency), delta, uids, (
+        (u, v)
+        for u, row in enumerate(adjacency)
+        for v in sorted(v for v in row if v > u)
+    ))
+
+
+#: Items joined per ``update`` call: bounds the hash's transient memory.
+_HASH_CHUNK = 4096
+
+
+def _instance_digest(
+    n: int,
+    delta: int,
+    uids: Sequence[int] | None,
+    pairs: Iterable[tuple[int, int]],
+) -> str:
+    digest = hashlib.sha256(f"v1:{n}:{delta}:".encode())
+    _update_joined(digest, map(str, range(n) if uids is None else uids))
     digest.update(b":")
-    digest.update(",".join(f"{u}-{v}" for u, v in canonical).encode())
+    _update_joined(digest, (f"{u}-{v}" for u, v in pairs))
     return digest.hexdigest()
+
+
+def _update_joined(digest: Any, items: Iterable[str]) -> None:
+    """Feed ``",".join(items)`` to ``digest`` a chunk at a time."""
+    items = iter(items)
+    separator = b""
+    while chunk := list(islice(items, _HASH_CHUNK)):
+        digest.update(separator + ",".join(chunk).encode())
+        separator = b","
 
 
 @dataclass
@@ -110,11 +146,8 @@ class DenseInstance:
         """
         inputs = (self.network, self.delta, tuple(self.network.uids))
         if self._hash is None or self._hash[0] != inputs:
-            self._hash = (inputs, canonical_instance_hash(
-                self.network.n,
-                self.network.edges(),
-                self.delta,
-                self.network.uids,
+            self._hash = (inputs, adjacency_instance_hash(
+                self.network.adjacency, self.delta, self.network.uids
             ))
         return self._hash[1]
 

@@ -76,20 +76,26 @@ def message_words(payload) -> int:
 
 
 def _adjacency_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Adjacency rows in edge order, keeping an edge's first occurrence.
+
+    Every entry for vertex ``v`` is one shared ``int`` object, so rows
+    built from parsed or unpickled edges (one object per occurrence)
+    hold one int per vertex, not one per edge endpoint.
+    """
+    vertex = list(range(n))
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for u, v in edges:
         if u == v:
             raise SimulationError(f"self loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
+        if not (0 <= u < n and 0 <= v < n):
+            raise SimulationError(f"edge ({u}, {v}) out of range for {n} vertices")
+        key = u * n + v if u < v else v * n + u
         if key in seen:
             continue
         seen.add(key)
-        try:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        except IndexError:
-            raise SimulationError(f"edge ({u}, {v}) out of range for {n} vertices") from None
+        adjacency[u].append(vertex[v])
+        adjacency[v].append(vertex[u])
     return adjacency
 
 

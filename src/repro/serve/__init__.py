@@ -54,6 +54,7 @@ from repro.serve.protocol import (
     OPS,
     CellRequest,
     ColorRequest,
+    InstanceRecord,
     ProtocolError,
     normalize_instance_payload,
     parse_cell_request,
@@ -92,6 +93,7 @@ __all__ = [
     "FleetSupervisor",
     "HashRing",
     "InstanceHashMismatch",
+    "InstanceRecord",
     "InstanceRegistry",
     "MicroBatcher",
     "RouterConfig",

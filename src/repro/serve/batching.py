@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable
+from typing import TYPE_CHECKING, Any, Awaitable, Callable
 
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    from repro.serve.protocol import InstanceRecord
 
 __all__ = ["BatcherClosed", "MicroBatcher", "PendingRequest"]
 
@@ -47,8 +50,8 @@ class PendingRequest:
     """One admitted ``color`` request waiting in the batcher.
 
     Carries everything dispatch needs so nothing is re-resolved later:
-    the cache ``key``, the canonical ``instance_hash``, the slim
-    ``payload`` (held here so registry eviction cannot race dispatch),
+    the cache ``key``, the canonical ``instance_hash``, the instance
+    ``record`` (held here so registry eviction cannot race dispatch),
     the work ``spec`` handed to the worker, and the ``future`` the
     connection handler awaits.  ``deadline`` is an event-loop timestamp
     (``loop.time()`` domain) or ``None``.
@@ -56,7 +59,7 @@ class PendingRequest:
 
     key: str
     instance_hash: str
-    payload: dict[str, Any]
+    record: InstanceRecord
     spec: dict[str, Any]
     future: asyncio.Future
     enqueued: float = 0.0

@@ -14,12 +14,13 @@ Two small pieces:
   counters and an optional on-disk spill directory.  Disk entries
   survive restarts and LRU eviction; a memory miss that lands on disk
   is promoted back and still counts as a hit.
-* :class:`InstanceRegistry` — bounded LRU of instance payloads keyed by
-  canonical hash, so clients upload a graph once (``register`` op, or
-  implicitly on the first inline ``color``) and then send requests that
-  are a few dozen bytes.
+* :class:`InstanceRegistry` — bounded LRU of instance records (the
+  frozen adjacency, see :class:`~repro.serve.protocol.InstanceRecord`)
+  keyed by canonical hash, so clients upload a graph once (``register``
+  op, or implicitly on the first inline ``color``) and then send
+  requests that are a few dozen bytes.
 * :class:`PreparedCache` — what batches derive from a registered
-  payload (the validated network structure, the ACD), kept per worker
+  record (the validated network structure, the ACD), kept per worker
   process so later batches on the same hash skip that work.  It follows
   the registry: an instance the registry forgot is dropped after the
   next batch.
@@ -43,7 +44,10 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Collection, Generic, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Collection, Generic, TypeVar
+
+if TYPE_CHECKING:
+    from repro.serve.protocol import InstanceRecord
 
 __all__ = [
     "InstanceRegistry",
@@ -261,36 +265,36 @@ class ResultCache:
 
 
 class InstanceRegistry:
-    """Bounded LRU of slim instance payloads keyed by canonical hash."""
+    """Bounded LRU of instance records keyed by canonical hash."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"registry capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.evictions = 0
-        self._payloads: OrderedDict[str, dict[str, Any]] = OrderedDict()
+        self._records: OrderedDict[str, InstanceRecord] = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._payloads)
+        return len(self._records)
 
     def __contains__(self, instance_hash: str) -> bool:
-        return instance_hash in self._payloads
+        return instance_hash in self._records
 
     def hashes(self) -> frozenset[str]:
         """The hashes held right now (what a batch may keep prepared)."""
-        return frozenset(self._payloads)
+        return frozenset(self._records)
 
-    def get(self, instance_hash: str) -> dict[str, Any] | None:
-        payload = self._payloads.get(instance_hash)
-        if payload is not None:
-            self._payloads.move_to_end(instance_hash)
-        return payload
+    def get(self, instance_hash: str) -> InstanceRecord | None:
+        record = self._records.get(instance_hash)
+        if record is not None:
+            self._records.move_to_end(instance_hash)
+        return record
 
-    def put(self, instance_hash: str, payload: dict[str, Any]) -> None:
-        self._payloads[instance_hash] = payload
-        self._payloads.move_to_end(instance_hash)
-        while len(self._payloads) > self.capacity:
-            self._payloads.popitem(last=False)
+    def put(self, instance_hash: str, record: InstanceRecord) -> None:
+        self._records[instance_hash] = record
+        self._records.move_to_end(instance_hash)
+        while len(self._records) > self.capacity:
+            self._records.popitem(last=False)
             self.evictions += 1
 
 

@@ -12,21 +12,30 @@ worker crash (``BrokenProcessPool``) rebuilds the pool with backoff and
 retries the batch; if the rebuilt pool breaks again the batch's
 requests fail with ``internal`` instead of taking the server down.
 
+A process stores each graph once, as an
+:class:`~repro.serve.protocol.InstanceRecord` in its registry: the
+frozen adjacency the pipeline runs on, with one shared ``int`` per
+vertex (about two pointers per edge), plus uids and Δ.  The JSON edge
+list a graph arrived as is not kept; ``register`` and inline
+instances are parsed into that adjacency once, by
+:func:`~repro.serve.protocol.normalize_instance_payload`.
+
 Per-instance work is shared across batches, not just within one.  A
 worker process keeps a prepared entry per registered instance (a
-:class:`~repro.serve.cache.PreparedCache`): the adjacency and uids of
-the first, fully validated :class:`~repro.local.network.Network`, the
-(Δ+1)-clique verdict, and the ACD — the seed-independent prefix of the
-dense pipelines — per epsilon.  Each batch builds a fresh ``Network``
+:class:`~repro.serve.cache.PreparedCache`): the record's adjacency and
+uids, checked by a first, fully validated
+:class:`~repro.local.network.Network` (a pool worker, which receives
+the record unpickled with one ``int`` per occurrence, re-interns the
+rows first), the (Δ+1)-clique verdict, and the ACD — the
+seed-independent prefix of the dense pipelines — per epsilon.  Each batch builds a fresh ``Network``
 over the stored adjacency without re-validating it, so no node state
 crosses batches or threads, and every seed's coloring reuses the
 stored ACD.  A seed sweep therefore pays the structural analysis once
 per worker, however many batches it spans.  The entries follow the
 server's :class:`~repro.serve.cache.InstanceRegistry`: after each batch
 the worker drops every instance the registry no longer holds.
-Outside input is still validated in full: ``register`` and inline
-instances pass through :func:`~repro.serve.protocol.normalize_instance_payload`,
-and the first ``Network`` of every instance checks its structure.
+Outside input is still validated in full: normalization checks every
+edge, and the first ``Network`` of every instance checks its structure.
 
 Determinism note: sharing is sound because ``compute_acd`` is itself
 deterministic and no pipeline mutates the ACD it is given, so a shared
@@ -69,6 +78,7 @@ from repro.serve.protocol import (
     MAX_LINE_BYTES,
     CellRequest,
     ColorRequest,
+    InstanceRecord,
     ProtocolError,
     encode,
     error_body,
@@ -110,17 +120,13 @@ class _Prepared:
     failing one raises again on every use.
     """
 
-    def __init__(self, payload: dict[str, Any]) -> None:
+    def __init__(self, record: InstanceRecord) -> None:
         from repro.local.network import Network
 
-        first = Network.from_edges(
-            payload["n"],
-            [tuple(edge) for edge in payload["edges"]],
-            payload.get("uids"),
-        )
+        first = Network(_shared_ints(record.adjacency), record.uids)
         self.adjacency = first.adjacency
         self.uids = tuple(first.uids)
-        self.delta: int = payload["delta"]
+        self.delta = record.delta
         self._lock = threading.Lock()
         self._clique_free = False
         self._acds: dict[float, Any] = {}
@@ -147,6 +153,24 @@ class _Prepared:
             if not self._clique_free:
                 assert_no_delta_plus_one_clique(network)
                 self._clique_free = True
+
+
+def _shared_ints(
+    adjacency: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """``adjacency`` with one ``int`` object per vertex.
+
+    A record normalized in this process already is, and comes back as
+    is; one unpickled in a pool worker holds a fresh ``int`` per
+    occurrence, and its rows are rebuilt over one table.
+    """
+    vertex = list(range(len(adjacency)))
+    for row in adjacency:
+        for v in row:
+            vertex[v] = v
+    if all(v is vertex[v] for row in adjacency for v in row):
+        return adjacency
+    return tuple(tuple([vertex[v] for v in row]) for row in adjacency)
 
 
 #: This process's prepared instances.  Bounded by the registries of the
@@ -215,7 +239,7 @@ def _params_for(epsilon: float) -> AlgorithmParameters:
 
 def execute_batch(
     specs: list[dict[str, Any]],
-    instances: dict[str, dict[str, Any]],
+    instances: dict[str, InstanceRecord],
     registered: Collection[str] | None = None,
 ) -> list[dict[str, Any]]:
     """Run one micro-batch of coloring specs (module-level: picklable).
@@ -615,21 +639,21 @@ class ColoringServer:
                     request_id=request_id, op="register",
                 )
             try:
-                instance_hash, slim = normalize_instance_payload(payload)
+                instance_hash, record = normalize_instance_payload(payload)
             except ProtocolError as error:
                 self._metrics.count("serve.bad_request")
                 return error_body(
                     error.code, str(error), request_id=request_id, op="register"
                 )
-            self.registry.put(instance_hash, slim)
+            self.registry.put(instance_hash, record)
             self._metrics.count("serve.register")
             return {
                 "id": request_id,
                 "ok": True,
                 "op": "register",
                 "instance_hash": instance_hash,
-                "n": slim["n"],
-                "delta": slim["delta"],
+                "n": record.n,
+                "delta": record.delta,
             }
         raise AssertionError(f"unrouted op {op!r}")
 
@@ -699,10 +723,10 @@ class ColoringServer:
             return
         try:
             if request.instance is not None:
-                instance_hash, payload = normalize_instance_payload(
+                instance_hash, record = normalize_instance_payload(
                     request.instance
                 )
-                self.registry.put(instance_hash, payload)
+                self.registry.put(instance_hash, record)
             else:
                 instance_hash = request.instance_hash or ""
                 found = self.registry.get(instance_hash)
@@ -715,7 +739,7 @@ class ColoringServer:
                         request_id=request.id, op="color",
                     ))
                     return
-                payload = found
+                record = found
         except ProtocolError as error:
             self._metrics.count("serve.bad_request")
             await self._write(writer, lock, error_body(
@@ -757,7 +781,7 @@ class ColoringServer:
             item = PendingRequest(
                 key=key,
                 instance_hash=instance_hash,
-                payload=payload,
+                record=record,
                 spec={
                     "key": key,
                     "instance_hash": instance_hash,
@@ -855,8 +879,8 @@ class ColoringServer:
                 error.code, str(error), request_id=data.get("id"), op="cell"
             ))
             return
-        payload = self.registry.get(request.instance_hash)
-        if payload is None:
+        record = self.registry.get(request.instance_hash)
+        if record is None:
             self._metrics.count("serve.unknown_instance")
             await self._write(writer, lock, error_body(
                 "unknown_instance",
@@ -893,7 +917,7 @@ class ColoringServer:
             item = PendingRequest(
                 key=key,
                 instance_hash=request.instance_hash,
-                payload=payload,
+                record=record,
                 spec={
                     "kind": "cell",
                     "key": key,
@@ -972,7 +996,7 @@ class ColoringServer:
             by_key.setdefault(item.key, []).append(item)
         specs = [group[0].spec for group in by_key.values()]
         instances = {
-            group[0].instance_hash: group[0].payload
+            group[0].instance_hash: group[0].record
             for group in by_key.values()
         }
         self._metrics.observe("serve.batch_size", len(live))
@@ -1013,7 +1037,7 @@ class ColoringServer:
     async def _execute(
         self,
         specs: list[dict[str, Any]],
-        instances: dict[str, dict[str, Any]],
+        instances: dict[str, InstanceRecord],
     ) -> list[dict[str, Any]]:
         loop = asyncio.get_running_loop()
         runner = self.config.batch_runner

@@ -93,8 +93,11 @@ def run_legacy(
         inboxes: dict[int, list[tuple[int, Any]]] = {}
         for dst, src, payload in api._outbox:
             targets = network.adjacency[src] if dst == BROADCAST else (dst,)
+            # N(src) once per outbox row (the seed engine's cached set);
+            # every copy is still checked against it.
+            allowed = network.neighbor_set(src) if validate else None
             for target in targets:
-                if validate and target not in network.neighbor_set(src):
+                if validate and target not in allowed:
                     raise SimulationError(
                         f"{algorithm.name}: node {src} sent to "
                         f"non-neighbor {target}"

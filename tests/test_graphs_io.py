@@ -93,6 +93,24 @@ class TestCanonicalHash:
             instance.n, edges, instance.delta, list(range(instance.n))
         )
 
+    def test_digests_pinned(self):
+        # Computed before the hash was streamed; any serialization drift
+        # would re-key every cache and registry.  34816 edges span
+        # several hash chunks.
+        hard = hard_clique_graph(68, 32, seed=1)
+        assert hard.canonical_hash() == (
+            "72d89f9dcc28fbc072e414b764098ddb767d3d19941c18d53a25563e6ea5acb8"
+        )
+        mixed = mixed_dense_graph(16, 8, easy_fraction=0.25, seed=2)
+        assert mixed.canonical_hash() == (
+            "8638de18ec748a44a446877c5982d57b327e317f95e66d8c9ce86d3e8d12ae1f"
+        )
+        # Reversed and repeated pairs, explicit uids.
+        edges = [(0, 1), (2, 1), (1, 2), (4, 3), (3, 0), (0, 1)]
+        assert canonical_instance_hash(5, edges, 2, [9, 8, 7, 6, 5]) == (
+            "d356bce73768075049261279a5a58bbc24a8ec1ec14958379f71eb9479298834"
+        )
+
 
 class TestColoringIO:
     def test_roundtrip(self, tmp_path):

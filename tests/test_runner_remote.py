@@ -199,15 +199,15 @@ class FakeBackend:
             return {"id": rid, "ok": True, "op": "health", "status": status}
         if op == "register":
             self.registers += 1
-            instance_hash, slim = normalize_instance_payload(
+            instance_hash, record = normalize_instance_payload(
                 data["instance"]
             )
             instance_hash = self.register_hash or instance_hash
-            self.instances[instance_hash] = slim
+            self.instances[instance_hash] = record
             return {
                 "id": rid, "ok": True, "op": "register",
                 "instance_hash": instance_hash,
-                "n": slim["n"], "delta": slim["delta"],
+                "n": record.n, "delta": record.delta,
             }
         if op == "cell":
             return await self._respond_cell(data, rid)
@@ -368,7 +368,7 @@ class TestDispatch:
                     remote_options=RemoteOptions(**FAST),
                 )
             assert a.cells == 0
-        right = normalize_instance_payload(a.instances[wrong])[0]
+        right = normalize_instance_payload(a.instances[wrong].payload())[0]
         assert len(result.failures) == len(cells)
         for failure in result.failures:
             assert failure["kind"] == "error"
