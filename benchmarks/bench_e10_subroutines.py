@@ -150,15 +150,10 @@ def teardown_module(module):
 
 @pytest.mark.parametrize("n", [400])
 def test_list_coloring_strategy_comparison(benchmark, once, n):
-    """Three (deg+1)-list coloring strategies on one high-diameter graph:
-    the deterministic sweep (O(Delta^2)-ish), randomized trials
-    (O(log n)), and the Linial-Saks decomposition route (O(log^2 n),
-    Delta-independent) — the trade-off the paper's [MT20]/[GG24] black
-    boxes refine."""
-    from repro.subroutines.network_decomposition import (
-        decomposition_list_coloring,
-    )
-
+    """Two (deg+1)-list coloring strategies on one high-diameter graph:
+    the deterministic sweep (O(Delta^2)-ish) and randomized trials
+    (O(log n)) — the trade-off the paper's [MT20]/[GG24] black boxes
+    refine."""
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(i, (i + 9) % n) for i in range(n)]
     net = Network.from_edges(n, sorted(set(
@@ -166,55 +161,7 @@ def test_list_coloring_strategy_comparison(benchmark, once, n):
     )))
     lists = [list(range(net.degree(v) + 1)) for v in range(net.n)]
 
-    _, det = deg_plus_one_list_coloring(net, lists)
+    _, det = once(benchmark, deg_plus_one_list_coloring, net, lists)
     _record("deg+1 strategy: deterministic sweep", n, det)
     _, rand = randomized_list_coloring(net, lists, seed=0)
     _record("deg+1 strategy: randomized trials", n, rand)
-
-    def run():
-        return decomposition_list_coloring(net, lists, seed=0)
-
-    _, decomp = once(benchmark, run)
-    _record("deg+1 strategy: LS decomposition", n, decomp)
-
-
-@pytest.mark.parametrize("n", [1000])
-def test_arboricity_toolbox(benchmark, once, n):
-    """The Barenboim-Elkin route: H-partition, forest decomposition,
-    Cole-Vishkin 3-coloring of one forest, and Kuhn defective coloring
-    — the sparse-graph counterpart of the paper's dense toolbox."""
-    from repro.subroutines import (
-        cv_forest_coloring,
-        defective_coloring,
-        forest_decomposition,
-    )
-
-    net = _random_regularish(n, 12, 9)
-
-    def run():
-        return forest_decomposition(net, 4)
-
-    forest_of, oriented, partition = once(benchmark, run)
-    _ROWS.append(
-        {
-            "label": f"H-partition ({partition.num_classes} classes)",
-            "n": n,
-            "rounds": partition.rounds,
-            "messages": 0,
-        }
-    )
-    parent = [-1] * net.n
-    edges = []
-    for (tail, head), forest in zip(oriented, forest_of):
-        if forest == 0:
-            parent[tail] = head
-            edges.append((tail, head))
-    sub = Network.from_edges(net.n, edges, net.uids)
-    _, cv = cv_forest_coloring(sub, parent)
-    _record("Cole-Vishkin forest 3-coloring", n, cv)
-
-    spread = Network(net.adjacency, [u * 10 ** 6 + 1 for u in net.uids])
-    _, defective = defective_coloring(
-        spread, 4, id_space=n * 10 ** 6 + 2
-    )
-    _record("defective coloring (d=4)", n, defective)

@@ -62,7 +62,7 @@ def _module_in_scope(module: SourceModule) -> bool:
         return False  # the engine produces RunResults; it cannot charge them
     if module.rel is None:
         return True
-    return not module.in_package("obs", "lint", "report", "analysis")
+    return not module.in_package("obs", "lint", "report")
 
 
 class _LedgerRule(Rule):

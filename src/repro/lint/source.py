@@ -53,7 +53,6 @@ DETERMINISM_EXEMPT_PACKAGES = (
     "runner",
     "bench",
     "report",
-    "analysis",
     "lint",
     # The serving layer measures wall-clock latency, lingers, and
     # deadlines by design; its *results* stay deterministic because it

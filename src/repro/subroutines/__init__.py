@@ -11,22 +11,6 @@ from repro.subroutines.deg_list_coloring import (
     randomized_list_coloring,
     validate_lists,
 )
-from repro.subroutines.defective_coloring import (
-    defective_coloring,
-    verify_defective_coloring,
-)
-from repro.subroutines.forest_coloring import (
-    cv_forest_coloring,
-    verify_forest_coloring,
-)
-from repro.subroutines.forest_decomposition import (
-    HPartition,
-    acyclic_orientation,
-    estimate_arboricity,
-    forest_decomposition,
-    h_partition,
-    verify_forests,
-)
 from repro.subroutines.degree_splitting import (
     OrientationResult,
     SplitResult,
@@ -55,12 +39,6 @@ from repro.subroutines.maximal_matching import (
     verify_matching,
 )
 from repro.subroutines.mis import luby_mis, maximal_independent_set, verify_mis
-from repro.subroutines.network_decomposition import (
-    Decomposition,
-    decomposition_list_coloring,
-    network_decomposition,
-    verify_decomposition,
-)
 from repro.subroutines.ruling_set import (
     digit_ruling_set,
     power_network,
@@ -70,25 +48,16 @@ from repro.subroutines.ruling_set import (
 from repro.subroutines.sinkless import sinkless_orientation, verify_sinkless
 
 __all__ = [
-    "Decomposition",
-    "HPartition",
     "Hypergraph",
     "OrientationResult",
     "LINE_ROUND_SCALE",
     "LinialColoring",
     "SplitResult",
-    "acyclic_orientation",
     "bfs_layers",
-    "cv_forest_coloring",
-    "decomposition_list_coloring",
-    "defective_coloring",
     "deg_plus_one_list_coloring",
     "directed_discrepancy",
     "directed_split",
     "digit_ruling_set",
-    "estimate_arboricity",
-    "forest_decomposition",
-    "h_partition",
     "heg_feasible",
     "hyperedge_grabbing",
     "iterated_split",
@@ -99,7 +68,6 @@ __all__ = [
     "luby_mis",
     "maximal_independent_set",
     "maximal_matching",
-    "network_decomposition",
     "next_prime",
     "power_network",
     "randomized_list_coloring",
@@ -108,10 +76,6 @@ __all__ = [
     "split_edges",
     "validate_lists",
     "verify_heg",
-    "verify_decomposition",
-    "verify_defective_coloring",
-    "verify_forest_coloring",
-    "verify_forests",
     "verify_matching",
     "verify_mis",
     "verify_ruling_set",

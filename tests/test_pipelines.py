@@ -21,13 +21,26 @@ PARAMS = AlgorithmParameters(epsilon=0.25)
 
 
 class TestDeterministic:
-    def test_all_hard_instance(self, hard_instance):
+    def test_all_hard_instance(self, hard_instance, hard_acd):
         result = delta_color_deterministic(hard_instance.network, params=PARAMS)
         verify_coloring(
             hard_instance.network, result.colors, hard_instance.delta
         )
         assert result.num_colors == 16
         assert result.rounds > 0
+        colors = result.colors
+        # Every hard clique is complete, so it uses the whole palette.
+        assert all(
+            len({colors[v] for v in members}) == 16
+            for members in hard_acd.cliques
+        )
+        # Each of the 34 cliques planted a slack pair, so at least 34
+        # vertices see two same-colored neighbors (a distance-2 pair).
+        with_slack = sum(
+            1 for row in hard_instance.network.adjacency
+            if len({colors[u] for u in row}) < len(row)
+        )
+        assert with_slack >= 34
 
     def test_mixed_instance(self, mixed_instance):
         result = delta_color_deterministic(mixed_instance.network, params=PARAMS)
