@@ -19,7 +19,7 @@ from repro.bench import (
     record_result,
     result_row,
     save_artifact,
-    workload_acd,
+    workload_classification,
 )
 from repro.core import delta_color_deterministic
 
@@ -29,13 +29,13 @@ _ROWS: list[dict] = []
 @pytest.mark.parametrize("num_cliques", SCALING_CLIQUES)
 def test_deterministic_scaling(benchmark, once, num_cliques):
     instance = hard_workload(num_cliques)
-    acd = workload_acd(num_cliques)
+    classification = workload_classification(num_cliques)
     result = once(
         benchmark,
         delta_color_deterministic,
         instance.network,
         params=bench_params(),
-        acd=acd,
+        classification=classification,
     )
     record_result(benchmark, result)
     row = result_row(f"t={num_cliques}", result)

@@ -13,7 +13,11 @@ import pytest
 from repro.acd import compute_acd
 from repro.bench import print_table, record_result, save_artifact
 from repro.constants import PAPER_PARAMETERS
-from repro.core import delta_color_deterministic, delta_color_randomized
+from repro.core import (
+    classify_cliques,
+    delta_color_deterministic,
+    delta_color_randomized,
+)
 from repro.graphs import hard_clique_graph
 
 _ROWS: list[dict] = []
@@ -24,23 +28,23 @@ def _setup(num_cliques: int):
     if num_cliques not in _CACHE:
         instance = hard_clique_graph(num_cliques, 63, seed=1)
         acd = compute_acd(instance.network)
-        _CACHE[num_cliques] = (instance, acd)
+        _CACHE[num_cliques] = (instance, classify_cliques(instance.network, acd))
     return _CACHE[num_cliques]
 
 
 @pytest.mark.parametrize("num_cliques", [130, 260])
 @pytest.mark.parametrize("method", ["deterministic", "randomized"])
 def test_paper_constants(benchmark, once, num_cliques, method):
-    instance, acd = _setup(num_cliques)
+    instance, classification = _setup(num_cliques)
     if method == "deterministic":
         result = once(
             benchmark, delta_color_deterministic, instance.network,
-            params=PAPER_PARAMETERS, acd=acd,
+            params=PAPER_PARAMETERS, classification=classification,
         )
     else:
         result = once(
             benchmark, delta_color_randomized, instance.network,
-            params=PAPER_PARAMETERS, acd=acd, seed=0,
+            params=PAPER_PARAMETERS, classification=classification, seed=0,
         )
     record_result(benchmark, result)
     row = {

@@ -25,7 +25,7 @@ from repro.bench import (
     hard_workload,
     print_table,
     save_artifact,
-    workload_acd,
+    workload_classification,
 )
 from repro.runner import e2_component_cell, e2_scaling_cell, run_campaign
 from repro.runner.presets import E2_COMPONENT_SEEDS
@@ -37,9 +37,10 @@ _ROWS: list[dict] = []
 
 def _run_cell_row(benchmark, once, cell):
     # Prewarm the cached workload so the timer sees the run, not graph
-    # generation + ACD (the pre-runner benchmarks measured the same way).
+    # generation + ACD + classification (the pre-runner benchmarks left
+    # the ACD out the same way).
     hard_workload(cell.num_cliques)
-    workload_acd(cell.num_cliques)
+    workload_classification(cell.num_cliques)
     campaign = once(benchmark, run_campaign, [cell], jobs=_JOBS)
     row = campaign.rows[0]
     benchmark.extra_info["rounds"] = row["rounds"]

@@ -16,7 +16,12 @@ from __future__ import annotations
 import os
 import statistics
 
-from repro.bench import hard_workload, print_table, save_artifact, workload_acd
+from repro.bench import (
+    hard_workload,
+    print_table,
+    save_artifact,
+    workload_classification,
+)
 from repro.runner import e2b_cells, e2b_sample, e2b_summary_row, run_campaign
 from repro.runner.presets import E2B_NUM_CLIQUES, E2B_SEEDS
 
@@ -28,9 +33,10 @@ _ROWS: list[dict] = []
 def test_seed_ensemble(benchmark, once):
     cells = e2b_cells()
     if _JOBS == 1:
-        # Prewarm the shared instance + ACD, as the hand-rolled loop did.
+        # Prewarm the shared instance + classification, as the
+        # hand-rolled loop did.
         hard_workload(E2B_NUM_CLIQUES)
-        workload_acd(E2B_NUM_CLIQUES)
+        workload_classification(E2B_NUM_CLIQUES)
 
     def run_all():
         campaign = run_campaign(cells, jobs=_JOBS)

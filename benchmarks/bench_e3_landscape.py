@@ -24,7 +24,7 @@ from repro.bench import (
     record_result,
     result_row,
     save_artifact,
-    workload_acd,
+    workload_classification,
 )
 from repro.core import delta_color_deterministic, delta_color_randomized
 
@@ -34,33 +34,33 @@ _ROWS: list[dict] = []
 
 
 def _instance():
-    return hard_workload(NUM_CLIQUES), workload_acd(NUM_CLIQUES)
+    return hard_workload(NUM_CLIQUES), workload_classification(NUM_CLIQUES)
 
 
 CASES = {
-    "delta+1 greedy (rand)": lambda net, acd: greedy_delta_plus_one(
+    "delta+1 greedy (rand)": lambda net, shared: greedy_delta_plus_one(
         net, deterministic=False, seed=0
     ),
-    "delta+1 greedy (det)": lambda net, acd: greedy_delta_plus_one(net),
-    "ours deterministic (Thm 1)": lambda net, acd: delta_color_deterministic(
-        net, params=bench_params(), acd=acd
+    "delta+1 greedy (det)": lambda net, shared: greedy_delta_plus_one(net),
+    "ours deterministic (Thm 1)": lambda net, shared: delta_color_deterministic(
+        net, params=bench_params(), classification=shared
     ),
-    "DCC layering baseline (det)": lambda net, acd: dcc_layering_coloring(
-        net, params=bench_params(), acd=acd
+    "DCC layering baseline (det)": lambda net, shared: dcc_layering_coloring(
+        net, params=bench_params(), classification=shared
     ),
-    "ours randomized (Thm 2)": lambda net, acd: delta_color_randomized(
-        net, params=bench_params(), acd=acd, seed=0
+    "ours randomized (Thm 2)": lambda net, shared: delta_color_randomized(
+        net, params=bench_params(), classification=shared, seed=0
     ),
-    "GHKM-style baseline (rand)": lambda net, acd: ghkm_randomized_coloring(
-        net, params=bench_params(), acd=acd, seed=0
+    "GHKM-style baseline (rand)": lambda net, shared: ghkm_randomized_coloring(
+        net, params=bench_params(), classification=shared, seed=0
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_landscape(benchmark, once, case):
-    instance, acd = _instance()
-    result = once(benchmark, CASES[case], instance.network, acd)
+    instance, classification = _instance()
+    result = once(benchmark, CASES[case], instance.network, classification)
     record_result(benchmark, result)
     _ROWS.append(result_row(case, result))
 

@@ -18,7 +18,7 @@ from repro.acd import compute_acd
 from repro.baselines import dcc_layering_coloring
 from repro.bench import print_table, record_result, save_artifact
 from repro.constants import AlgorithmParameters
-from repro.core import delta_color_deterministic
+from repro.core import classify_cliques, delta_color_deterministic
 from repro.graphs import hard_clique_graph, projective_plane_clique_graph
 
 PARAMS = AlgorithmParameters(epsilon=1.0 / 8.0)
@@ -37,17 +37,19 @@ def _instances():
 @pytest.mark.parametrize("algorithm", ["ours (Thm 1)", "DCC baseline"])
 def test_girth_barrier(benchmark, once, family, algorithm):
     instance = _instances()[family]
-    acd = compute_acd(instance.network, epsilon=PARAMS.epsilon)
+    classification = classify_cliques(
+        instance.network, compute_acd(instance.network, epsilon=PARAMS.epsilon)
+    )
     if algorithm == "ours (Thm 1)":
         result = once(
             benchmark, delta_color_deterministic, instance.network,
-            params=PARAMS, acd=acd,
+            params=PARAMS, classification=classification,
         )
         dcc_size = "-"
     else:
         result = once(
             benchmark, dcc_layering_coloring, instance.network,
-            params=PARAMS, acd=acd,
+            params=PARAMS, classification=classification,
         )
         dcc_size = result.stats["max_dcc_size"]
     record_result(benchmark, result)

@@ -14,13 +14,9 @@ from repro.bench import (
     hard_workload,
     print_table,
     save_artifact,
-    workload_acd,
+    workload_classification,
 )
-from repro.core import (
-    classify_cliques,
-    compute_balanced_matching,
-    sparsify_matching,
-)
+from repro.core import compute_balanced_matching, sparsify_matching
 from repro.core.sparsify_phase import incoming_bound
 from repro.local import RoundLedger
 
@@ -30,8 +26,8 @@ _ROWS: list[dict] = []
 @pytest.mark.parametrize("num_cliques", [68, 136, 272])
 def test_matching_cascade(benchmark, once, num_cliques):
     instance = hard_workload(num_cliques)
-    acd = workload_acd(num_cliques)
-    classification = classify_cliques(instance.network, acd)
+    classification = workload_classification(num_cliques)
+    acd = classification.acd
     params = bench_params()
     clique_of = {
         v: index

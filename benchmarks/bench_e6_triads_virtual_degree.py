@@ -15,11 +15,10 @@ from repro.bench import (
     hard_workload,
     print_table,
     save_artifact,
-    workload_acd,
+    workload_classification,
 )
 from repro.core import (
     build_pair_conflict_graph,
-    classify_cliques,
     compute_balanced_matching,
     form_slack_triads,
     sparsify_matching,
@@ -33,8 +32,7 @@ _ROWS: list[dict] = []
 @pytest.mark.parametrize("num_cliques", [68, 136, 272])
 def test_triads_and_virtual_degree(benchmark, once, num_cliques):
     instance = hard_workload(num_cliques)
-    acd = workload_acd(num_cliques)
-    classification = classify_cliques(instance.network, acd)
+    classification = workload_classification(num_cliques)
     params = bench_params()
 
     def run():

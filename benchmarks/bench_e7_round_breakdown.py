@@ -16,7 +16,7 @@ from repro.bench import (
     print_table,
     record_result,
     save_artifact,
-    workload_acd,
+    workload_classification,
 )
 from repro.core import delta_color_deterministic
 
@@ -36,7 +36,7 @@ def test_round_breakdown(benchmark, once, case):
         instance = mixed_workload(num_cliques, easy_fraction=easy_fraction)
     else:
         instance = hard_workload(num_cliques)
-    acd = workload_acd(
+    classification = workload_classification(
         num_cliques, easy_fraction=easy_fraction
     )
     result = once(
@@ -44,7 +44,7 @@ def test_round_breakdown(benchmark, once, case):
         delta_color_deterministic,
         instance.network,
         params=bench_params(),
-        acd=acd,
+        classification=classification,
     )
     record_result(benchmark, result)
     ledger = result.ledger

@@ -15,7 +15,7 @@ from repro.bench import (
     print_table,
     record_result,
     save_artifact,
-    workload_acd,
+    workload_classification,
 )
 from repro.constants import PAPER_BFS_DEPTH
 from repro.core import delta_color_deterministic
@@ -27,13 +27,13 @@ _ROWS: list[dict] = []
 def test_easy_phase(benchmark, once, easy_fraction):
     num_cliques = 136
     instance = mixed_workload(num_cliques, easy_fraction=easy_fraction)
-    acd = workload_acd(num_cliques, easy_fraction=easy_fraction)
+    classification = workload_classification(num_cliques, easy_fraction=easy_fraction)
     result = once(
         benchmark,
         delta_color_deterministic,
         instance.network,
         params=bench_params(),
-        acd=acd,
+        classification=classification,
     )
     record_result(benchmark, result)
     easy = result.stats["easy_phase"]

@@ -21,7 +21,7 @@ from repro.bench import (
     print_table,
     record_result,
     save_artifact,
-    workload_acd,
+    workload_classification,
 )
 from repro.constants import AlgorithmParameters
 from repro.core import delta_color_deterministic, delta_color_randomized
@@ -35,13 +35,13 @@ _ROWS: list[dict] = []
 @pytest.mark.parametrize("subclique_budget", [2, 4, 10, 28])
 def test_subclique_budget(benchmark, once, subclique_budget):
     instance = hard_workload(NUM_CLIQUES)
-    acd = workload_acd(NUM_CLIQUES)
+    classification = workload_classification(NUM_CLIQUES)
     params = AlgorithmParameters(
         epsilon=EPS, subclique_count=subclique_budget
     )
     result = once(
         benchmark, delta_color_deterministic, instance.network,
-        params=params, acd=acd,
+        params=params, classification=classification,
     )
     record_result(benchmark, result)
     _ROWS.append(
@@ -58,11 +58,11 @@ def test_subclique_budget(benchmark, once, subclique_budget):
 @pytest.mark.parametrize("split_epsilon", [1.0 / 100.0, 1.0 / 20.0, 1.0 / 4.0])
 def test_split_accuracy(benchmark, once, split_epsilon):
     instance = hard_workload(NUM_CLIQUES)
-    acd = workload_acd(NUM_CLIQUES)
+    classification = workload_classification(NUM_CLIQUES)
     params = AlgorithmParameters(epsilon=EPS, split_epsilon=split_epsilon)
     result = once(
         benchmark, delta_color_deterministic, instance.network,
-        params=params, acd=acd,
+        params=params, classification=classification,
     )
     record_result(benchmark, result)
     phase2 = result.stats["phase2"]
@@ -86,11 +86,11 @@ def test_splitting_disabled(benchmark, once):
     the head cliques stay high until the final trim, showing the load
     Phase 2 removes."""
     instance = hard_workload(NUM_CLIQUES)
-    acd = workload_acd(NUM_CLIQUES)
+    classification = workload_classification(NUM_CLIQUES)
     params = AlgorithmParameters(epsilon=EPS, split_iterations=0)
     result = once(
         benchmark, delta_color_deterministic, instance.network,
-        params=params, acd=acd,
+        params=params, classification=classification,
     )
     record_result(benchmark, result)
     phase2 = result.stats["phase2"]
@@ -112,10 +112,10 @@ def test_splitting_disabled(benchmark, once):
 @pytest.mark.parametrize("activation", [0.05, 1.0 / 3.0, 0.8])
 def test_activation_probability(benchmark, once, activation):
     instance = hard_workload(NUM_CLIQUES)
-    acd = workload_acd(NUM_CLIQUES)
+    classification = workload_classification(NUM_CLIQUES)
     result = once(
         benchmark, delta_color_randomized, instance.network,
-        params=AlgorithmParameters(epsilon=EPS), acd=acd, seed=1,
+        params=AlgorithmParameters(epsilon=EPS), classification=classification, seed=1,
         activation_probability=activation,
     )
     record_result(benchmark, result)

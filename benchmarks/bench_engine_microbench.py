@@ -40,7 +40,7 @@ from repro.bench import (
     hard_workload,
     print_table,
     save_artifact,
-    workload_acd,
+    workload_classification,
 )
 from repro.core import delta_color_randomized
 from repro.local import DistributedAlgorithm
@@ -221,12 +221,12 @@ def test_observability_overhead(benchmark, once):
 def test_pipeline_context(benchmark, once, num_cliques):
     """Full Theorem 2 run: engine + central phases (context numbers)."""
     instance = hard_workload(num_cliques)
-    acd = workload_acd(num_cliques)
+    classification = workload_classification(num_cliques)
     params = bench_params()
 
     def fast_run():
         return delta_color_randomized(
-            instance.network, params=params, acd=acd, seed=0
+            instance.network, params=params, classification=classification, seed=0
         )
 
     def legacy_run():

@@ -20,13 +20,21 @@ from repro.baselines import (
     greedy_delta_plus_one,
 )
 from repro.bench import print_table
-from repro.core import delta_color_deterministic, delta_color_randomized
+from repro.core import (
+    classify_cliques,
+    delta_color_deterministic,
+    delta_color_randomized,
+)
 
 
 def main() -> None:
     params = AlgorithmParameters(epsilon=1.0 / 8.0)
     instance = generators.hard_clique_graph(num_cliques=68, delta=32, seed=1)
-    acd = compute_acd(instance.network, epsilon=params.epsilon)
+    # Line 1 of Algorithm 1 (ACD + hard/easy split) depends only on the
+    # graph and epsilon: compute it once for all four Delta-colorings.
+    shared = classify_cliques(
+        instance.network, compute_acd(instance.network, epsilon=params.epsilon)
+    )
     print(f"instance: {instance.describe()}")
 
     runs = [
@@ -35,15 +43,17 @@ def main() -> None:
         ("(Delta+1) greedy, deterministic",
          greedy_delta_plus_one(instance.network)),
         ("Delta-coloring, ours randomized (Thm 2)",
-         delta_color_randomized(instance.network, params=params, acd=acd,
-                                seed=0)),
+         delta_color_randomized(instance.network, params=params,
+                                classification=shared, seed=0)),
         ("Delta-coloring, GHKM-style baseline",
-         ghkm_randomized_coloring(instance.network, params=params, acd=acd,
-                                  seed=0)),
+         ghkm_randomized_coloring(instance.network, params=params,
+                                  classification=shared, seed=0)),
         ("Delta-coloring, ours deterministic (Thm 1)",
-         delta_color_deterministic(instance.network, params=params, acd=acd)),
+         delta_color_deterministic(instance.network, params=params,
+                                   classification=shared)),
         ("Delta-coloring, DCC baseline",
-         dcc_layering_coloring(instance.network, params=params, acd=acd)),
+         dcc_layering_coloring(instance.network, params=params,
+                               classification=shared)),
     ]
     rows = [
         [label, result.num_colors, result.rounds, result.messages]

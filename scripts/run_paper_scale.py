@@ -14,7 +14,11 @@ import sys
 import time
 
 from repro import PAPER_PARAMETERS, compute_acd, generators, verify_coloring
-from repro.core import delta_color_deterministic, delta_color_randomized
+from repro.core import (
+    classify_cliques,
+    delta_color_deterministic,
+    delta_color_randomized,
+)
 
 
 def main() -> None:
@@ -27,10 +31,12 @@ def main() -> None:
           f"{instance.network.edge_count} edges, "
           f"ACD: {acd.num_cliques} cliques / {len(acd.sparse)} sparse "
           f"({time.time() - started:.1f}s)\n")
+    classification = classify_cliques(instance.network, acd)
 
     started = time.time()
     det = delta_color_deterministic(
-        instance.network, params=PAPER_PARAMETERS, acd=acd
+        instance.network, params=PAPER_PARAMETERS,
+        classification=classification,
     )
     verify_coloring(instance.network, det.colors, 63)
     print(f"Theorem 1 (deterministic): {det.rounds} LOCAL rounds "
@@ -49,7 +55,8 @@ def main() -> None:
 
     started = time.time()
     rand = delta_color_randomized(
-        instance.network, params=PAPER_PARAMETERS, acd=acd, seed=0
+        instance.network, params=PAPER_PARAMETERS,
+        classification=classification, seed=0
     )
     verify_coloring(instance.network, rand.colors, 63)
     shattering = rand.stats["shattering"]

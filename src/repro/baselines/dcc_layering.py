@@ -39,13 +39,14 @@ def dcc_layering_coloring(
     network: Network,
     *,
     params: AlgorithmParameters = PAPER_PARAMETERS,
-    acd: ACD | None = None,
+    classification: Classification | None = None,
     validate_input: bool = True,
     verify: bool = True,
 ) -> ColoringResult:
     """Delta-color a dense graph with the DCC-layering baseline."""
     setup = dense_setup(
-        network, params=params, acd=acd, validate_input=validate_input
+        network, params=params, classification=classification,
+        validate_input=validate_input,
     )
     acd, classification = setup.acd, setup.classification
 

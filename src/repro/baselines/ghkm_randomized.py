@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 
-from repro.acd.decomposition import ACD
 from repro.baselines.dcc_layering import lifted_clique_cycle
 from repro.constants import AlgorithmParameters, PAPER_PARAMETERS
 from repro.core.deterministic import dense_setup, finish_result
@@ -37,14 +36,15 @@ def ghkm_randomized_coloring(
     params: AlgorithmParameters = PAPER_PARAMETERS,
     seed: int | None = None,
     activation_probability: float = 1.0 / 3.0,
-    acd: ACD | None = None,
+    classification: Classification | None = None,
     validate_input: bool = True,
     verify: bool = True,
 ) -> ColoringResult:
     """Randomized Delta-coloring with the pre-paper post-shattering."""
     rng = random.Random(seed)
     setup = dense_setup(
-        network, params=params, acd=acd, validate_input=validate_input
+        network, params=params, classification=classification,
+        validate_input=validate_input,
     )
     classification, colors = setup.classification, setup.colors
 

@@ -17,7 +17,7 @@ from repro.bench.workloads import (
     bench_params,
     hard_workload,
     mixed_workload,
-    workload_acd,
+    workload_classification,
 )
 
 __all__ = [
@@ -36,5 +36,5 @@ __all__ = [
     "record_result",
     "result_row",
     "save_artifact",
-    "workload_acd",
+    "workload_classification",
 ]

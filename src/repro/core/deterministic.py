@@ -52,7 +52,7 @@ def dense_setup(
     network: Network,
     *,
     params: AlgorithmParameters,
-    acd: ACD | None,
+    classification: Classification | None,
     validate_input: bool,
     require_dense: bool = True,
 ) -> DenseSetup:
@@ -60,8 +60,12 @@ def dense_setup(
     (Definitions 6/8), shared by all Delta-coloring pipelines.
 
     Rejects Delta < 3 and, when ``validate_input`` is set, a
-    (Delta+1)-clique; reuses ``acd`` when given.  ``require_dense=False``
-    admits sparse vertices (the sparse extension); otherwise they raise
+    (Delta+1)-clique.  A given ``classification`` (of this network at
+    ``params.epsilon``; its ``.acd`` is the ACD) replaces both
+    computations, which depend on nothing else: the rounds and gauges
+    are the same either way, and no pipeline mutates it, so one
+    classification may serve many runs.  ``require_dense=False`` admits
+    sparse vertices (the sparse extension); otherwise they raise
     :class:`~repro.errors.NotDenseError`.
     """
     delta = network.max_degree
@@ -77,13 +81,17 @@ def dense_setup(
     ledger = RoundLedger()
     palette = list(range(delta))
     with span("acd", ledger=ledger):
-        if acd is None:
-            acd = compute_acd(network, params.epsilon)
+        acd = (
+            compute_acd(network, params.epsilon)
+            if classification is None
+            else classification.acd
+        )
         if require_dense:
             acd.require_dense()
         ledger.charge("acd", ACD_ROUNDS)
     with span("classify", ledger=ledger):
-        classification = classify_cliques(network, acd, delta=delta)
+        if classification is None:
+            classification = classify_cliques(network, acd, delta=delta)
         ledger.charge("classify", CLASSIFY_ROUNDS)
     metric_gauge("acd.num_cliques", acd.num_cliques)
     metric_gauge("classify.hard_cliques", len(classification.hard))
@@ -118,7 +126,7 @@ def delta_color_deterministic(
     network: Network,
     *,
     params: AlgorithmParameters = PAPER_PARAMETERS,
-    acd: ACD | None = None,
+    classification: Classification | None = None,
     validate_input: bool = True,
     verify: bool = True,
 ) -> ColoringResult:
@@ -130,7 +138,8 @@ def delta_color_deterministic(
     """
     # --- Line 1: ACD and classification. --------------------------------
     setup = dense_setup(
-        network, params=params, acd=acd, validate_input=validate_input
+        network, params=params, classification=classification,
+        validate_input=validate_input,
     )
     ledger, palette, colors = setup.ledger, setup.palette, setup.colors
     classification = setup.classification

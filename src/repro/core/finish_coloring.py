@@ -110,7 +110,7 @@ def finish_hard_cliques(
         for v in sorted(hard_vertices)
         if v not in triad_vertices
         and colors[v] is None
-        and all(u in hard_vertices for u in network.adjacency[v])
+        and hard_vertices.issuperset(network.adjacency[v])
     ]
     color_instance(
         network, v_rest, colors, palette,

@@ -40,7 +40,6 @@ import math
 import random
 from typing import Callable
 
-from repro.acd.decomposition import ACD
 from repro.constants import AlgorithmParameters, PAPER_PARAMETERS
 from repro.core.deterministic import dense_setup, finish_result
 from repro.core.easy_coloring import color_easy_and_loopholes
@@ -75,7 +74,7 @@ def delta_color_randomized(
     params: AlgorithmParameters = PAPER_PARAMETERS,
     seed: int | None = None,
     activation_probability: float = 1.0 / 3.0,
-    acd: ACD | None = None,
+    classification: Classification | None = None,
     force_branch: str | None = None,
     validate_input: bool = True,
     verify: bool = True,
@@ -97,7 +96,8 @@ def delta_color_randomized(
         raise ValueError(f"unknown branch {branch!r}")
     rng = random.Random(seed)
     setup = dense_setup(
-        network, params=params, acd=acd, validate_input=validate_input
+        network, params=params, classification=classification,
+        validate_input=validate_input,
     )
     ledger, palette, colors = setup.ledger, setup.palette, setup.colors
     classification = setup.classification

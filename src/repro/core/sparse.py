@@ -45,6 +45,7 @@ from repro.constants import AlgorithmParameters, PAPER_PARAMETERS
 from repro.core.deterministic import dense_setup, finish_result
 from repro.core.easy_coloring import color_easy_and_loopholes
 from repro.core.finish_coloring import color_instance
+from repro.core.hardness import Classification
 from repro.core.randomized import color_component, finish_shattered, preshatter
 from repro.errors import InvariantViolation
 from repro.local.ledger import RoundLedger
@@ -229,7 +230,7 @@ def delta_color_general(
     params: AlgorithmParameters = PAPER_PARAMETERS,
     seed: int | None = None,
     activation_probability: float = 1.0 / 3.0,
-    acd: ACD | None = None,
+    classification: Classification | None = None,
     validate_input: bool = True,
     verify: bool = True,
 ) -> ColoringResult:
@@ -242,7 +243,8 @@ def delta_color_general(
     """
     rng = random.Random(seed)
     setup = dense_setup(
-        network, params=params, acd=acd, validate_input=validate_input,
+        network, params=params, classification=classification,
+        validate_input=validate_input,
         require_dense=False,
     )
     acd, classification = setup.acd, setup.classification

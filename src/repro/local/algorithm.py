@@ -11,6 +11,15 @@ classic synchronous LOCAL style:
   engine fast-forward through quiet rounds (e.g. empty color classes of a
   color-class sweep) without losing round-count fidelity.
 
+  The exception is an algorithm whose class sets ``wake_on_messages =
+  False``: a message only joins the receiver's inbox, and the node runs
+  at its alarm rounds alone, seeing everything that arrived since its
+  previous run in delivery order.  The two color-class sweeps
+  (``deg+1-sweep``, ``mis-sweep``) do, since their nodes act only in
+  their own class round; a tracer therefore counts fewer scheduled
+  nodes for them, while their :class:`~repro.local.result.RunResult` is
+  unchanged.
+
 Nodes communicate only with neighbors; the engine raises
 :class:`repro.errors.SimulationError` on any attempt to send elsewhere,
 which keeps the implementations honest to the LOCAL model.
@@ -94,6 +103,10 @@ class DistributedAlgorithm(ABC):
     #: Human-readable name used in ledgers and errors.
     name: str = "algorithm"
 
+    #: ``False``: messages never schedule a node; it runs at its alarm
+    #: rounds only, with every message received since its previous run.
+    wake_on_messages: bool = True
+
     def on_start(self, node: Node, api: Api) -> None:
         """Round-0 hook; default does nothing."""
 
@@ -103,5 +116,7 @@ class DistributedAlgorithm(ABC):
 
         ``inbox`` is a sequence of ``(sender_index, message)`` pairs for
         messages sent to this node in the previous round (possibly empty
-        when the node was scheduled by an alarm only).
+        when the node was scheduled by an alarm only); with
+        ``wake_on_messages = False``, for every message sent to it since
+        its previous run.
         """

@@ -8,6 +8,11 @@ fast-forwarded while still being counted — so a color-class sweep over
 ``O(Delta^2)`` classes is cheap to simulate but reports its true LOCAL
 round cost.
 
+An algorithm whose class sets ``wake_on_messages = False`` is never
+scheduled by a message: deliveries only fill its inboxes, and its nodes
+run at their alarm rounds.  The color-class sweeps use this, since a
+node there acts only in its own class round.
+
 A network holds one copy of its topology, the frozen adjacency (a LOCAL
 node knows only its neighbor list), and caches only ``max_degree`` and
 ``edge_count``.  Neighbor sets and edge lists are built per call.  Sends
@@ -291,7 +296,9 @@ class Network:
         The run terminates when no messages are in flight and no alarms
         are pending (halted or not, a silent node stays silent forever in
         a deterministic synchronous system).  The round count includes
-        fast-forwarded quiet rounds up to the last activity.
+        fast-forwarded quiet rounds up to the last activity.  For an
+        algorithm with ``wake_on_messages = False`` (read once per run)
+        only alarms schedule nodes, so the run ends with its last alarm.
 
         With ``measure_bandwidth`` the per-message size in words is
         tracked (see :func:`message_words`), which tells whether the
@@ -335,6 +342,7 @@ class Network:
         heappop = heapq.heappop
         validate = self._validate_sends
         track = measure_bandwidth or bandwidth_limit is not None
+        wake = getattr(algorithm, "wake_on_messages", True)
 
         # Per-node inbox buffers, preallocated once.  A node's buffer is
         # handed to its callback and *replaced* (never cleared in place),
@@ -451,7 +459,8 @@ class Network:
             for item in api_alarms:
                 heappush(alarms, item)
             api_alarms.clear()
-            return receivers
+            # A sleeping receiver keeps its inbox until its next alarm.
+            return receivers if wake else []
 
         # Round 0: initialization.  Dead-on-arrival nodes never start.
         api.round = 0
@@ -498,7 +507,7 @@ class Network:
                     if faulty and crash_round[index] <= rnd:
                         continue
                     stamped.add(index)
-                    if not inboxes[index]:
+                    if not wake or not inboxes[index]:
                         due.append(index)
             if not due:
                 continue

@@ -175,24 +175,27 @@ def run_cell(cell: CampaignCell) -> dict[str, Any]:
     function of the cell, which is what makes checkpoint/resume
     byte-identical (see the module docstring).
     """
-    from repro.bench.workloads import workload_acd
+    from repro.bench.workloads import workload_classification
 
     instance = _build_instance(cell)
 
-    def acd_for(epsilon: float) -> Any:
-        return workload_acd(
+    def classification_for(epsilon: float) -> Any:
+        return workload_classification(
             cell.num_cliques, cell.delta, epsilon, cell.graph_seed,
             cell.easy_fraction,
         )
 
-    return _execute_cell(cell, instance.network, instance.delta, acd_for)
+    return _execute_cell(
+        cell, instance.network, instance.delta, classification_for
+    )
 
 
 def run_cell_on_network(
     cell: CampaignCell,
     network: Any,
     delta: int,
-    acd_for: Callable[[float], Any] | None = None,
+    classification_for: Callable[[float], Any] | None = None,
+    validated: Callable[[], None] | None = None,
 ) -> dict[str, Any]:
     """Execute one cell against an already-built network.
 
@@ -200,26 +203,23 @@ def run_cell_on_network(
     cells reference the graph by canonical instance hash, a backend
     receives the graph at most once (when it first answers
     ``unknown_instance``), and the workload builders never run
-    server-side.  ``acd_for`` lets a batch executor share the ACD across
-    batches; the default
-    computes it fresh — :func:`repro.acd.compute_acd` is deterministic,
-    so either way the row byte-matches :func:`run_cell` for the same
-    cell (the executor-equivalence suite pins this).
+    server-side.  A batch executor shares the seed-independent setup
+    across batches: ``classification_for(epsilon)`` returns the
+    network's ACD + hard/easy classification, and ``validated()`` is its
+    cached (Delta+1)-clique check, run in place of the pipeline's own.
+    Without them the pipeline computes both itself.  Both are
+    deterministic, so either way the row byte-matches :func:`run_cell`
+    for the same cell (the executor-equivalence suite pins this).
     """
-    if acd_for is None:
-        from repro.acd import compute_acd
-
-        def acd_for(epsilon: float, _network: Any = network) -> Any:
-            return compute_acd(_network, epsilon=epsilon)
-
-    return _execute_cell(cell, network, delta, acd_for)
+    return _execute_cell(cell, network, delta, classification_for, validated)
 
 
 def _execute_cell(
     cell: CampaignCell,
     network: Any,
     delta: int,
-    acd_for: Callable[[float], Any],
+    classification_for: Callable[[float], Any] | None,
+    validated: Callable[[], None] | None = None,
 ) -> dict[str, Any]:
     """Shared cell-execution core: every executor's rows come from here."""
     from repro import delta_color
@@ -243,7 +243,11 @@ def _execute_cell(
             raise ReproError(f"unknown campaign method {cell.method!r}")
         if cell.method != "general":
             # The general pipeline computes its own sparse-aware ACD.
-            options["acd"] = acd_for(cell.epsilon)
+            if validated is not None and options.get("validate_input", True):
+                validated()
+                options["validate_input"] = False
+            if classification_for is not None:
+                options["classification"] = classification_for(cell.epsilon)
         result = delta_color(
             network, method=cell.method, params=params, seed=cell.seed,
             **options,

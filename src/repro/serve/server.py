@@ -26,22 +26,25 @@ worker process keeps a prepared entry per registered instance (a
 uids, checked by a first, fully validated
 :class:`~repro.local.network.Network` (a pool worker, which receives
 the record unpickled with one ``int`` per occurrence, re-interns the
-rows first), the (Δ+1)-clique verdict, and the ACD — the
-seed-independent prefix of the dense pipelines — per epsilon.  Each batch builds a fresh ``Network``
-over the stored adjacency without re-validating it, so no node state
-crosses batches or threads, and every seed's coloring reuses the
-stored ACD.  A seed sweep therefore pays the structural analysis once
-per worker, however many batches it spans.  The entries follow the
+rows first), the (Δ+1)-clique verdict, and per epsilon the
+classification (the ACD and the hard/easy split, line 1 of Algorithm 1:
+the seed-independent prefix of the dense pipelines).  Each batch builds
+a fresh ``Network`` over the stored adjacency without re-validating it,
+so no node state crosses batches or threads, and every seed's coloring,
+``color`` request or campaign cell alike, reuses the stored verdict and
+classification.  A seed sweep therefore pays the structural analysis
+once per worker, however many batches it spans.  The entries follow the
 server's :class:`~repro.serve.cache.InstanceRegistry`: after each batch
 the worker drops every instance the registry no longer holds.
 Outside input is still validated in full: normalization checks every
 edge, and the first ``Network`` of every instance checks its structure.
 
-Determinism note: sharing is sound because ``compute_acd`` is itself
-deterministic and no pipeline mutates the ACD it is given, so a shared
-ACD is identical to the one each call would have computed — responses
-byte-match single-request runs, which the smoke test
-(``scripts/serve_smoke.py``) asserts end to end.
+Determinism note: sharing is sound because ``compute_acd`` and
+``classify_cliques`` are deterministic and no pipeline mutates the
+classification it is given, so a shared one is identical to the one
+each call would have computed — responses byte-match single-request
+runs, which the smoke test (``scripts/serve_smoke.py``) asserts end to
+end.
 
 ``jobs=0`` runs batches inline on the default thread executor — no
 process isolation, but instant startup; the test suite and quick local
@@ -115,9 +118,10 @@ class _Prepared:
     """The seed-independent products of one instance, shared by batches.
 
     Built by the first batch that needs the instance; immutable after
-    that except for the lazily filled clique verdict and ACDs, which
-    are filled under a lock.  Only a passed clique check is kept: a
-    failing one raises again on every use.
+    that except for the lazily filled clique verdict and
+    classifications (ACD + hard/easy split, per epsilon), which are
+    filled under a lock.  Only a passed clique check is kept: a failing
+    one raises again on every use.
     """
 
     def __init__(self, record: InstanceRecord) -> None:
@@ -129,7 +133,7 @@ class _Prepared:
         self.delta = record.delta
         self._lock = threading.Lock()
         self._clique_free = False
-        self._acds: dict[float, Any] = {}
+        self._classifications: dict[float, Any] = {}
 
     def network(self) -> Any:
         """A fresh network over the validated adjacency."""
@@ -137,14 +141,19 @@ class _Prepared:
 
         return Network(self.adjacency, self.uids, validate_structure=False)
 
-    def acd(self, epsilon: float, network: Any) -> Any:
+    def classification(self, epsilon: float, network: Any) -> Any:
+        """The ACD and hard/easy classification at ``epsilon``."""
         from repro.acd.decomposition import compute_acd
+        from repro.core.hardness import classify_cliques
 
         with self._lock:
-            acd = self._acds.get(epsilon)
-            if acd is None:
-                acd = self._acds[epsilon] = compute_acd(network, epsilon)
-            return acd
+            classification = self._classifications.get(epsilon)
+            if classification is None:
+                classification = classify_cliques(
+                    network, compute_acd(network, epsilon)
+                )
+                self._classifications[epsilon] = classification
+            return classification
 
     def validate(self, network: Any) -> None:
         from repro.graphs.validation import assert_no_delta_plus_one_clique
@@ -183,7 +192,7 @@ os.register_at_fork(after_in_child=_PREPARED.reset)
 def _run_spec(
     spec: dict[str, Any],
     network: Any,
-    acd_for: Callable[[float], Any],
+    classification_for: Callable[[float], Any],
     validated: Callable[[], None],
 ) -> dict[str, Any]:
     from repro import delta_color
@@ -211,10 +220,10 @@ def _run_spec(
         kwargs: dict[str, Any] = {"verify": verify}
         # The general pipeline owns its sparse-aware ACD and validation.
         if method != "general":
-            kwargs["acd"] = acd_for(spec["epsilon"])
-            kwargs["validate_input"] = False
             if options.get("validate_input", True):
                 validated()
+            kwargs["validate_input"] = False
+            kwargs["classification"] = classification_for(spec["epsilon"])
         if method != "deterministic" and "activation_probability" in options:
             kwargs["activation_probability"] = options["activation_probability"]
         result = delta_color(
@@ -260,8 +269,9 @@ def execute_batch(
     and ``cell`` specs (``kind == "cell"``), which decode a campaign
     cell and run it through :func:`repro.runner.campaign.run_cell_on_network`
     — the exact executor core inline/pool campaigns use, sharing the
-    prepared network and ACD.  That shared core is the byte-identity
-    argument for the distributed campaign plane.
+    prepared network, clique verdict and classification.  That shared
+    core is the byte-identity argument for the distributed campaign
+    plane.
     """
     from repro.runner.campaign import cell_from_json, run_cell_on_network
 
@@ -282,17 +292,19 @@ def execute_batch(
                     entry["prepared"] = "build" if built else "hit"
                     ready[instance_hash] = (prepared, prepared.network())
                 prepared, network = ready[instance_hash]
-                acd_for = partial(prepared.acd, network=network)
+                classification_for = partial(
+                    prepared.classification, network=network
+                )
+                validated = partial(prepared.validate, network)
                 if spec.get("kind") == "cell":
                     row = run_cell_on_network(
                         cell_from_json(spec["cell"]), network,
-                        prepared.delta, acd_for=acd_for,
+                        prepared.delta, classification_for, validated,
                     )
                     entry["result"] = {"row": row}
                 else:
                     result = _run_spec(
-                        spec, network, acd_for,
-                        partial(prepared.validate, network),
+                        spec, network, classification_for, validated
                     )
                     result["colors_sha256"] = _colors_digest(result["colors"])
                     entry["result"] = result

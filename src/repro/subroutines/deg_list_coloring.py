@@ -51,12 +51,14 @@ class _SweepListColoring(DistributedAlgorithm):
     """Phase 2 of the deterministic algorithm: the color-class sweep.
 
     ``classes`` is a proper coloring of the network (from Linial); each
-    node sets an alarm at its class round, tracks the colors announced by
-    earlier neighbors, and picks its smallest free list color when its
-    class is up.
+    node sets an alarm at its class round and, when its class is up,
+    picks the smallest list color its earlier neighbors did not
+    announce.  Announcements do not wake a node: it reads them all at
+    its class round.
     """
 
     name = "deg+1-sweep"
+    wake_on_messages = False
 
     def __init__(self, lists: Sequence[Sequence[int]], classes: Sequence[int]):
         self.lists = lists
@@ -71,7 +73,7 @@ class _SweepListColoring(DistributedAlgorithm):
         for _, color in inbox:
             taken.add(color)
         if api.round != self.classes[node.index] + 1:
-            return  # woken by a message before our class round
+            return  # an engine that wakes on messages woke us early
         for color in self.lists[node.index]:
             if color not in taken:
                 api.broadcast(color)
@@ -125,7 +127,7 @@ def _assert_proper_from_lists(
     network: Network, colors: list[int], lists: Sequence[Sequence[int]]
 ) -> None:
     for v in range(network.n):
-        if colors[v] is None or colors[v] not in set(lists[v]):
+        if colors[v] is None or colors[v] not in lists[v]:
             raise SubroutineError(f"vertex {v} got color {colors[v]} outside its list")
         for u in network.adjacency[v]:
             if colors[u] == colors[v]:

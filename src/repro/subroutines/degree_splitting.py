@@ -35,6 +35,7 @@ see the DESIGN.md substitution table.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -124,27 +125,40 @@ def _extract_trails(
 def _select_anchors(
     sequence: list[int], is_cycle: bool, uids: Sequence[int], window: int
 ) -> list[int]:
-    """Positions of the local-minimum anchors within one trail."""
+    """Positions of the local-minimum anchors within one trail.
+
+    Position ``i`` is an anchor when its uid is the smallest within
+    ``window`` trail steps on either side (wrapping around a cycle,
+    clipped at a path's ends).  One sliding-window minimum (a monotonic
+    deque of positions) finds them all in O(L); uids are unique.
+    """
     length = len(sequence)
+    keys = [uids[e] for e in sequence]
+    if is_cycle:
+        if 2 * window + 1 >= length:
+            # Every window covers the whole cycle: only its minimum.
+            return [min(range(length), key=keys.__getitem__)]
+        # Pad with ``window`` positions of wrap-around on both sides.
+        keys = keys[-window:] + keys + keys[:window]
+        offset = window
+    else:
+        offset = 0
     anchors = []
+    minima: deque[int] = deque()  # positions in ``keys``, keys increasing
+    ahead = 0
     for i in range(length):
-        if is_cycle:
-            neighborhood = [
-                uids[sequence[(i + d) % length]]
-                for d in range(-window, window + 1)
-                if d != 0 and abs(d) < length
-            ]
-        else:
-            lo, hi = max(0, i - window), min(length - 1, i + window)
-            neighborhood = [
-                uids[sequence[j]] for j in range(lo, hi + 1) if j != i
-            ]
-        mine = uids[sequence[i]]
-        if all(mine < other for other in neighborhood):
+        center = i + offset
+        last = min(center + window, len(keys) - 1)
+        while ahead <= last:
+            key = keys[ahead]
+            while minima and keys[minima[-1]] > key:
+                minima.pop()
+            minima.append(ahead)
+            ahead += 1
+        while minima[0] < center - window:
+            minima.popleft()
+        if minima[0] == center:
             anchors.append(i)
-    if is_cycle and not anchors:
-        # Always true for window < length; guard for tiny cycles.
-        anchors.append(min(range(length), key=lambda i: uids[sequence[i]]))
     return anchors
 
 

@@ -26,9 +26,14 @@ __all__ = ["maximal_independent_set", "luby_mis", "verify_mis"]
 
 
 class _SweepMIS(DistributedAlgorithm):
-    """Greedy MIS over the classes of a proper coloring."""
+    """Greedy MIS over the classes of a proper coloring.
+
+    A node acts only at its class round, so an ``"in"`` announcement
+    does not wake it; it reads them all then.
+    """
 
     name = "mis-sweep"
+    wake_on_messages = False
 
     def __init__(self, classes: Sequence[int]):
         self.classes = classes

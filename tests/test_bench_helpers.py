@@ -11,7 +11,7 @@ from repro.bench import (
     mixed_workload,
     result_row,
     save_artifact,
-    workload_acd,
+    workload_classification,
 )
 from repro.bench.harness import ARTIFACT_DIR
 from repro.local import RoundLedger
@@ -48,8 +48,14 @@ class TestWorkloads:
         assert instance.meta["easy_fraction"] == 0.25
 
     def test_acd_for_mixed(self):
-        acd = workload_acd(34, 16, 0.25, 1, easy_fraction=0.25)
-        assert acd.num_cliques == 34
+        classification = workload_classification(
+            34, 16, 0.25, 1, easy_fraction=0.25
+        )
+        assert classification.acd.num_cliques == 34
+        assert classification.easy
+        assert workload_classification(
+            34, 16, 0.25, 1, easy_fraction=0.25
+        ) is classification
 
     def test_params(self):
         assert bench_params(0.5).epsilon == 0.5

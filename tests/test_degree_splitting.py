@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SubroutineError
 from repro.subroutines import iterated_split, split_discrepancy, split_edges
+from repro.subroutines.degree_splitting import _select_anchors
 
 
 def random_multigraph(
@@ -160,3 +161,55 @@ class TestDirectedSplit:
 
         with pytest.raises(SubroutineError):
             directed_split(2, [(0, 0)])
+
+
+def select_anchors_oracle(sequence, is_cycle, uids, window):
+    """The quadratic anchor scan that predates the sliding-window minimum:
+    compare every position with each of its up to 2 * window neighbours."""
+    length = len(sequence)
+    anchors = []
+    for i in range(length):
+        if is_cycle:
+            neighborhood = [
+                uids[sequence[(i + d) % length]]
+                for d in range(-window, window + 1)
+                if d != 0 and abs(d) < length
+            ]
+        else:
+            lo, hi = max(0, i - window), min(length - 1, i + window)
+            neighborhood = [
+                uids[sequence[j]] for j in range(lo, hi + 1) if j != i
+            ]
+        mine = uids[sequence[i]]
+        if all(mine < other for other in neighborhood):
+            anchors.append(i)
+    if is_cycle and not anchors:
+        anchors.append(min(range(length), key=lambda i: uids[sequence[i]]))
+    return anchors
+
+
+class TestSelectAnchors:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        length=st.integers(1, 300),
+        window=st.integers(4, 64),
+        is_cycle=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_quadratic_oracle(self, length, window, is_cycle, seed):
+        rng = random.Random(seed)
+        sequence = list(range(length))
+        rng.shuffle(sequence)
+        uids = rng.sample(range(10 * length), length)
+        assert _select_anchors(sequence, is_cycle, uids, window) == (
+            select_anchors_oracle(sequence, is_cycle, uids, window)
+        )
+
+    @pytest.mark.parametrize("length", [1, 2, 9, 129])
+    def test_short_cycle_has_one_anchor_at_its_minimum(self, length):
+        window = 64
+        uids = random.Random(length).sample(range(1000), length)
+        sequence = list(range(length))
+        assert _select_anchors(sequence, True, uids, window) == [
+            uids.index(min(uids))
+        ]

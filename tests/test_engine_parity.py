@@ -30,8 +30,10 @@ from repro.local import (
     Network,
     Tracer,
 )
+from repro.subroutines.deg_list_coloring import deg_plus_one_list_coloring
 from repro.subroutines.linial import LinialColoring
 from repro.subroutines.maximal_matching import maximal_matching
+from repro.subroutines.mis import maximal_independent_set
 from tests.legacy_engine import force_legacy_engine, run_legacy
 
 
@@ -129,6 +131,33 @@ def test_maximal_matching_parity(family):
     with force_legacy_engine():
         legacy_matching, legacy = maximal_matching(network)
     assert fast_matching == legacy_matching
+    assert_identical(fast, legacy)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_list_coloring_sweep_parity(family):
+    """The sweep sleeps through announcements (``wake_on_messages =
+    False``); the seed engine wakes it for each one.  Same result."""
+    network = FAMILIES[family]()
+    rng = random.Random(5)
+    lists = [
+        rng.sample(range(2 * network.degree(v) + 2), network.degree(v) + 1)
+        for v in range(network.n)
+    ]
+    fast_colors, fast = deg_plus_one_list_coloring(network, lists)
+    with force_legacy_engine():
+        legacy_colors, legacy = deg_plus_one_list_coloring(network, lists)
+    assert fast_colors == legacy_colors
+    assert_identical(fast, legacy)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_mis_sweep_parity(family):
+    network = FAMILIES[family]()
+    fast_members, fast = maximal_independent_set(network)
+    with force_legacy_engine():
+        legacy_members, legacy = maximal_independent_set(network)
+    assert fast_members == legacy_members
     assert_identical(fast, legacy)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import RoundLimitExceeded, SimulationError
-from repro.local import DistributedAlgorithm, Network
+from repro.local import DistributedAlgorithm, FaultPlan, Network
 
 
 class Flood(DistributedAlgorithm):
@@ -129,6 +129,78 @@ class TestEngine:
         first = net.run(Flood())
         second = net.run(Flood())
         assert first.outputs == second.outputs
+
+
+class Chatter(DistributedAlgorithm):
+    """Path 0 - 1 - 2: the ends send ``(tag, round)`` to the middle at
+    rounds 0..``last``; the middle logs each run and halts at ``wake[-1]``.
+    """
+
+    name = "chatter"
+
+    def __init__(self, wake, last=3):
+        self.wake = wake
+        self.last = last
+
+    def on_start(self, node, api):
+        node.state["log"] = []
+        self.on_round(node, api, ())
+
+    def on_round(self, node, api, inbox):
+        if node.index == 1:
+            node.state["log"].append((api.round, list(inbox)))
+            later = [rnd for rnd in self.wake if rnd > api.round]
+            if later:
+                api.set_alarm(later[0])
+            else:
+                api.halt(node.state["log"])
+        elif api.round <= self.last:
+            api.send(1, ("ab"[node.index // 2], api.round))
+            if api.round < self.last:
+                api.set_alarm(api.round + 1)
+
+
+class SleepingChatter(Chatter):
+    name = "sleeping-chatter"
+    wake_on_messages = False
+
+
+class TestSleepingNodes:
+    """``wake_on_messages = False``: only alarms schedule a node."""
+
+    def test_runs_only_at_alarms_with_everything_since(self):
+        result = path_network(3).run(SleepingChatter(wake=[0, 3, 6]))
+        sent = lambda rnd: [(0, ("a", rnd)), (2, ("b", rnd))]  # noqa: E731
+        assert result.outputs[1] == [
+            (0, []),
+            (3, sent(0) + sent(1) + sent(2)),
+            (6, sent(3)),
+        ]
+        assert result.rounds == 6
+        assert result.messages == 8
+
+    def test_waking_twin_is_scheduled_by_every_message(self):
+        result = path_network(3).run(Chatter(wake=[0, 3, 6]))
+        assert [rnd for rnd, _ in result.outputs[1]] == [0, 1, 2, 3, 4, 6]
+
+    def test_messages_after_halt_are_dropped(self):
+        result = path_network(3).run(SleepingChatter(wake=[0, 2], last=5))
+        assert [rnd for rnd, _ in result.outputs[1]] == [0, 2]
+        assert result.halted[1]
+        # The ends keep sending until round 5; nothing wakes the middle.
+        assert result.rounds == 5
+        assert result.messages == 12
+
+    def test_crash_stops_a_sleeping_node(self):
+        result = path_network(3).run(
+            SleepingChatter(wake=[0, 3, 6]), faults=FaultPlan(crashes=((1, 3),))
+        )
+        assert result.outputs[1] is None
+        assert not result.halted[1]
+        assert result.crashed_nodes == [1]
+        # Copies arriving from round 3 on are lost; the alarm never fires.
+        assert result.dropped_messages == 4
+        assert result.rounds == 3
 
 
 class TestConstruction:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro import delta_color, verify_coloring
 from repro.constants import AlgorithmParameters
 from repro.baselines import dcc_layering_coloring, ghkm_randomized_coloring
+from repro.acd import compute_acd
 from repro.core import (
+    classify_cliques,
     delta_color_deterministic,
     delta_color_general,
     delta_color_randomized,
@@ -77,13 +81,17 @@ class TestDeterministic:
         rank, so the pipeline must refuse with a clear diagnosis instead
         of producing an improper coloring."""
         from repro.acd import compute_acd
+        from repro.core.hardness import classify_cliques
         from repro.errors import InvariantViolation
 
         instance = hard_clique_torus(6, 6)
         params = AlgorithmParameters(epsilon=0.45)
         acd = compute_acd(instance.network, epsilon=0.45, eta=0.55)
+        classification = classify_cliques(instance.network, acd)
         with pytest.raises(InvariantViolation, match="Delta is too small"):
-            delta_color_deterministic(instance.network, params=params, acd=acd)
+            delta_color_deterministic(
+                instance.network, params=params, classification=classification
+            )
 
     def test_sparse_graph_rejected(self):
         net = random_network(60, 180, seed=5)
@@ -178,6 +186,34 @@ def test_small_delta_rejected_uniformly(pipeline):
     cycle = Network.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     with pytest.raises(GraphStructureError, match="Delta = 2.*Brooks"):
         pipeline(cycle, params=PARAMS)
+
+
+@pytest.mark.parametrize("kind", ["hard", "mixed"])
+def test_shared_classification_is_never_mutated(
+    kind, hard_instance, mixed_instance
+):
+    """One classification may serve many runs: no pipeline writes to it,
+    and a run given it colors exactly as a run that computes its own."""
+    network = (hard_instance if kind == "hard" else mixed_instance).network
+    shared = classify_cliques(
+        network, compute_acd(network, epsilon=PARAMS.epsilon)
+    )
+    before = copy.deepcopy(shared)
+    given = delta_color_deterministic(
+        network, params=PARAMS, classification=shared
+    )
+    fresh = delta_color_deterministic(network, params=PARAMS)
+    assert given.colors == fresh.colors
+    assert given.phase_rounds() == fresh.phase_rounds()
+    for seed in (0, 1, 2):
+        given = delta_color_randomized(
+            network, params=PARAMS, seed=seed, classification=shared
+        )
+        if seed == 0:
+            fresh = delta_color_randomized(network, params=PARAMS, seed=seed)
+            assert given.colors == fresh.colors
+            assert given.phase_rounds() == fresh.phase_rounds()
+    assert shared == before
 
 
 class TestPublicApi:

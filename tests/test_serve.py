@@ -775,13 +775,16 @@ class TestPreparedInstances:
 
     def test_two_batches_prepare_once(self, monkeypatch, instance, payload):
         import repro.acd.decomposition as decomposition
+        import repro.core.hardness as hardness
         import repro.graphs.validation as validation
         import repro.local.network as network_module
         import repro.serve.protocol as protocol_module
         import repro.serve.server as server_module
         from repro.serve.cache import PreparedCache
 
-        calls = {"parse": 0, "structure": 0, "clique": 0, "acd": 0}
+        calls = {
+            "parse": 0, "structure": 0, "clique": 0, "acd": 0, "classify": 0,
+        }
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -806,6 +809,10 @@ class TestPreparedInstances:
             decomposition, "compute_acd",
             counted("acd", decomposition.compute_acd),
         )
+        monkeypatch.setattr(
+            hardness, "classify_cliques",
+            counted("classify", hardness.classify_cliques),
+        )
         instance_hash, record = normalize_instance_payload(payload)
         instances = {instance_hash: record}
         batches = [
@@ -817,7 +824,9 @@ class TestPreparedInstances:
             for spec in batch:
                 spec["instance_hash"] = instance_hash
             entries.append(execute_batch(batch, instances, {instance_hash}))
-        assert calls == {"parse": 1, "structure": 1, "clique": 1, "acd": 1}
+        assert calls == {
+            "parse": 1, "structure": 1, "clique": 1, "acd": 1, "classify": 1,
+        }
         assert [entry.get("prepared") for entry in entries[0]] == ["build"]
         assert [entry.get("prepared") for entry in entries[1]] == ["hit", None]
         params = AlgorithmParameters(epsilon=EPSILON)
@@ -945,43 +954,120 @@ class TestPreparedInstances:
 
         asyncio.run(scenario())
 
+    def test_cells_share_the_clique_check_and_classification(
+        self, monkeypatch
+    ):
+        """Cells on one registered graph check it for a (Delta+1)-clique
+        and classify it once per backend, and every cell's row, repeats
+        included, is byte-identical to a fresh inline ``run_cell``."""
+        import repro.core.deterministic as deterministic
+        import repro.core.hardness as hardness
+        import repro.graphs.validation as validation
+        import repro.serve.server as server_module
+        from repro.bench import workloads
+        from repro.runner.campaign import CampaignCell, cell_to_json, run_cell
+        from repro.serve.cache import PreparedCache
+
+        cells = [
+            CampaignCell(
+                label=f"{method}-{seed}", num_cliques=16, delta=8,
+                graph_seed=3, epsilon=EPSILON, method=method, seed=seed,
+            )
+            for method, seed in (
+                ("deterministic", None), ("randomized", 1),
+                ("randomized", 2), ("deterministic", None),
+                ("randomized", 1),
+            )
+        ]
+        graph = hard_clique_graph(16, 8, seed=3)
+        instance_hash, record = normalize_instance_payload({
+            "n": graph.n,
+            "edges": [list(edge) for edge in graph.network.edges()],
+            "delta": graph.delta,
+            "uids": list(graph.network.uids),
+        })
+        calls = {"clique": 0, "classify": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        clique = counted("clique", validation.assert_no_delta_plus_one_clique)
+        classify = counted("classify", hardness.classify_cliques)
+        monkeypatch.setattr(server_module, "_PREPARED", PreparedCache())
+        for module in (validation, deterministic):
+            monkeypatch.setattr(
+                module, "assert_no_delta_plus_one_clique", clique
+            )
+        for module in (hardness, deterministic):
+            monkeypatch.setattr(module, "classify_cliques", classify)
+        rows = []
+        for index in range(0, len(cells), 2):
+            batch = [
+                {"kind": "cell", "key": cell.label,
+                 "instance_hash": instance_hash, "cell": cell_to_json(cell)}
+                for cell in cells[index:index + 2]
+            ]
+            for entry in execute_batch(
+                batch, {instance_hash: record}, {instance_hash}
+            ):
+                assert "error" not in entry, entry
+                rows.append(entry["result"]["row"])
+        assert calls == {"clique": 1, "classify": 1}
+
+        monkeypatch.undo()
+        workloads.workload_classification.cache_clear()
+        for cell, row in zip(cells, rows):
+            assert json.dumps(row, sort_keys=True) == json.dumps(
+                run_cell(cell), sort_keys=True
+            )
+
     @pytest.mark.parametrize("pipeline", [
         "deterministic", "randomized", "general", "ghkm", "dcc",
     ])
     def test_pipelines_leave_a_passed_acd_unchanged(self, pipeline,
                                                     instance):
-        import pickle
+        import copy
 
         from repro.acd import compute_acd
         from repro.baselines import (
             dcc_layering_coloring,
             ghkm_randomized_coloring,
         )
+        from repro.core.hardness import classify_cliques
         from repro.core.sparse import delta_color_general
 
         params = AlgorithmParameters(epsilon=EPSILON)
         network = instance.network
-        acd = compute_acd(network, EPSILON)
-        before = pickle.dumps(acd)
+        shared = classify_cliques(network, compute_acd(network, EPSILON))
+        before = copy.deepcopy(shared)
         # Low activation leaves bad cliques, so the shattered-component
         # path runs too.
         if pipeline == "deterministic":
-            delta_color_deterministic(network, params=params, acd=acd)
+            delta_color_deterministic(
+                network, params=params, classification=shared
+            )
         elif pipeline == "randomized":
             delta_color_randomized(
-                network, params=params, seed=3, acd=acd,
+                network, params=params, seed=3, classification=shared,
                 activation_probability=0.02,
             )
         elif pipeline == "general":
-            delta_color_general(network, params=params, seed=0, acd=acd)
+            delta_color_general(
+                network, params=params, seed=0, classification=shared
+            )
         elif pipeline == "ghkm":
             ghkm_randomized_coloring(
-                network, params=params, seed=3, acd=acd,
+                network, params=params, seed=3, classification=shared,
                 activation_probability=0.02,
             )
         else:
-            dcc_layering_coloring(network, params=params, acd=acd)
-        assert pickle.dumps(acd) == before
+            dcc_layering_coloring(
+                network, params=params, classification=shared
+            )
+        assert shared == before
 
 
 class TestServerOverload:
