@@ -2,8 +2,9 @@
 
 Benchmarks fix Delta and sweep n by growing the number of cliques, so
 round counts isolate the n-dependence the theorems talk about.  All
-builders are cached per parameter tuple — generation, the ACD and the
-hard/easy classification are shared between benchmark cases.
+builders are cached per parameter tuple — generation, the
+(Delta+1)-clique check, the ACD and the hard/easy classification are
+shared between benchmark cases.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from repro.acd import compute_acd
 from repro.constants import AlgorithmParameters
 from repro.core.hardness import Classification, classify_cliques
 from repro.graphs import DenseInstance, hard_clique_graph, mixed_dense_graph
+from repro.graphs.validation import assert_no_delta_plus_one_clique
 
 #: Default bench Delta: large enough for comfortable Lemma 11 slack at
 #: epsilon = 1/8, small enough for quick simulation.
@@ -58,12 +60,33 @@ def workload_classification(
     """The workload's ACD and hard/easy classification at ``epsilon``
     (its ``.acd`` is the ACD): what every Delta-coloring pipeline takes
     as ``classification=`` instead of computing it per run."""
+    network = _workload(num_cliques, delta, seed, easy_fraction).network
+    return classify_cliques(network, compute_acd(network, epsilon=epsilon))
+
+
+@lru_cache(maxsize=32)
+def workload_clique_free(
+    num_cliques: int,
+    delta: int = BENCH_DELTA,
+    seed: int = 1,
+    easy_fraction: float = 0.0,
+) -> bool:
+    """The workload's (Delta+1)-clique check, run once per graph, so a
+    cell's pipeline can skip its own (``validate_input=False``).  A
+    failed check raises, and a raise is not cached: it raises again on
+    every call."""
+    assert_no_delta_plus_one_clique(
+        _workload(num_cliques, delta, seed, easy_fraction).network
+    )
+    return True
+
+
+def _workload(
+    num_cliques: int, delta: int, seed: int, easy_fraction: float
+) -> DenseInstance:
     if easy_fraction:
-        instance = mixed_workload(num_cliques, delta, easy_fraction, seed)
-    else:
-        instance = hard_workload(num_cliques, delta, seed)
-    acd = compute_acd(instance.network, epsilon=epsilon)
-    return classify_cliques(instance.network, acd)
+        return mixed_workload(num_cliques, delta, easy_fraction, seed)
+    return hard_workload(num_cliques, delta, seed)
 
 
 #: The cache's former name, which ``perfbench/campaign_remote.py``

@@ -20,6 +20,7 @@ from repro.acd.decomposition import ACD, ACD_ROUNDS, compute_acd
 from repro.constants import AlgorithmParameters, PAPER_PARAMETERS
 from repro.core.easy_coloring import color_easy_and_loopholes
 from repro.core.finish_coloring import finish_hard_cliques
+from repro.core.gc_pause import paused_collector
 from repro.core.hardness import CLASSIFY_ROUNDS, Classification, classify_cliques
 from repro.core.matching_phase import compute_balanced_matching
 from repro.core.pair_coloring import color_slack_pairs
@@ -122,6 +123,7 @@ def finish_result(
     )
 
 
+@paused_collector
 def delta_color_deterministic(
     network: Network,
     *,

@@ -33,6 +33,7 @@ from repro.local.network import Network
 from repro.obs.metrics import metric_observe
 from repro.obs.spans import span
 from repro.subroutines.deg_list_coloring import (
+    assert_proper_from_lists,
     deg_plus_one_list_coloring,
     randomized_list_coloring,
 )
@@ -62,14 +63,13 @@ def color_instance(
     metric_observe("instance.size", len(vertices))
     with span(label, ledger=ledger):
         sub, mapping = network.subnetwork(vertices, name=label)
-        palette = list(palette)
+        # Distinct colors, so a list's length is its set size: the one
+        # (deg+1) check below is the kernels' ``validate_lists``.
+        palette = list(dict.fromkeys(palette))
         lists = []
         for v in mapping:
-            forbidden = {
-                colors[u]
-                for u in network.adjacency[v]
-                if colors[u] is not None
-            }
+            # Uncolored neighbors add None, which is in no palette.
+            forbidden = set(map(colors.__getitem__, network.adjacency[v]))
             lists.append([c for c in palette if c not in forbidden])
         for index, v in enumerate(mapping):
             if len(lists[index]) <= sub.degree(index):
@@ -79,9 +79,14 @@ def color_instance(
                     "slack argument of Lemma 17 failed"
                 )
         if deterministic:
-            chosen, result = deg_plus_one_list_coloring(sub, lists)
+            chosen, result = deg_plus_one_list_coloring(
+                sub, lists, validate=False
+            )
         else:
-            chosen, result = randomized_list_coloring(sub, lists, seed=seed)
+            chosen, result = randomized_list_coloring(
+                sub, lists, seed=seed, validate=False
+            )
+        assert_proper_from_lists(sub, chosen, lists)
         ledger.charge_result(label, result)
         for index, v in enumerate(mapping):
             colors[v] = chosen[index]

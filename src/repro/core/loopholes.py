@@ -190,25 +190,31 @@ def color_loophole(
     order = sorted(vertices, key=lambda v: len(lists[v]))
     inside = set(vertices)
     assignment: dict[int, int] = {}
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
+    # Depth-first search with an explicit stack (a self-calling closure
+    # would be cyclic garbage): ``next_choice[i]`` is the position in
+    # ``lists[order[i]]`` to resume from when the search returns to i.
+    next_choice = [0] * len(order)
+    i = 0
+    while 0 <= i < len(order):
         v = order[i]
-        for color in lists[v]:
-            if any(
+        assignment.pop(v, None)
+        options = lists[v]
+        for position in range(next_choice[i], len(options)):
+            color = options[position]
+            if not any(
                 assignment.get(u) == color
                 for u in network.adjacency[v]
                 if u in inside
             ):
-                continue
-            assignment[v] = color
-            if backtrack(i + 1):
-                return True
-            del assignment[v]
-        return False
+                assignment[v] = color
+                next_choice[i] = position + 1
+                i += 1
+                break
+        else:
+            next_choice[i] = 0
+            i -= 1
 
-    if not backtrack(0):
+    if i < 0:
         raise InvariantViolation(
             f"loophole {vertices} is not colorable from its lists; "
             "this contradicts Lemma 7 (deg-list colorability) — the "

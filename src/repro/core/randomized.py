@@ -44,6 +44,7 @@ from repro.constants import AlgorithmParameters, PAPER_PARAMETERS
 from repro.core.deterministic import dense_setup, finish_result
 from repro.core.easy_coloring import color_easy_and_loopholes
 from repro.core.finish_coloring import color_instance
+from repro.core.gc_pause import paused_collector
 from repro.core.hardness import Classification
 from repro.core.loopholes import Loophole, boundary_loophole
 from repro.core.matching_phase import compute_balanced_matching
@@ -68,6 +69,7 @@ def large_delta_threshold(n: int) -> float:
     return math.log2(max(n, 2)) ** 2
 
 
+@paused_collector
 def delta_color_randomized(
     network: Network,
     *,

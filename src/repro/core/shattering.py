@@ -25,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from repro.acd.decomposition import ACD
 from repro.core.hardness import Classification
 from repro.core.triads import SlackTriad
 from repro.errors import InvariantViolation
@@ -72,8 +73,10 @@ def place_t_nodes(
         target_bad_fraction = 1.0 / (2.0 * delta)
 
     acd = classification.acd
-    clique_of = {
-        v: index for index in classification.hard for v in acd.cliques[index]
+    hard = set(classification.hard)
+    options = {
+        index: _external_options(network, acd, index, hard)
+        for index in classification.hard
     }
 
     committed: dict[int, SlackTriad] = {}
@@ -94,7 +97,7 @@ def place_t_nodes(
         candidates: dict[int, SlackTriad] = {}
         for index in pending():
             triad = _draw_candidate(
-                network, acd.cliques[index], index, clique_of, rng
+                network, acd.cliques[index], index, options[index], rng
             )
             if triad is None:
                 hopeless.add(index)
@@ -163,22 +166,29 @@ def place_t_nodes(
     )
 
 
+def _external_options(
+    network: Network, acd: ACD, index: int, hard: set[int]
+) -> list[tuple[int, int]]:
+    """The clique's T-node slack choices: ``(u, w)`` with ``u`` a member
+    and ``w`` a neighbor of ``u`` in another hard clique."""
+    clique_index = acd.clique_index
+    return [
+        (u, w)
+        for u in acd.cliques[index]
+        for w in network.adjacency[u]
+        if clique_index[w] != index and clique_index[w] in hard
+    ]
+
+
 def _draw_candidate(
     network: Network,
     members: list[int],
     index: int,
-    clique_of: dict[int, int],
+    options: list[tuple[int, int]],
     rng: random.Random,
 ) -> SlackTriad | None:
-    """One random candidate triad for a clique, or None if the clique has
-    no external edge into another hard clique."""
-    clique_lookup = clique_of.get
-    options = []
-    for u in members:
-        for w in network.adjacency[u]:
-            owner = clique_lookup(w)
-            if owner is not None and owner != index:
-                options.append((u, w))
+    """One random candidate triad for a clique from its
+    :func:`_external_options`, or None if it has none."""
     if not options:
         return None
     u, w = options[rng.randrange(len(options))]

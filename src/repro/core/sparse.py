@@ -45,6 +45,7 @@ from repro.constants import AlgorithmParameters, PAPER_PARAMETERS
 from repro.core.deterministic import dense_setup, finish_result
 from repro.core.easy_coloring import color_easy_and_loopholes
 from repro.core.finish_coloring import color_instance
+from repro.core.gc_pause import paused_collector
 from repro.core.hardness import Classification
 from repro.core.randomized import color_component, finish_shattered, preshatter
 from repro.errors import InvariantViolation
@@ -224,6 +225,7 @@ def _common_available(
     return [c for c in palette if c not in forbidden]
 
 
+@paused_collector
 def delta_color_general(
     network: Network,
     *,

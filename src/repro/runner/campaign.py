@@ -170,12 +170,15 @@ def run_cell(cell: CampaignCell) -> dict[str, Any]:
 
     Module-level (not a closure) so it pickles into worker processes.
     Workload builders are ``lru_cache``-d per process, so a worker that
-    receives several cells over the same graph generates it once.  Rows
-    deliberately carry no wall-clock fields: a cell's row is a pure
-    function of the cell, which is what makes checkpoint/resume
-    byte-identical (see the module docstring).
+    receives several cells over the same graph generates, checks and
+    classifies it once.  Rows deliberately carry no wall-clock fields:
+    a cell's row is a pure function of the cell, which is what makes
+    checkpoint/resume byte-identical (see the module docstring).
     """
-    from repro.bench.workloads import workload_classification
+    from repro.bench.workloads import (
+        workload_classification,
+        workload_clique_free,
+    )
 
     instance = _build_instance(cell)
 
@@ -185,8 +188,13 @@ def run_cell(cell: CampaignCell) -> dict[str, Any]:
             cell.easy_fraction,
         )
 
+    def validated() -> None:
+        workload_clique_free(
+            cell.num_cliques, cell.delta, cell.graph_seed, cell.easy_fraction
+        )
+
     return _execute_cell(
-        cell, instance.network, instance.delta, classification_for
+        cell, instance.network, instance.delta, classification_for, validated
     )
 
 

@@ -28,6 +28,7 @@ from repro.local.result import RunResult
 from repro.subroutines.linial import LinialColoring, linial_palette_bound
 
 __all__ = [
+    "assert_proper_from_lists",
     "deg_plus_one_list_coloring",
     "randomized_list_coloring",
     "validate_lists",
@@ -65,15 +66,18 @@ class _SweepListColoring(DistributedAlgorithm):
         self.classes = classes
 
     def on_start(self, node: Node, api: Api) -> None:
-        node.state["taken"] = set()
         api.set_alarm(self.classes[node.index] + 1)
 
     def on_round(self, node: Node, api: Api, inbox: Sequence[tuple[int, int]]) -> None:
-        taken = node.state["taken"]
-        for _, color in inbox:
-            taken.add(color)
         if api.round != self.classes[node.index] + 1:
-            return  # an engine that wakes on messages woke us early
+            # An engine that wakes on messages woke us early: keep the
+            # announcements for the class round.
+            node.state.setdefault("early", []).extend(
+                color for _, color in inbox
+            )
+            return
+        taken = {color for _, color in inbox}
+        taken.update(node.state.get("early", ()))
         for color in self.lists[node.index]:
             if color not in taken:
                 api.broadcast(color)
@@ -113,7 +117,7 @@ def deg_plus_one_list_coloring(
 
     colors = [node.output for node in network.nodes]
     if validate:
-        _assert_proper_from_lists(network, colors, lists)
+        assert_proper_from_lists(network, colors, lists)
     combined = RunResult(
         rounds=linial_result.rounds + sweep_result.rounds,
         messages=linial_result.messages + sweep_result.messages,
@@ -123,17 +127,20 @@ def deg_plus_one_list_coloring(
     return colors, combined
 
 
-def _assert_proper_from_lists(
+def assert_proper_from_lists(
     network: Network, colors: list[int], lists: Sequence[Sequence[int]]
 ) -> None:
-    for v in range(network.n):
-        if colors[v] is None or colors[v] not in lists[v]:
-            raise SubroutineError(f"vertex {v} got color {colors[v]} outside its list")
-        for u in network.adjacency[v]:
-            if colors[u] == colors[v]:
-                raise SubroutineError(
-                    f"sweep produced a conflict on edge ({v}, {u})"
-                )
+    """Raise :class:`SubroutineError` unless every vertex has a color from
+    its list that no neighbor shares."""
+    adjacency = network.adjacency
+    for v, color in enumerate(colors):
+        if color is None or color not in lists[v]:
+            raise SubroutineError(f"vertex {v} got color {color} outside its list")
+        if color in map(colors.__getitem__, adjacency[v]):
+            u = next(u for u in adjacency[v] if colors[u] == color)
+            raise SubroutineError(
+                f"sweep produced a conflict on edge ({v}, {u})"
+            )
 
 
 class _RandomTrialColoring(DistributedAlgorithm):
@@ -144,6 +151,11 @@ class _RandomTrialColoring(DistributedAlgorithm):
     uncolored neighbor tried the same color.  With (deg+1) lists, a node
     succeeds with constant probability per round, so all nodes finish in
     O(log n) rounds w.h.p.
+
+    Colors must be non-negative ints: a message is the bare color ``c``
+    for a trial and ``~c`` (negative) for a final color.  A node keeps
+    its available list in its state and filters it only when finals
+    arrive.
     """
 
     name = "deg+1-random"
@@ -153,39 +165,42 @@ class _RandomTrialColoring(DistributedAlgorithm):
         self.rng = rng
 
     def on_start(self, node: Node, api: Api) -> None:
-        node.state["taken"] = set()
-        node.state["trial"] = None
+        node.state["available"] = self.lists[node.index]
         self._try(node, api)
 
     def _try(self, node: Node, api: Api) -> None:
-        available = [c for c in self.lists[node.index] if c not in node.state["taken"]]
+        available = node.state["available"]
         if not available:
             raise SubroutineError(
                 f"vertex {node.index} ran out of colors in randomized trials"
             )
-        trial = self.rng.choice(available)
-        node.state["trial"] = trial
-        api.broadcast(("trial", trial))
+        trial = node.state["trial"] = self.rng.choice(available)
+        api.broadcast(trial)
         # The alarm guarantees the node is re-scheduled to evaluate its
         # trial even when all its neighbors have already halted (their
         # dropped messages would otherwise never wake it).
         api.set_alarm(api.round + 1)
 
-    def on_round(self, node: Node, api: Api, inbox: Sequence[tuple[int, tuple]]) -> None:
-        taken = node.state["taken"]
+    def on_round(self, node: Node, api: Api, inbox: Sequence[tuple[int, int]]) -> None:
+        state = node.state
+        trial = state["trial"]
+        final = ~trial
         conflict = False
-        trial = node.state["trial"]
-        for _, (kind, color) in inbox:
-            if kind == "final":
-                taken.add(color)
-                if color == trial:
-                    conflict = True
-            elif kind == "trial" and color == trial:
+        taken = None
+        for _, message in inbox:
+            if message == trial or message == final:
                 conflict = True
-        if trial is not None and not conflict:
-            api.broadcast(("final", trial))
+            if message < 0:
+                if taken is None:
+                    taken = {~message}
+                else:
+                    taken.add(~message)
+        if not conflict:
+            api.broadcast(final)
             api.halt(trial)
             return
+        if taken:
+            state["available"] = [c for c in state["available"] if c not in taken]
         self._try(node, api)
 
 
@@ -197,13 +212,19 @@ def randomized_list_coloring(
     rng: random.Random | None = None,
     validate: bool = True,
 ) -> tuple[list[int], RunResult]:
-    """Randomized (deg+1)-list coloring in O(log n) rounds w.h.p."""
+    """Randomized (deg+1)-list coloring in O(log n) rounds w.h.p.
+
+    Colors must be non-negative ints (the trials encode a final color
+    ``c`` as ``~c``).
+    """
     if validate:
         validate_lists(network, lists)
+        if any(c < 0 for colors in lists for c in colors):
+            raise SubroutineError("randomized list coloring needs colors >= 0")
     if rng is None:
         rng = random.Random(seed)
     result = network.run(_RandomTrialColoring(lists, rng))
     colors = [node.output for node in network.nodes]
     if validate:
-        _assert_proper_from_lists(network, colors, lists)
+        assert_proper_from_lists(network, colors, lists)
     return colors, result

@@ -18,17 +18,20 @@ reaches a fixpoint of at most ``(2 * Delta + 2)^2`` colors after
 O(log* m) rounds.
 
 Evaluation.  Each step keeps a value table ``tables[step][x][color] =
-p_color(x)``, filled on first lookup and shared by all nodes (and all
-runs of one instance), so a node reads its neighbours' values at ``x``
-instead of re-deriving their polynomials.  This stays within the LOCAL
-model: the table memoises a pure function of ``(color, q, k)`` that any
-node could compute itself, and a node looks up only its own color and
-the colors in its inbox.  Colors, messages and rounds are exactly those
+p_color(x)``, filled on first lookup and shared by all nodes and by
+every instance whose schedule has the same ``(q, k)`` step (a bounded
+cache of at most 16 steps, each column holding at most
+:data:`COLUMN_LIMIT` colors), so a node reads its neighbours' values
+at ``x`` instead of re-deriving their polynomials.  This stays within
+the LOCAL model: the table memoises a pure function of ``(color, q,
+k)`` that any node could compute itself, and a node looks up only its
+own color and the colors in its inbox.  Colors, messages and rounds are exactly those
 of per-node re-derivation (kept under ``tests/`` as the parity oracle).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from repro.errors import SubroutineError
@@ -69,16 +72,31 @@ def _digits(value: int, base: int, count: int) -> list[int]:
     return out
 
 
+#: Most colors one value column keeps; later lookups are computed.
+COLUMN_LIMIT = 1 << 16
+
+
 class _ValueColumn(dict[int, int]):
-    """``color -> p_color(x)`` over ``F_q`` at one point ``x``, filled on lookup."""
+    """``color -> p_color(x)`` over ``F_q`` at one point ``x``, filled on
+    lookup up to :data:`COLUMN_LIMIT` colors."""
 
     def __init__(self, x: int, q: int, k: int):
         super().__init__()
         self.x, self.q, self.k = x, q, k
 
     def __missing__(self, color: int) -> int:
-        value = self[color] = _eval_poly(_digits(color, self.q, self.k + 1), self.x, self.q)
+        value = _eval_poly(_digits(color, self.q, self.k + 1), self.x, self.q)
+        if len(self) < COLUMN_LIMIT:
+            self[color] = value
         return value
+
+
+@lru_cache(maxsize=16)
+def _value_columns(q: int, k: int) -> tuple[_ValueColumn, ...]:
+    """The ``q`` value columns of one ``(q, k)`` step, shared by every
+    instance whose schedule has that step; the least recently used of
+    more than 16 steps is dropped."""
+    return tuple(_ValueColumn(x, q, k) for x in range(q))
 
 
 def _reduction_schedule(m: int, delta: int) -> list[tuple[int, int]]:
@@ -158,9 +176,7 @@ class LinialColoring(DistributedAlgorithm):
             raise SubroutineError("id_space must be positive")
         self.schedule = _reduction_schedule(id_space, delta)
         # tables[step][x][color] = p_color(x) over F_q, filled on first use.
-        self.tables = [
-            [_ValueColumn(x, q, k) for x in range(q)] for q, k in self.schedule
-        ]
+        self.tables = [_value_columns(q, k) for q, k in self.schedule]
 
     def on_start(self, node: Node, api: Api) -> None:
         node.state["color"] = node.uid
@@ -175,8 +191,8 @@ class LinialColoring(DistributedAlgorithm):
     def _finish_isolated(self, node: Node, api: Api) -> None:
         # No neighbors: every reduction step may pick x = 0 immediately.
         color = node.state["color"]
-        for q, k in self.schedule:
-            color = _digits(color, q, k + 1)[0]  # evaluate at x = 0
+        for q, _ in self.schedule:
+            color %= q  # the constant coefficient: p_color(0)
         node.state["color"] = color
         api.halt(color)
 

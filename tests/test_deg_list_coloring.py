@@ -15,6 +15,7 @@ from repro.subroutines import (
     randomized_list_coloring,
     validate_lists,
 )
+from repro.subroutines.deg_list_coloring import _RandomTrialColoring
 from tests.conftest import random_network
 
 
@@ -91,6 +92,22 @@ class TestRandomized:
         net = Network.from_edges(1, [])
         colors, _ = randomized_list_coloring(net, [[3]], seed=0)
         assert colors == [3]
+
+    def test_negative_colors_rejected(self):
+        net = Network.from_edges(2, [(0, 1)])
+        with pytest.raises(SubroutineError, match=">= 0"):
+            randomized_list_coloring(net, [[-1, 0], [0, 1]], seed=0)
+
+    def test_trials_are_one_word_and_lists_untouched(self):
+        """A trial is the bare color and a final its complement, so every
+        message is one CONGEST word; the caller's lists are not edited."""
+        net = random_network(60, 150, seed=7)
+        lists = minimal_lists(net)
+        result = net.run(
+            _RandomTrialColoring(lists, random.Random(0)), measure_bandwidth=True
+        )
+        assert result.max_message_words == 1
+        assert lists == minimal_lists(net)
 
 
 class TestPropertyBased:

@@ -19,6 +19,7 @@ from repro.acd import DEFAULT_ETA, compute_acd
 from repro.errors import InvariantViolation, ReproError
 from repro.graphs import adversarial, generators
 from repro.local import Network
+from repro.subroutines import linial
 from repro.subroutines.linial import LinialColoring
 from tests.acd_oracle import LinialOracle, compute_acd_oracle
 from tests.conftest import random_network
@@ -189,3 +190,55 @@ class TestLinialParity:
             oracle_colors = [node.state["color"] for node in network.nodes]
             assert network.run(shared) == oracle
             assert [node.state["color"] for node in network.nodes] == oracle_colors
+
+    @pytest.mark.parametrize(
+        "configs",
+        [
+            # (id_space, delta, n, m): a lone (67, 2) compaction step.
+            ((500, 32, 500, 4000), (600, 33, 600, 4500)),
+            # Different first steps feeding one shared (29, 2) step.
+            ((10 ** 6, 12, 60, 120), (10 ** 9, 13, 60, 120)),
+        ],
+        ids=["compaction", "multi-step"],
+    )
+    @pytest.mark.parametrize("reverse", [False, True], ids=["ab", "ba"])
+    def test_instances_sharing_a_step_match_the_oracle(self, configs, reverse):
+        """Instances of different ``(id_space, delta)`` share the value
+        columns of a common ``(q, k)`` step; in either run order each
+        must still produce the oracle's colors and RunResult."""
+        linial._value_columns.cache_clear()
+        runs = []
+        for seed, (id_space, delta, n, m) in enumerate(configs):
+            network = random_network(n, m, seed=seed + 1)
+            uids = random.Random(seed).sample(range(id_space), n)
+            network = Network(network.adjacency, uids)
+            assert network.max_degree <= delta
+            runs.append((network, id_space, delta))
+        instances = [LinialColoring(id_space, delta) for _, id_space, delta in runs]
+        step = next(s for s in instances[0].schedule if s in instances[1].schedule)
+        first, second = (instance.schedule.index(step) for instance in instances)
+        assert instances[0].tables[first] is instances[1].tables[second]
+        order = [1, 0] if reverse else [0, 1]
+        for index in order:
+            network, id_space, delta = runs[index]
+            oracle = network.run(LinialOracle(id_space, delta))
+            oracle_colors = [node.state["color"] for node in network.nodes]
+            assert network.run(instances[index]) == oracle
+            assert [node.state["color"] for node in network.nodes] == oracle_colors
+
+    def test_shared_columns_are_bounded(self, monkeypatch):
+        linial._value_columns.cache_clear()
+        maxsize = linial._value_columns.cache_info().maxsize
+        assert maxsize is not None
+        for delta in range(3, 3 + 2 * maxsize):
+            LinialColoring(10 ** 6, delta)
+        assert linial._value_columns.cache_info().currsize <= maxsize
+
+        monkeypatch.setattr(linial, "COLUMN_LIMIT", 4)
+        column = linial._ValueColumn(3, 17, 2)
+        values = [column[color] for color in range(10)]
+        assert len(column) == 4
+        assert values == [
+            linial._eval_poly(linial._digits(color, 17, 3), 3, 17)
+            for color in range(10)
+        ]

@@ -14,9 +14,12 @@ from repro.core import (
     sparsify_matching,
 )
 from repro.constants import AlgorithmParameters
-from repro.errors import InvariantViolation
+from repro.core import finish_coloring
+from repro.core.finish_coloring import color_instance
+from repro.errors import InvariantViolation, SubroutineError
 from repro.graphs import hard_clique_graph
-from repro.local import RoundLedger
+from repro.local import Network, RoundLedger
+from repro.subroutines import deg_list_coloring
 from repro.verify import (
     check_lemma12,
     check_lemma13,
@@ -195,6 +198,50 @@ class TestPhase4:
             if colors[u] == colors[v]:
                 # Same color is only legal for the non-adjacent pairs.
                 assert v not in network.neighbor_set(u)
+
+
+class TestColorInstance:
+    """One (deg+1) list check per Lemma 17 instance, and the
+    post-coloring check still in place."""
+
+    @staticmethod
+    def path():
+        return Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+    def test_short_list_names_lemma17(self):
+        with pytest.raises(InvariantViolation, match="Lemma 17"):
+            color_instance(
+                self.path(), range(4), [None] * 4, [0, 1],
+                label="short", ledger=RoundLedger(),
+            )
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_kernels_skip_their_own_list_check(self, monkeypatch, deterministic):
+        def fail(*args):
+            raise AssertionError("validate_lists ran twice")
+
+        monkeypatch.setattr(deg_list_coloring, "validate_lists", fail)
+        colors: list[int | None] = [None, None, 2, None]
+        color_instance(
+            self.path(), range(4), colors, [0, 1, 2], label="ok",
+            ledger=RoundLedger(), deterministic=deterministic, seed=1,
+        )
+        assert None not in colors
+        assert all(colors[v] != colors[v + 1] for v in range(3))
+
+    def test_improper_kernel_output_is_caught(self, monkeypatch):
+        real = finish_coloring.deg_plus_one_list_coloring
+
+        def improper(network, lists, **kwargs):
+            _, result = real(network, lists, **kwargs)
+            return [lists[v][0] for v in range(network.n)], result
+
+        monkeypatch.setattr(finish_coloring, "deg_plus_one_list_coloring", improper)
+        with pytest.raises(SubroutineError, match="conflict"):
+            color_instance(
+                self.path(), range(4), [None] * 4, [0, 1, 2],
+                label="bad", ledger=RoundLedger(),
+            )
 
 
 class TestParameterEdgeCases:

@@ -83,6 +83,27 @@ class TestRunCell:
             row, sort_keys=True
         )
 
+    def test_clique_check_runs_once_per_graph(self, monkeypatch):
+        """The inline and pool executors cache the (Delta+1)-clique
+        verdict next to the classification: two cells over one graph
+        run the check once, not once per cell."""
+        import repro.bench.workloads as workloads
+        import repro.core.deterministic as deterministic
+
+        calls: list[int] = []
+        check = deterministic.assert_no_delta_plus_one_clique
+
+        def counted(network):
+            calls.append(network.n)
+            check(network)
+
+        monkeypatch.setattr(workloads, "assert_no_delta_plus_one_clique", counted)
+        monkeypatch.setattr(deterministic, "assert_no_delta_plus_one_clique", counted)
+        workloads.workload_clique_free.cache_clear()
+        run_cell(CampaignCell(label="det", method="deterministic", **SMALL))
+        run_cell(small_cells()[0])
+        assert calls == [16 * 8]
+
 
 class TestRunCampaign:
     def test_rows_in_cell_order(self):
