@@ -37,7 +37,8 @@ def test_round_breakdown(benchmark, once, case):
     else:
         instance = hard_workload(num_cliques)
     classification = workload_classification(
-        num_cliques, easy_fraction=easy_fraction
+        num_cliques, easy_fraction=easy_fraction,
+        workload="mixed" if easy_fraction else "hard",
     )
     result = once(
         benchmark,

@@ -27,7 +27,9 @@ _ROWS: list[dict] = []
 def test_easy_phase(benchmark, once, easy_fraction):
     num_cliques = 136
     instance = mixed_workload(num_cliques, easy_fraction=easy_fraction)
-    classification = workload_classification(num_cliques, easy_fraction=easy_fraction)
+    classification = workload_classification(
+        num_cliques, easy_fraction=easy_fraction, workload="mixed"
+    )
     result = once(
         benchmark,
         delta_color_deterministic,

@@ -3,8 +3,7 @@
 The LOCAL engine underneath the Delta-coloring stack is general: this
 example implements a classic textbook algorithm — synchronous leader
 election by minimum-uid flooding — from scratch, runs it, and inspects
-rounds, messages, bandwidth (CONGEST accounting), and the per-round
-activity trace.
+rounds, messages, and the per-round activity trace.
 
 Run:  python examples/write_your_own_algorithm.py
 """
@@ -54,27 +53,14 @@ def main() -> None:
     network = instance.network
 
     tracer = Tracer()
-    result = network.run(
-        MinUidLeaderElection(diameter_bound=12),
-        measure_bandwidth=True,
-        tracer=tracer,
-    )
+    result = network.run(MinUidLeaderElection(diameter_bound=12), tracer=tracer)
     leaders = set(result.outputs)
     print(f"n = {network.n}, every node agreed on leader uid "
           f"{leaders} (consensus: {len(leaders) == 1})")
     print(f"rounds: {result.rounds}, messages: {result.messages}")
-    print(f"bandwidth: max message {result.max_message_words} word(s) "
-          "-> CONGEST-compatible")
     print(f"activity: executed {tracer.executed_rounds} busy rounds, "
           f"peak {tracer.peak_scheduled} nodes in one round, "
           f"{tracer.quiet_fraction(result.rounds):.0%} quiet")
-
-    # The engine enforces the model: sending to a non-neighbor raises,
-    # message timing is synchronous, and a CONGEST limit can be imposed:
-    limited = network.run(
-        MinUidLeaderElection(diameter_bound=12), bandwidth_limit=1
-    )
-    print(f"re-run under CONGEST(1 word) succeeded in {limited.rounds} rounds")
 
 
 if __name__ == "__main__":

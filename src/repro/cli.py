@@ -145,13 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
             "AST-based static analysis of the repro sources.  Rule "
             "families: LOC (per-node code must stay inside the LOCAL "
             "model), DET (deterministic paths must be reproducible), "
-            "LED (every engine run must reach the RoundLedger), MSG "
-            "(CONGEST message discipline, on by default inside core/ "
-            "and subroutines/), ASY (asyncio safety in the serving "
-            "plane), PRV (RNG seeds must derive from the campaign seed "
-            "scheme).  Suppress single findings with "
-            "'# repro: lint-exempt[RULE]' pragmas; grandfather old ones "
-            "in a baseline file.  Exits 1 when new findings remain."
+            "LED (every engine run must reach the RoundLedger), ASY "
+            "(asyncio safety in the serving plane), PRV (RNG seeds must "
+            "derive from the campaign seed scheme).  Suppress single "
+            "findings with '# repro: lint-exempt[RULE]' pragmas; "
+            "grandfather old ones in a baseline file.  Exits 1 when new "
+            "findings remain."
         ),
     )
     lint.add_argument(
@@ -175,11 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--select", action="append", default=None, metavar="RULES",
         help="comma-separated rule ids or family prefixes (e.g. ASY or "
              "DET002,LOC); runs only those rules",
-    )
-    lint.add_argument(
-        "--congest", action="store_true",
-        help="also run any opt-in rules (kept for back-compat; the MSG "
-             "family is on by default inside core/ and subroutines/)",
     )
     lint.add_argument(
         "--baseline", default=None, metavar="FILE",
@@ -642,7 +636,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         selectors = [
             token for group in args.select for token in group.split(",")
         ]
-    rules = select_rules(selectors, congest=args.congest)
+    rules = select_rules(selectors)
 
     baseline_path: Path | None = None
     baseline = None

@@ -11,9 +11,6 @@ of the evidence chain takes for granted:
 * **LED** — every engine execution's rounds reach the
   :class:`~repro.local.ledger.RoundLedger` (directly, via a span, or
   by returning the :class:`RunResult` to a charging caller).
-* **MSG** — inside ``core/`` + ``subroutines/``, payloads that are not
-  O(log n) bits carry an explicit ``# repro: congest-exempt`` pragma:
-  the CONGEST width discipline the subroutine library claims.
 * **ASY** — the asyncio serving plane must not wedge its event loop:
   no blocking calls in coroutines, no dropped coroutine objects or
   task handles, no ``await`` under a synchronous lock.
@@ -22,12 +19,11 @@ of the evidence chain takes for granted:
   parameters) and is never shared across connection/cell boundaries.
 
 Scoping is per rule family (see :mod:`repro.lint.source`): ``serve/``
-is DET-exempt yet PRV-covered; MSG is default-on only inside its
-perimeter.  Entry points: :func:`run_lint` (library), ``repro lint``
-(CLI, with ``--sarif`` for dashboard ingestion).  Suppression:
-``# repro: lint-exempt[RULE]`` pragmas and a committed baseline file
-(see :mod:`repro.lint.baseline`).  DESIGN.md §9 has the full rule
-catalog and the mapping onto the LOCAL model.
+is DET-exempt yet PRV-covered.  Entry points: :func:`run_lint`
+(library), ``repro lint`` (CLI, with ``--sarif`` for dashboard
+ingestion).  Suppression: ``# repro: lint-exempt[RULE]`` pragmas and a
+committed baseline file (see :mod:`repro.lint.baseline`).  DESIGN.md §9
+has the full rule catalog and the mapping onto the LOCAL model.
 """
 
 from repro.lint.baseline import Baseline, BaselineError, partition_findings

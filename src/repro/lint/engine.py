@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from repro.errors import ReproError
 from repro.lint.baseline import Baseline, partition_findings
 from repro.lint.findings import Finding
-from repro.lint.rules import ALL_RULES, RULES_BY_ID
+from repro.lint.rules import ALL_RULES, RULES_BY_ID, default_rules
 from repro.lint.rules.base import Rule
 from repro.lint.source import SourceModule, parse_module
 
@@ -47,16 +47,12 @@ class LintReport:
         return sorted([*self.new, *self.baselined])
 
 
-def select_rules(
-    select: Iterable[str] | None = None, *, congest: bool = False
-) -> tuple[Rule, ...]:
+def select_rules(select: Iterable[str] | None = None) -> tuple[Rule, ...]:
     """Resolve the active rule set.
 
     ``select`` names rule ids or family prefixes (``DET``, ``LOC``,
     ``ASY``, ``PRV``, ...) and implies *only* those rules, including
-    default-disabled ones.  Without it, the default set runs, plus any
-    default-disabled rules when ``congest`` is set (kept for
-    back-compat; the MSG family is default-on inside its scope now).
+    default-disabled ones.  Without it, the default set runs.
     """
     if select:
         wanted = {token.strip().upper() for token in select if token.strip()}
@@ -79,10 +75,7 @@ def select_rules(
                 f"(known: {', '.join(sorted(RULES_BY_ID))})"
             )
         return tuple(chosen)
-    rules = [rule for rule in ALL_RULES if rule.default_enabled]
-    if congest:
-        rules.extend(rule for rule in ALL_RULES if not rule.default_enabled)
-    return tuple(rules)
+    return default_rules()
 
 
 def discover_files(paths: Sequence[str | Path]) -> list[Path]:

@@ -1,31 +1,26 @@
 """Inline suppression pragmas.
 
-Two comment forms suppress findings on the line they annotate (or, for
-a comment-only line, on the next code line below it)::
+A pragma comment suppresses findings on the line it annotates (or,
+for a comment-only line, on the next code line below it)::
 
     colors = {hash(tag)}  # repro: lint-exempt[DET005] -- tag set is per-run
 
-    # repro: congest-exempt -- O(Delta) proposal list, LOCAL-model phase
-    api.broadcast([p for p in proposals])
+    # repro: lint-exempt[DET002] -- consumed order-free below
+    labels = [label for label in tag_set]
 
-``lint-exempt`` takes a bracketed comma-separated list of rule ids;
-``congest-exempt`` is shorthand for the message-discipline family
-(``MSG001``).  Pragmas are deliberately rule-scoped — there is no
-blanket ``lint-exempt`` without brackets — so a suppression can never
-hide a *different* rule that later starts firing on the same line.
+``lint-exempt`` takes a bracketed comma-separated list of rule ids.
+Pragmas are deliberately rule-scoped — there is no blanket
+``lint-exempt`` without brackets — so a suppression can never hide a
+*different* rule that later starts firing on the same line.
 """
 
 from __future__ import annotations
 
 import re
 
-__all__ = ["CONGEST_RULES", "parse_pragmas"]
-
-#: Rules covered by the ``congest-exempt`` shorthand.
-CONGEST_RULES = frozenset({"MSG001"})
+__all__ = ["parse_pragmas"]
 
 _EXEMPT = re.compile(r"#\s*repro:\s*lint-exempt\[([A-Z0-9,\s]+)\]")
-_CONGEST = re.compile(r"#\s*repro:\s*congest-exempt\b")
 _COMMENT_ONLY = re.compile(r"^\s*#")
 
 
@@ -41,14 +36,12 @@ def parse_pragmas(source: str) -> dict[int, frozenset[str]]:
     suppressions: dict[int, set[str]] = {}
     lines = source.splitlines()
     for lineno, text in enumerate(lines, start=1):
-        rules: set[str] = set()
         match = _EXEMPT.search(text)
-        if match:
-            rules.update(
-                rule.strip() for rule in match.group(1).split(",") if rule.strip()
-            )
-        if _CONGEST.search(text):
-            rules.update(CONGEST_RULES)
+        if not match:
+            continue
+        rules = {
+            rule.strip() for rule in match.group(1).split(",") if rule.strip()
+        }
         if not rules:
             continue
         suppressions.setdefault(lineno, set()).update(rules)

@@ -6,7 +6,6 @@ canonical ordered list the engine runs.  Ids are grouped by family:
 * ``LOC``: LOCAL-model locality (per-node code sees only local state),
 * ``DET``: determinism (reproducible outputs for fixed inputs/seeds),
 * ``LED``: ledger accounting (no simulated rounds escape telemetry),
-* ``MSG``: message discipline (CONGEST width, on inside core/+subroutines/),
 * ``ASY``: asyncio safety (the serving plane must not wedge its loop),
 * ``PRV``: seed provenance (every RNG derives from the campaign scheme).
 """
@@ -20,7 +19,6 @@ from repro.lint.rules.asyncio_safety import (
     UnawaitedCoroutine,
 )
 from repro.lint.rules.base import Rule
-from repro.lint.rules.congest import WidePayload
 from repro.lint.rules.determinism import (
     GlobalRandom,
     OsEntropy,
@@ -49,7 +47,6 @@ ALL_RULES: tuple[Rule, ...] = (
     StringHash(),
     DiscardedRunResult(),
     UnaccountedRun(),
-    WidePayload(),
     BlockingCallInCoroutine(),
     UnawaitedCoroutine(),
     FireAndForgetTask(),

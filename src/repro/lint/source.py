@@ -29,7 +29,6 @@ from typing import Iterator
 from repro.lint.pragmas import parse_pragmas
 
 __all__ = [
-    "CONGEST_SCOPED_PACKAGES",
     "DETERMINISM_EXEMPT_PACKAGES",
     "ENGINE_MODULES",
     "PROVENANCE_SCOPED_MODULES",
@@ -73,16 +72,6 @@ PROVENANCE_SCOPED_PACKAGES = (
 #: injector consumes seeded streams inside the engine loop.
 PROVENANCE_SCOPED_MODULES = (
     "local/faults.py",
-)
-
-#: MSG-family scope: where the CONGEST message-width discipline runs by
-#: default (ROADMAP: "flip MSG001 on for core/ once clean").  The
-#: coloring pipeline and the subroutine library it drives are the code
-#: a CONGEST port would re-engineer; examples and ad-hoc algorithms
-#: stay census-on-demand via ``--select MSG``.
-CONGEST_SCOPED_PACKAGES = (
-    "core",
-    "subroutines",
 )
 
 #: Engine implementation modules: the only code allowed to own inboxes,
@@ -151,13 +140,6 @@ class SourceModule:
             self.in_package(*PROVENANCE_SCOPED_PACKAGES)
             or self.rel in PROVENANCE_SCOPED_MODULES
         )
-
-    @property
-    def congest_scope(self) -> bool:
-        """True when the MSG message-width rules apply by default."""
-        if self.rel is None:
-            return True
-        return self.in_package(*CONGEST_SCOPED_PACKAGES)
 
     @property
     def engine_module(self) -> bool:

@@ -13,7 +13,7 @@ from repro.local.algorithm import BROADCAST, Api, DistributedAlgorithm
 from repro.local.faults import FaultPlan
 from repro.local.gather import Ball, ball, ball_vertices, gather_balls
 from repro.local.ledger import LedgerEntry, RoundLedger
-from repro.local.network import DEFAULT_MAX_ROUNDS, Network, message_words
+from repro.local.network import DEFAULT_MAX_ROUNDS, Network
 from repro.local.node import Node
 from repro.local.result import RunResult
 from repro.local.trace import RoundSample, Tracer
@@ -37,5 +37,4 @@ __all__ = [
     "ball",
     "ball_vertices",
     "gather_balls",
-    "message_words",
 ]

@@ -21,12 +21,12 @@ are validated against the sender's adjacency row.
 The execution hot path is written for throughput: per-node inbox buffers
 are preallocated once per run, the per-round schedule is a plain int list
 deduplicated in place, broadcasts expand lazily against the (immutable)
-adjacency so each one costs a single outbox record, and bandwidth
-accounting compiles down to a single branch on a local flag when it is
-off.  This loop is the only message-delivery loop in the package: fault
-injection (:class:`~repro.local.faults.FaultPlan`) hooks into it rather
-than running a copy of it.  The pre-overhaul seed engine is kept under
+adjacency so each one costs a single outbox record.  This loop is the
+only message-delivery loop in the package: fault injection
+(:class:`~repro.local.faults.FaultPlan`) hooks into it rather than
+running a copy of it.  The pre-overhaul seed engine is kept under
 ``tests/`` as the parity oracle (see ``tests/test_engine_parity.py``).
+Messages are LOCAL: unbounded, with no size accounting.
 """
 
 from __future__ import annotations
@@ -42,42 +42,6 @@ from repro.obs import _runtime as _obs
 
 #: Default safety cap on simulated rounds.
 DEFAULT_MAX_ROUNDS = 2_000_000
-
-def message_words(payload) -> int:
-    """Size of a message in machine words (CONGEST accounting).
-
-    One *word* models the CONGEST unit of ``O(log n)`` bits, so every
-    bounded scalar an algorithm sends counts as one word:
-
-    * ``None``, ``bool``, ``int``, ``float`` — identifiers, colors, round
-      numbers, probabilities: all ``O(log n)``-bit quantities, 1 word.
-    * ``str`` / ``bytes`` — 8 bytes (one 64-bit word) per word, rounded
-      up, with a 1-word minimum; short protocol tags therefore cost the
-      same as an int and do not let text smuggle free bandwidth.
-    * ``tuple`` / ``list`` / ``set`` / ``frozenset`` — the sum of their
-      items; ``dict`` — the sum over keys and values.  The ``O(1)``
-      framing overhead of a container is deliberately ignored, matching
-      how CONGEST analyses count field widths, not encodings.
-
-    Any other payload type raises :class:`SimulationError`: a rich object
-    has no defined wire width, and silently counting it as one word would
-    let it bypass ``bandwidth_limit`` checks and corrupt the CONGEST
-    accounting reported by :meth:`Network.run`.
-    """
-    if payload is None or isinstance(payload, (int, float)):
-        return 1
-    if isinstance(payload, (str, bytes)):
-        return max(1, (len(payload) + 7) // 8)
-    if isinstance(payload, (tuple, list, set, frozenset)):
-        return sum(message_words(item) for item in payload)
-    if isinstance(payload, dict):
-        return sum(
-            message_words(k) + message_words(v) for k, v in payload.items()
-        )
-    raise SimulationError(
-        f"cannot size a payload of type {type(payload).__name__!r} for "
-        "CONGEST accounting; send scalars, strings, or containers thereof"
-    )
 
 
 def _adjacency_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -286,8 +250,6 @@ class Network:
         algorithm: DistributedAlgorithm,
         *,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
-        measure_bandwidth: bool = False,
-        bandwidth_limit: int | None = None,
         tracer=None,
         faults=None,
     ) -> RunResult:
@@ -299,12 +261,6 @@ class Network:
         fast-forwarded quiet rounds up to the last activity.  For an
         algorithm with ``wake_on_messages = False`` (read once per run)
         only alarms schedule nodes, so the run ends with its last alarm.
-
-        With ``measure_bandwidth`` the per-message size in words is
-        tracked (see :func:`message_words`), which tells whether the
-        algorithm would also run in CONGEST; ``bandwidth_limit`` turns
-        the simulator into a CONGEST(limit-words) model — any larger
-        message raises :class:`SimulationError`.
 
         ``faults`` injects a seeded :class:`~repro.local.faults.FaultPlan`
         (message loss, crash-stop nodes, round budget; semantics in
@@ -341,7 +297,6 @@ class Network:
         heappush = heapq.heappush
         heappop = heapq.heappop
         validate = self._validate_sends
-        track = measure_bandwidth or bandwidth_limit is not None
         wake = getattr(algorithm, "wake_on_messages", True)
 
         # Per-node inbox buffers, preallocated once.  A node's buffer is
@@ -352,8 +307,6 @@ class Network:
         halted_count = 0
 
         messages_sent = 0
-        max_words = 0
-        total_words = 0
 
         # Fault hook.  ``round_cap`` folds the plan's budget into the
         # max_rounds check, so the fault-free loop pays nothing per round.
@@ -385,7 +338,7 @@ class Network:
 
         def flush_outbox(next_round: int) -> list[int]:
             """Deliver the outbox; return the indices that got messages."""
-            nonlocal messages_sent, max_words, total_words
+            nonlocal messages_sent
             receivers: list[int] = []
             append_receiver = receivers.append
             for dst, src, payload in outbox:
@@ -399,17 +352,6 @@ class Network:
                     if not copies:
                         continue
                     messages_sent += copies
-                    if track:
-                        words = message_words(payload)
-                        total_words += words * copies
-                        if words > max_words:
-                            max_words = words
-                        if bandwidth_limit is not None and words > bandwidth_limit:
-                            raise SimulationError(
-                                f"{algorithm.name}: message of {words} words "
-                                f"from {src} exceeds the CONGEST limit of "
-                                f"{bandwidth_limit}"
-                            )
                     pair = (src, payload)
                     if faulty:
                         # Filtered up front, in delivery order, so the
@@ -436,17 +378,6 @@ class Network:
                             f"non-neighbor {dst}"
                         )
                     messages_sent += 1
-                    if track:
-                        words = message_words(payload)
-                        total_words += words
-                        if words > max_words:
-                            max_words = words
-                        if bandwidth_limit is not None and words > bandwidth_limit:
-                            raise SimulationError(
-                                f"{algorithm.name}: message of {words} words "
-                                f"from {src} exceeds the CONGEST limit of "
-                                f"{bandwidth_limit}"
-                            )
                     if halted[dst]:
                         continue
                     if faulty and lost(dst, next_round):
@@ -544,8 +475,6 @@ class Network:
             messages=messages_sent,
             outputs=[node.output for node in nodes],
             halted=[node.halted for node in nodes],
-            max_message_words=max_words,
-            total_message_words=total_words,
             dropped_messages=dropped,
             crashed_nodes=[
                 index

@@ -25,13 +25,6 @@ class RunResult:
         ``api.output(value)``; ``None`` for nodes that never published.
     halted:
         Per-node halt flags at termination.
-    max_message_words:
-        Largest message observed, in machine words (only measured when
-        the run was started with ``measure_bandwidth=True``; 0
-        otherwise).  A LOCAL algorithm is CONGEST-compatible when this
-        stays O(1) — each word is an O(log n)-bit quantity.
-    total_message_words:
-        Sum of message sizes in words (same caveat).
     dropped_messages:
         Messages lost to fault injection (random drops plus deliveries
         to crashed nodes); always 0 on a fault-free run.  ``messages``
@@ -51,8 +44,6 @@ class RunResult:
     messages: int
     outputs: list[Any]
     halted: list[bool] = field(default_factory=list)
-    max_message_words: int = 0
-    total_message_words: int = 0
     dropped_messages: int = 0
     crashed_nodes: list[int] = field(default_factory=list)
     budget_exhausted: bool = False

@@ -154,15 +154,12 @@ def derive_cell_seed(base_seed: int, index: int, label: str) -> int:
 
 
 def _build_instance(cell: CampaignCell):
-    from repro.bench.workloads import hard_workload, mixed_workload
+    from repro.bench.workloads import workload_instance
 
-    if cell.workload == "hard":
-        return hard_workload(cell.num_cliques, cell.delta, cell.graph_seed)
-    if cell.workload == "mixed":
-        return mixed_workload(
-            cell.num_cliques, cell.delta, cell.easy_fraction, cell.graph_seed
-        )
-    raise ReproError(f"unknown campaign workload {cell.workload!r}")
+    return workload_instance(
+        cell.workload, cell.num_cliques, cell.delta, cell.graph_seed,
+        cell.easy_fraction,
+    )
 
 
 def run_cell(cell: CampaignCell) -> dict[str, Any]:
@@ -185,12 +182,13 @@ def run_cell(cell: CampaignCell) -> dict[str, Any]:
     def classification_for(epsilon: float) -> Any:
         return workload_classification(
             cell.num_cliques, cell.delta, epsilon, cell.graph_seed,
-            cell.easy_fraction,
+            cell.easy_fraction, cell.workload,
         )
 
     def validated() -> None:
         workload_clique_free(
-            cell.num_cliques, cell.delta, cell.graph_seed, cell.easy_fraction
+            cell.num_cliques, cell.delta, cell.graph_seed, cell.easy_fraction,
+            cell.workload,
         )
 
     return _execute_cell(

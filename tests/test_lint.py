@@ -37,9 +37,9 @@ REPO_SRC = Path(__file__).parent.parent / "src"
 ALL_RULE_IDS = sorted(RULES_BY_ID)
 
 
-def lint_rules(path, *, congest=True, baseline=None):
+def lint_rules(path, *, baseline=None):
     """Lint one path with every family enabled; return sorted rule ids."""
-    report = run_lint([path], rules=select_rules(congest=congest), baseline=baseline)
+    report = run_lint([path], rules=select_rules(), baseline=baseline)
     return sorted(finding.rule for finding in report.new)
 
 
@@ -59,8 +59,6 @@ EXPECTED_FINDINGS = {
     "led001_chaos_run.py": ["LED001"],
     "led001_discarded_run.py": ["LED001"],
     "led002_unaccounted_run.py": ["LED002"],
-    "msg001_wide_payload.py": ["MSG001"],
-    "msg001_named_payload.py": ["MSG001"],
     "asy001_blocking_call.py": ["ASY001"] * 4,
     "asy002_unawaited_coroutine.py": ["ASY002"] * 2,
     "asy003_fire_and_forget_task.py": ["ASY003"] * 2,
@@ -108,9 +106,9 @@ def test_fixture_directory_is_fully_accounted():
 
 
 def test_pragma_fixture_suppresses_everything():
-    report = run_lint([FIXTURES / "pragma_exempt.py"], rules=select_rules(congest=True))
+    report = run_lint([FIXTURES / "pragma_exempt.py"], rules=select_rules())
     assert report.new == []
-    assert sorted(f.rule for f in report.suppressed) == ["DET002", "DET003", "MSG001"]
+    assert sorted(f.rule for f in report.suppressed) == ["DET002", "DET003"]
 
 
 def test_pragma_is_rule_scoped():
@@ -118,14 +116,9 @@ def test_pragma_is_rule_scoped():
     assert pragmas == {1: frozenset({"DET003"})}
 
 
-def test_pragma_comma_list_and_congest_shorthand():
-    source = (
-        "a = 1  # repro: lint-exempt[DET002, LOC001]\n"
-        "b = 2  # repro: congest-exempt\n"
-    )
-    pragmas = parse_pragmas(source)
+def test_pragma_comma_list():
+    pragmas = parse_pragmas("a = 1  # repro: lint-exempt[DET002, LOC001]\n")
     assert pragmas[1] == frozenset({"DET002", "LOC001"})
-    assert pragmas[2] == frozenset({"MSG001"})
 
 
 def test_comment_only_pragma_covers_next_code_line():
@@ -260,12 +253,8 @@ def test_update_baseline_never_resurrects_stale_entries(tmp_path):
 
 
 def test_default_rules_include_every_family():
-    # MSG001 is default-on since its promotion — it scopes itself to
-    # core/ + subroutines/ via applies() rather than staying opt-in.
     default_ids = {rule.rule_id for rule in select_rules()}
-    assert {
-        "LOC001", "DET002", "LED001", "MSG001", "ASY001", "PRV001",
-    } <= default_ids
+    assert {"LOC001", "DET002", "LED001", "ASY001", "PRV001"} <= default_ids
 
 
 def test_select_asy_and_prv_families():
@@ -321,26 +310,6 @@ def test_real_serve_sources_are_determinism_exempt():
     assert report.ok
 
 
-def test_msg001_scopes_to_congest_perimeter(tmp_path):
-    # The same wide-payload algorithm is a finding under
-    # repro/subroutines (inside the CONGEST perimeter) and silent under
-    # repro/serve (outside it) — per-family scoping, not per-module.
-    source = (
-        "from repro.local.algorithm import DistributedAlgorithm\n\n\n"
-        "class Dump(DistributedAlgorithm):\n"
-        "    def on_round(self, node, api, inbox):\n"
-        "        api.broadcast([m for _, m in inbox])\n"
-    )
-    inside = tmp_path / "src" / "repro" / "subroutines" / "dump.py"
-    outside = tmp_path / "src" / "repro" / "serve" / "dump.py"
-    for module in (inside, outside):
-        module.parent.mkdir(parents=True)
-        module.write_text(source)
-    flagged = run_lint([inside], rules=select_rules())
-    assert [f.rule for f in flagged.new] == ["MSG001"]
-    assert run_lint([outside], rules=select_rules()).ok
-
-
 def test_prv_rules_claw_back_determinism_exempt_serve(tmp_path):
     # serve/ is DET-exempt, but an underived RNG seed there is still a
     # PRV001 finding: provenance scope covers the exempted packages.
@@ -381,7 +350,7 @@ def test_engine_source_is_fully_clean():
             REPO_SRC / "repro" / "local" / "network.py",
             REPO_SRC / "repro" / "local" / "faults.py",
         ],
-        rules=select_rules(congest=True),
+        rules=select_rules(),
     )
     assert report.ok
     assert report.suppressed == []
@@ -392,10 +361,10 @@ def test_engine_source_is_fully_clean():
 # ----------------------------------------------------------------------
 
 
-def check_snippet(tmp_path, source, *, congest=False):
+def check_snippet(tmp_path, source):
     path = tmp_path / "snippet.py"
     path.write_text(source)
-    return lint_rules(path, congest=congest)
+    return lint_rules(path)
 
 
 def test_sorted_iteration_is_clean(tmp_path):
@@ -690,18 +659,6 @@ def test_cli_github_flag(capsys):
     assert "::error file=" in capsys.readouterr().out
 
 
-def test_cli_flags_wide_payload_by_default(capsys):
-    # MSG001 promotion: fixture files (full-strength scope) fire with
-    # no --congest flag; the flag stays accepted for back-compat.
-    flagged = main(["lint", str(FIXTURES / "msg001_wide_payload.py"),
-                    "--no-baseline"])
-    assert flagged == 1
-    assert "MSG001" in capsys.readouterr().out
-    still_flagged = main(["lint", str(FIXTURES / "msg001_wide_payload.py"),
-                          "--congest", "--no-baseline"])
-    assert still_flagged == 1
-
-
 def test_cli_sarif_flag(capsys):
     code = main(["lint", str(FIXTURES / "det001_global_random.py"),
                  "--sarif", "--no-baseline"])
@@ -763,27 +720,6 @@ def test_core_has_no_lint_exemptions():
             key for key in baseline.counts if "repro/core/" in key[0]
         ]
         assert core_entries == []
-
-
-def test_congest_perimeter_is_bandwidth_clean():
-    """MSG001 is default-on across core/ + subroutines/: zero findings,
-    and zero *unexplained* exemptions — every congest-exempt pragma in
-    the perimeter must carry a `--` justification naming the width."""
-    perimeter = [
-        REPO_SRC / "repro" / "core",
-        REPO_SRC / "repro" / "subroutines",
-    ]
-    report = run_lint(perimeter, rules=select_rules(["MSG"]))
-    assert report.ok, "\n" + render_text(report)
-    for root in perimeter:
-        for path in sorted(root.rglob("*.py")):
-            for number, line in enumerate(path.read_text().splitlines(), 1):
-                if "congest-exempt" in line:
-                    tail = line.split("congest-exempt", 1)[1]
-                    assert "--" in tail, (
-                        f"{path}:{number}: congest-exempt pragma without a "
-                        "justification ('-- <why this width is acceptable>')"
-                    )
 
 
 def test_serve_sources_pass_async_and_provenance_rules():

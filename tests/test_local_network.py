@@ -278,50 +278,3 @@ class TestSubnetwork:
         net = path_network(3)
         sub, mapping = net.subnetwork([])
         assert sub.n == 0 and mapping == []
-
-
-class TestBandwidthAccounting:
-    def test_message_words_scalars(self):
-        from repro.local import message_words
-
-        assert message_words(7) == 1
-        assert message_words(None) == 1
-        assert message_words(3.5) == 1
-
-    def test_message_words_containers(self):
-        from repro.local import message_words
-
-        assert message_words((1, 2, 3)) == 3
-        assert message_words({"a": 1}) == 2
-        assert message_words(("x", (1, 2))) == 3
-
-    def test_flood_is_congest_friendly(self):
-        net = path_network(5)
-        result = net.run(Flood(), measure_bandwidth=True)
-        assert result.max_message_words == 1
-        assert result.total_message_words == result.messages
-
-    def test_bandwidth_off_by_default(self):
-        net = path_network(4)
-        result = net.run(Flood())
-        assert result.max_message_words == 0
-
-    def test_bandwidth_limit_enforced(self):
-        class Fat(DistributedAlgorithm):
-            name = "fat"
-
-            def on_start(self, node, api):
-                if node.index == 0:
-                    api.send(1, tuple(range(100)))
-
-            def on_round(self, node, api, inbox):  # pragma: no cover
-                pass
-
-        net = path_network(2)
-        with pytest.raises(SimulationError, match="CONGEST"):
-            net.run(Fat(), bandwidth_limit=4)
-
-    def test_bandwidth_limit_allows_small_messages(self):
-        net = path_network(5)
-        result = net.run(Flood(), bandwidth_limit=2)
-        assert result.outputs == [0, 1, 2, 3, 4]

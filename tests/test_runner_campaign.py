@@ -105,6 +105,50 @@ class TestRunCell:
         assert calls == [16 * 8]
 
 
+    def test_mixed_cell_setup_matches_its_graph(self, monkeypatch):
+        """A mixed cell with the default ``easy_fraction=0.0`` is colored
+        on the mixed graph, and its cached classification and clique
+        check are of that graph, not of the hard graph of equal size."""
+        import repro.bench.workloads as workloads
+        import repro.runner.campaign as campaign
+        from repro.acd import compute_acd
+        from repro.core.hardness import classify_cliques
+
+        cell = CampaignCell(
+            label="mixed", workload="mixed", num_cliques=16, delta=8,
+            epsilon=0.25, graph_seed=1,
+        )
+        network = campaign._build_instance(cell).network
+        checked: list = []
+        classified: list = []
+
+        def recording_classify(graph, acd):
+            classified.append(graph)
+            return classify_cliques(graph, acd)
+
+        monkeypatch.setattr(
+            workloads, "assert_no_delta_plus_one_clique", checked.append
+        )
+        monkeypatch.setattr(workloads, "classify_cliques", recording_classify)
+        workloads.workload_classification.cache_clear()
+        workloads.workload_clique_free.cache_clear()
+        seen: dict = {}
+
+        def capture(cell, network, delta, classification_for, validated):
+            seen["network"] = network
+            seen["classification"] = classification_for(cell.epsilon)
+            validated()
+            return {}
+
+        monkeypatch.setattr(campaign, "_execute_cell", capture)
+        run_cell(cell)
+        assert seen["network"] is network
+        assert classified == [network]
+        assert seen["classification"] == classify_cliques(
+            network, compute_acd(network, epsilon=0.25)
+        )
+        assert checked == [network]
+
 class TestRunCampaign:
     def test_rows_in_cell_order(self):
         result = run_campaign(small_cells((3, 1, 2)))

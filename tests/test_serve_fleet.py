@@ -651,7 +651,10 @@ class TestFleetSubprocess:
                 unix_path=str(tmp_path / "router.sock"),
                 runtime_dir=str(tmp_path / "rt"),
                 cache_dir="",  # no disk tier: survivors must recompute
-                probe_interval_s=0.1,
+                # No periodic prober: ring membership follows dispatch
+                # answers, the supervisor's monitor and the fleet op's
+                # probes, so nothing races the reroute below.
+                probe_interval_s=0,
                 monitor_interval_s=0.05,
                 restart_backoff_s=0.05,
             )
@@ -676,8 +679,32 @@ class TestFleetSubprocess:
                     assert response["ok"]
                     before[seed] = response["result"]
 
+                router = supervisor.router
+                label = router.shard_labels()[0]
+                (owned,) = seeds_owned_by(router, instance_hash, label)
+                shard = router._shards[label]
+                dispatched = shard.dispatched
                 victim = supervisor.shard_pid(0)
+                # A stopped shard is alive to the monitor and stays in the
+                # ring, so a key it owns is dispatched to it for certain;
+                # killing it then fails that dispatch over to the next
+                # owner, which the router counts as a reroute.
+                os.kill(victim, signal.SIGSTOP)
+                pending = asyncio.ensure_future(client.request({
+                    "op": "color", "method": "randomized",
+                    "seed": owned, "epsilon": EPSILON,
+                    "instance_hash": instance_hash,
+                }))
+                deadline = asyncio.get_running_loop().time() + 30.0
+                while shard.dispatched == dispatched:
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.01)
                 os.kill(victim, signal.SIGKILL)
+                response = await pending
+                assert response["ok"]
+                assert json.dumps(response["result"], sort_keys=True) \
+                    == json.dumps(before[owned], sort_keys=True)
+                assert router.rerouted >= 1
                 # Every seed still answers, byte-identically: keys owned
                 # by the dead shard re-route to the next ring owner,
                 # which recomputes the same pure function.
