@@ -11,15 +11,17 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from typing import Sequence
+from functools import partial
+from typing import Any, Sequence
 
 from repro import __version__, delta_color
 from repro.acd import compute_acd
 from repro.constants import AlgorithmParameters
 from repro.core import classify_cliques
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.graphs import (
     hard_clique_graph,
     load_coloring,
@@ -40,6 +42,104 @@ from repro.verify import verify_coloring
 __all__ = ["build_parser", "main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose arguments may be added on first use.
+
+    A subcommand given ``add_arguments`` builds its flags only when it
+    is parsed, so only the commands that serve import ``repro.serve``
+    (and asyncio with it).
+    """
+
+    def __init__(self, *args: Any, add_arguments: Any = None, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+#: Flag types by field annotation (annotations are strings such as
+#: ``"int"`` or ``"float | None"``; anything else parses as a string).
+_FLAG_TYPES = {"int": int, "float": float}
+
+
+def _knob_fields(config: type) -> list:
+    return [
+        item for item in dataclasses.fields(config)
+        if item.metadata.get("flags")
+    ]
+
+
+def _add_knobs(parser: argparse.ArgumentParser, config: str) -> None:
+    """Add one flag per knob of ``repro.serve``'s config class ``config``.
+
+    Flag, ``argparse`` options and default all come from the field (see
+    :mod:`repro.serve.knobs`); a required flag has no default.
+    """
+    import repro.serve
+
+    for item in _knob_fields(getattr(repro.serve, config)):
+        options = item.metadata["options"]
+        parser.add_argument(
+            *item.metadata["flags"],
+            type=_FLAG_TYPES.get(item.type.partition(" ")[0]),
+            default=None if options.get("required") else item.default,
+            **options,
+        )
+
+
+def _knob_config(config: type, args: argparse.Namespace, **values: Any):
+    """Build ``config`` from its knob flags in ``args`` plus ``values``."""
+    return config(**{
+        item.name: getattr(args, item.metadata["dest"])
+        for item in _knob_fields(config)
+    }, **values)
+
+
+def _chaosproxy_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--host", default="127.0.0.1",
+                        help="listen host (default %(default)s)")
+    parser.add_argument("--port", type=int, default=0,
+                        help="listen TCP port (default %(default)s: "
+                             "ephemeral, printed)")
+    parser.add_argument("--unix", default=None, metavar="PATH",
+                        help="listen on a UNIX socket instead of TCP")
+    parser.add_argument(
+        "--upstream", required=True, metavar="SPEC",
+        help="the real server: 'host:port' or 'unix:/path'",
+    )
+    _add_knobs(parser, "ChaosPlan")
+    parser.add_argument("--json", action="store_true",
+                        help="print the final summary as JSON")
+
+
+def _add_instance_flags(parser: argparse.ArgumentParser, *, kind: str) -> None:
+    """The knobs of a generated instance (``generate`` and ``trace``)."""
+    parser.add_argument(
+        "--kind", choices=("hard", "mixed", "pg"), default=kind,
+        help="hard cliques, mixed hard/easy, or projective-plane (girth 6)",
+    )
+    parser.add_argument("--cliques", type=int, default=34)
+    parser.add_argument("--delta", type=int, default=16)
+    parser.add_argument("--easy-fraction", type=float, default=0.25)
+    parser.add_argument("--q", type=int, default=7,
+                        help="prime order for --kind pg")
+
+
+def _generated_instance(args: argparse.Namespace, seed: int | None):
+    if args.kind == "hard":
+        return hard_clique_graph(args.cliques, args.delta, seed=seed)
+    if args.kind == "mixed":
+        return mixed_dense_graph(
+            args.cliques, args.delta,
+            easy_fraction=args.easy_fraction, seed=seed,
+        )
+    return projective_plane_clique_graph(args.q)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -49,20 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser
+    )
 
     generate = commands.add_parser(
         "generate", help="generate a dense benchmark instance"
     )
-    generate.add_argument(
-        "--kind", choices=("hard", "mixed", "pg"), default="hard",
-        help="hard cliques, mixed hard/easy, or projective-plane (girth 6)",
-    )
-    generate.add_argument("--cliques", type=int, default=34)
-    generate.add_argument("--delta", type=int, default=16)
-    generate.add_argument("--easy-fraction", type=float, default=0.25)
-    generate.add_argument("--q", type=int, default=7,
-                          help="prime order for --kind pg")
+    _add_instance_flags(generate, kind="hard")
     generate.add_argument("--seed", type=int, default=None)
     generate.add_argument("-o", "--output", required=True)
 
@@ -107,15 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         "instance", nargs="?", default=None,
         help="instance JSON file (omit to generate one)",
     )
-    trace.add_argument(
-        "--kind", choices=("hard", "mixed", "pg"), default="mixed",
-        help="generated workload when no instance file is given",
-    )
-    trace.add_argument("--cliques", type=int, default=34)
-    trace.add_argument("--delta", type=int, default=16)
-    trace.add_argument("--easy-fraction", type=float, default=0.25)
-    trace.add_argument("--q", type=int, default=7,
-                       help="prime order for --kind pg")
+    _add_instance_flags(trace, kind="mixed")
     trace.add_argument("--graph-seed", type=int, default=None)
     trace.add_argument(
         "--method", choices=("deterministic", "randomized"),
@@ -262,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 4)",
     )
 
-    serve = commands.add_parser(
+    commands.add_parser(
         "serve",
         help="run the async coloring service (NDJSON over TCP/UNIX)",
         description=(
@@ -272,46 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
             "bound, and drains gracefully on SIGTERM or the 'drain' op.  "
             "See DESIGN.md §10 for the protocol and architecture."
         ),
+        add_arguments=partial(_add_knobs, config="ServeConfig"),
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="TCP port (default 0: ephemeral, printed)")
-    serve.add_argument("--unix", default=None, metavar="PATH",
-                       help="serve on a UNIX socket instead of TCP")
-    serve.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes (0: run batches inline, no isolation)",
-    )
-    serve.add_argument("--max-batch", type=int, default=8,
-                       help="micro-batch size bound (default 8)")
-    serve.add_argument(
-        "--linger-ms", type=float, default=2.0,
-        help="how long an open batch waits for company (default 2ms)",
-    )
-    serve.add_argument(
-        "--max-queue", type=int, default=256,
-        help="admission bound; requests past it are shed (default 256)",
-    )
-    serve.add_argument("--cache-size", type=int, default=1024,
-                       help="in-memory result cache entries (0 disables)")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="also persist cached results on disk")
-    serve.add_argument(
-        "--cache-max-bytes", type=int, default=None, metavar="BYTES",
-        help="bound the disk cache; oldest entries are pruned past it",
-    )
-    serve.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="default per-request deadline when the client sets none",
-    )
-    serve.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="SECONDS",
-        help="close connections sending no complete request within this "
-             "bound (slowloris defense; default: 60s on TCP, off on UNIX "
-             "sockets; 0 disables)",
-    )
-
-    chaosproxy = commands.add_parser(
+    commands.add_parser(
         "chaosproxy",
         help="seeded TCP chaos proxy in front of a coloring server",
         description=(
@@ -323,52 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
             "direction), so a chaos run is bit-reproducible.  See "
             "DESIGN.md §13."
         ),
+        add_arguments=_chaosproxy_arguments,
     )
-    chaosproxy.add_argument("--host", default="127.0.0.1",
-                            help="listen host (default 127.0.0.1)")
-    chaosproxy.add_argument("--port", type=int, default=0,
-                            help="listen TCP port (default 0: ephemeral, "
-                                 "printed)")
-    chaosproxy.add_argument("--unix", default=None, metavar="PATH",
-                            help="listen on a UNIX socket instead of TCP")
-    chaosproxy.add_argument(
-        "--upstream", required=True, metavar="SPEC",
-        help="the real server: 'host:port' or 'unix:/path'",
-    )
-    chaosproxy.add_argument("--seed", type=int, default=0,
-                            help="chaos plan seed (default 0)")
-    chaosproxy.add_argument("--latency-ms", type=float, default=0.0,
-                            help="base added latency per forwarded chunk")
-    chaosproxy.add_argument("--latency-jitter-ms", type=float, default=0.0,
-                            help="uniform extra latency on top of the base")
-    chaosproxy.add_argument(
-        "--latency-probability", type=float, default=1.0,
-        help="fraction of chunks paying the latency (default 1.0)",
-    )
-    chaosproxy.add_argument(
-        "--reset-probability", type=float, default=0.0,
-        help="per-chunk probability of aborting both directions",
-    )
-    chaosproxy.add_argument(
-        "--truncate-probability", type=float, default=0.0,
-        help="per-chunk probability of a partial write then abort",
-    )
-    chaosproxy.add_argument(
-        "--blackhole-probability", type=float, default=0.0,
-        help="per-connection probability of accept-then-never-answer",
-    )
-    chaosproxy.add_argument(
-        "--bandwidth", type=float, default=None, metavar="BYTES_PER_S",
-        help="throttle forwarding to this many bytes per second",
-    )
-    chaosproxy.add_argument(
-        "--chunk-bytes", type=int, default=4096,
-        help="forwarding chunk size, the fault-injection granularity",
-    )
-    chaosproxy.add_argument("--json", action="store_true",
-                            help="print the final summary as JSON")
-
-    router = commands.add_parser(
+    commands.add_parser(
         "router",
         help="consistent-hash routing tier over running serve shards",
         description=(
@@ -379,45 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
             "the fleet, and the 'fleet' op reports per-shard health, "
             "ring ownership, and routing counters.  See DESIGN.md §14."
         ),
+        add_arguments=partial(_add_knobs, config="RouterConfig"),
     )
-    router.add_argument("--host", default="127.0.0.1")
-    router.add_argument("--port", type=int, default=0,
-                        help="TCP port (default 0: ephemeral, printed)")
-    router.add_argument("--unix", default=None, metavar="PATH",
-                        help="listen on a UNIX socket instead of TCP")
-    router.add_argument(
-        "--shard", action="append", default=None, metavar="SPEC",
-        dest="shards", required=True,
-        help="backend shard ('host:port' or 'unix:/path'); repeatable",
-    )
-    router.add_argument("--vnodes", type=int, default=64,
-                        help="virtual nodes per shard (default 64)")
-    router.add_argument("--ring-seed", type=int, default=0,
-                        help="seed of the hash ring (default 0)")
-    router.add_argument(
-        "--attempts", type=int, default=2,
-        help="transport attempts per shard before re-dispatching to the "
-             "next ring owner (default 2)",
-    )
-    router.add_argument(
-        "--timeout-ms", type=float, default=None,
-        help="per-dispatch timeout (default: none, trust shard deadlines)",
-    )
-    router.add_argument(
-        "--probe-interval", type=float, default=0.5, metavar="SECONDS",
-        help="shard health-probe period (0 disables; default 0.5s)",
-    )
-    router.add_argument(
-        "--max-inflight", type=int, default=1024,
-        help="admission bound on concurrent color requests (default 1024)",
-    )
-    router.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="SECONDS",
-        help="close idle client connections past this bound "
-             "(default: 60s on TCP, off on UNIX sockets; 0 disables)",
-    )
-
-    fleet = commands.add_parser(
+    commands.add_parser(
         "fleet",
         help="run a supervised sharded fleet: N serve shards + router",
         description=(
@@ -427,68 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
             "socket => same ring slots), and drain the whole tree in "
             "reverse order on SIGTERM.  See DESIGN.md §14."
         ),
-    )
-    fleet.add_argument("--shards", type=int, default=2,
-                       help="backend shard count (default 2)")
-    fleet.add_argument("--host", default="127.0.0.1")
-    fleet.add_argument("--port", type=int, default=0,
-                       help="router TCP port (default 0: ephemeral, printed)")
-    fleet.add_argument("--unix", default=None, metavar="PATH",
-                       help="router UNIX socket instead of TCP")
-    fleet.add_argument(
-        "--runtime-dir", default=None, metavar="DIR",
-        help="shard sockets/logs/cache live here (default: temp dir, "
-             "removed on shutdown)",
-    )
-    fleet.add_argument(
-        "-j", "--jobs", type=int, default=0,
-        help="worker processes per shard (default 0: inline — shards "
-             "are already separate processes)",
-    )
-    fleet.add_argument("--max-batch", type=int, default=8)
-    fleet.add_argument("--linger-ms", type=float, default=2.0)
-    fleet.add_argument("--max-queue", type=int, default=256,
-                       help="admission bound per shard (default 256)")
-    fleet.add_argument("--cache-size", type=int, default=1024,
-                       help="in-memory cache entries per shard")
-    fleet.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="shared disk cache for all shards (default: "
-             "<runtime-dir>/cache; '' disables the disk tier)",
-    )
-    fleet.add_argument(
-        "--cache-max-bytes", type=int, default=None, metavar="BYTES",
-        help="bound the shared disk cache (oldest-mtime pruning)",
-    )
-    fleet.add_argument("--vnodes", type=int, default=64)
-    fleet.add_argument("--ring-seed", type=int, default=0)
-    fleet.add_argument("--attempts", type=int, default=2)
-    fleet.add_argument("--timeout-ms", type=float, default=None)
-    fleet.add_argument("--probe-interval", type=float, default=0.5,
-                       metavar="SECONDS")
-    fleet.add_argument("--max-inflight", type=int, default=1024)
-    fleet.add_argument(
-        "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
-        help="graceful-drain budget per tier before SIGKILL (default 10s)",
-    )
-    fleet.add_argument(
-        "--max-restarts", type=int, default=5,
-        help="restart budget per shard before it stays down (default 5)",
+        add_arguments=partial(_add_knobs, config="FleetConfig"),
     )
 
     return parser
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.kind == "hard":
-        instance = hard_clique_graph(args.cliques, args.delta, seed=args.seed)
-    elif args.kind == "mixed":
-        instance = mixed_dense_graph(
-            args.cliques, args.delta,
-            easy_fraction=args.easy_fraction, seed=args.seed,
-        )
-    else:
-        instance = projective_plane_clique_graph(args.q)
+    instance = _generated_instance(args, args.seed)
     save_instance(instance, args.output)
     print(f"wrote {instance.describe()} to {args.output}")
     return 0
@@ -538,21 +454,6 @@ def _cmd_color(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_instance(args: argparse.Namespace):
-    if args.instance:
-        return load_instance(args.instance)
-    if args.kind == "hard":
-        return hard_clique_graph(
-            args.cliques, args.delta, seed=args.graph_seed
-        )
-    if args.kind == "mixed":
-        return mixed_dense_graph(
-            args.cliques, args.delta,
-            easy_fraction=args.easy_fraction, seed=args.graph_seed,
-        )
-    return projective_plane_clique_graph(args.q)
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -565,7 +466,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         validate_document,
     )
 
-    instance = _trace_instance(args)
+    instance = (
+        load_instance(args.instance) if args.instance
+        else _generated_instance(args, args.graph_seed)
+    )
     params = AlgorithmParameters(epsilon=args.epsilon)
     collector = Collector(
         keep_samples=args.samples,
@@ -775,46 +679,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ColoringServer, ServeConfig
 
-    if args.jobs < 0:
-        raise ReproError(f"--jobs must be >= 0, got {args.jobs}")
-    if args.max_batch < 1:
-        raise ReproError(f"--max-batch must be >= 1, got {args.max_batch}")
-    if args.linger_ms < 0:
-        raise ReproError(f"--linger-ms must be >= 0, got {args.linger_ms}")
-    if args.max_queue < 1:
-        raise ReproError(f"--max-queue must be >= 1, got {args.max_queue}")
-    if args.cache_size < 0:
-        raise ReproError(f"--cache-size must be >= 0, got {args.cache_size}")
-    if args.cache_max_bytes is not None:
-        if args.cache_dir is None:
-            raise ReproError("--cache-max-bytes needs --cache-dir")
-        if args.cache_max_bytes < 1:
-            raise ReproError(
-                f"--cache-max-bytes must be >= 1, got {args.cache_max_bytes}"
-            )
-    if args.deadline_ms is not None and args.deadline_ms <= 0:
-        raise ReproError(
-            f"--deadline-ms must be positive, got {args.deadline_ms}"
-        )
-    if args.idle_timeout is not None and args.idle_timeout < 0:
-        raise ReproError(
-            f"--idle-timeout must be >= 0, got {args.idle_timeout}"
-        )
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        unix_path=args.unix,
-        jobs=args.jobs,
-        max_batch=args.max_batch,
-        linger_ms=args.linger_ms,
-        max_queue=args.max_queue,
-        cache_size=args.cache_size,
-        cache_dir=args.cache_dir,
-        cache_max_bytes=args.cache_max_bytes,
-        default_deadline_ms=args.deadline_ms,
-        idle_timeout_s=args.idle_timeout,
-        handle_signals=True,
-    )
+    config = _knob_config(ServeConfig, args, handle_signals=True)
 
     async def _serve() -> int:
         server = ColoringServer(config)
@@ -845,17 +710,7 @@ def _cmd_chaosproxy(args: argparse.Namespace) -> int:
 
     from repro.serve import ChaosPlan, Endpoint, run_chaos_proxy
 
-    plan = ChaosPlan(
-        seed=args.seed,
-        latency_ms=args.latency_ms,
-        latency_jitter_ms=args.latency_jitter_ms,
-        latency_probability=args.latency_probability,
-        reset_probability=args.reset_probability,
-        truncate_probability=args.truncate_probability,
-        blackhole_probability=args.blackhole_probability,
-        bandwidth_bytes_per_s=args.bandwidth,
-        chunk_bytes=args.chunk_bytes,
-    )
+    plan = _knob_config(ChaosPlan, args)
     upstream = Endpoint.parse(args.upstream)
 
     async def _run() -> int:
@@ -899,20 +754,7 @@ def _cmd_router(args: argparse.Namespace) -> int:
 
     from repro.serve import FleetRouter, RouterConfig
 
-    config = RouterConfig(
-        shards=tuple(args.shards or ()),
-        host=args.host,
-        port=args.port,
-        unix_path=args.unix,
-        vnodes=args.vnodes,
-        ring_seed=args.ring_seed,
-        attempts=args.attempts,
-        timeout_ms=args.timeout_ms,
-        probe_interval_s=args.probe_interval,
-        max_inflight=args.max_inflight,
-        idle_timeout_s=args.idle_timeout,
-        handle_signals=True,
-    )
+    config = _knob_config(RouterConfig, args, handle_signals=True)
 
     async def _run() -> int:
         router = FleetRouter(config)
@@ -943,29 +785,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     from repro.serve import FleetConfig, FleetSupervisor
 
-    config = FleetConfig(
-        shards=args.shards,
-        host=args.host,
-        port=args.port,
-        unix_path=args.unix,
-        runtime_dir=args.runtime_dir,
-        jobs=args.jobs,
-        max_batch=args.max_batch,
-        linger_ms=args.linger_ms,
-        max_queue=args.max_queue,
-        cache_size=args.cache_size,
-        cache_dir=args.cache_dir,
-        cache_max_bytes=args.cache_max_bytes,
-        vnodes=args.vnodes,
-        ring_seed=args.ring_seed,
-        attempts=args.attempts,
-        timeout_ms=args.timeout_ms,
-        probe_interval_s=args.probe_interval,
-        max_inflight=args.max_inflight,
-        drain_timeout_s=args.drain_timeout,
-        max_restarts=args.max_restarts,
-        handle_signals=True,
-    )
+    config = _knob_config(FleetConfig, args, handle_signals=True)
 
     async def _run() -> int:
         supervisor = FleetSupervisor(config)
@@ -1012,7 +832,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
+        flag = error.flag if isinstance(error, ConfigError) else None
+        print(f"error: {flag + ': ' if flag else ''}{error}", file=sys.stderr)
         return 1
 
 

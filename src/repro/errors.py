@@ -14,6 +14,22 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A config knob is out of its bounds.
+
+    ``field`` names the offending dataclass field and ``flag`` its
+    command-line flag (``None`` when it has none); ``repro`` prints the
+    flag next to the message.
+    """
+
+    def __init__(
+        self, message: str, *, field: str, flag: str | None = None
+    ) -> None:
+        super().__init__(message)
+        self.field = field
+        self.flag = flag
+
+
 class GraphStructureError(ReproError):
     """The input graph violates a structural precondition.
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from repro.errors import ReproError
 from repro.lint.baseline import Baseline, partition_findings
 from repro.lint.findings import Finding
-from repro.lint.rules import ALL_RULES, RULES_BY_ID, default_rules
+from repro.lint.rules import ALL_RULES, RULES_BY_ID
 from repro.lint.rules.base import Rule
 from repro.lint.source import SourceModule, parse_module
 
@@ -51,8 +51,8 @@ def select_rules(select: Iterable[str] | None = None) -> tuple[Rule, ...]:
     """Resolve the active rule set.
 
     ``select`` names rule ids or family prefixes (``DET``, ``LOC``,
-    ``ASY``, ``PRV``, ...) and implies *only* those rules, including
-    default-disabled ones.  Without it, the default set runs.
+    ``ASY``, ``PRV``, ...) and implies *only* those rules.  Without it,
+    every rule runs.
     """
     if select:
         wanted = {token.strip().upper() for token in select if token.strip()}
@@ -75,7 +75,7 @@ def select_rules(select: Iterable[str] | None = None) -> tuple[Rule, ...]:
                 f"(known: {', '.join(sorted(RULES_BY_ID))})"
             )
         return tuple(chosen)
-    return default_rules()
+    return ALL_RULES
 
 
 def discover_files(paths: Sequence[str | Path]) -> list[Path]:

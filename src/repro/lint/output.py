@@ -67,11 +67,7 @@ def render_json(report: LintReport) -> str:
             "stale_baseline": len(report.stale_baseline),
         },
         "rules": {
-            rule.rule_id: {
-                "title": rule.title,
-                "severity": rule.severity,
-                "default_enabled": rule.default_enabled,
-            }
+            rule.rule_id: {"title": rule.title, "severity": rule.severity}
             for rule in ALL_RULES
         },
         "findings": [finding.to_dict() for finding in report.new],

@@ -34,7 +34,7 @@ from repro.lint.rules.locality import (
 )
 from repro.lint.rules.provenance import SharedRngStream, UnderivedSeed
 
-__all__ = ["ALL_RULES", "RULES_BY_ID", "Rule", "default_rules"]
+__all__ = ["ALL_RULES", "RULES_BY_ID", "Rule"]
 
 ALL_RULES: tuple[Rule, ...] = (
     GlobalGraphRead(),
@@ -56,8 +56,3 @@ ALL_RULES: tuple[Rule, ...] = (
 )
 
 RULES_BY_ID: dict[str, Rule] = {rule.rule_id: rule for rule in ALL_RULES}
-
-
-def default_rules() -> tuple[Rule, ...]:
-    """The rules that run without explicit selection."""
-    return tuple(rule for rule in ALL_RULES if rule.default_enabled)

@@ -40,15 +40,13 @@ class Rule:
     """One static-analysis rule.
 
     Subclasses set the class attributes and implement :meth:`check`.
-    ``default_enabled = False`` marks opt-in rules that only run when
-    the caller selects them explicitly; scoped families instead stay
-    default-on and narrow themselves per module via :meth:`applies`.
+    Every rule runs by default; scoped families narrow themselves per
+    module via :meth:`applies`.
     """
 
     rule_id: str = "RULE000"
     title: str = ""
     severity: str = "error"
-    default_enabled: bool = True
 
     def applies(self, module: SourceModule) -> bool:
         """Fast path: skip whole modules outside the rule's scope."""

@@ -36,12 +36,12 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
-from repro.errors import ReproError
 from repro.runner.campaign import derive_cell_seed
 from repro.serve.client import Endpoint
+from repro.serve.knobs import check_knobs, knob
 
 __all__ = [
     "ChaosPlan",
@@ -60,33 +60,42 @@ DIRECTIONS = ("c2s", "s2c")
 class ChaosPlan:
     """Fault rates and shapes; ``seed`` makes every run replayable."""
 
-    seed: int = 0
-    latency_ms: float = 0.0
-    latency_jitter_ms: float = 0.0
-    latency_probability: float = 1.0
-    reset_probability: float = 0.0
-    truncate_probability: float = 0.0
-    blackhole_probability: float = 0.0
-    bandwidth_bytes_per_s: float | None = None
-    chunk_bytes: int = 4096
+    seed: int = knob(0, "--seed", help="chaos plan seed (default %(default)s)")
+    latency_ms: float = knob(
+        0.0, "--latency-ms", ge=0,
+        help="base added latency per forwarded chunk",
+    )
+    latency_jitter_ms: float = knob(
+        0.0, "--latency-jitter-ms", ge=0,
+        help="uniform extra latency on top of the base",
+    )
+    latency_probability: float = knob(
+        1.0, "--latency-probability", ge=0, le=1,
+        help="fraction of chunks paying the latency (default %(default)s)",
+    )
+    reset_probability: float = knob(
+        0.0, "--reset-probability", ge=0, le=1,
+        help="per-chunk probability of aborting both directions",
+    )
+    truncate_probability: float = knob(
+        0.0, "--truncate-probability", ge=0, le=1,
+        help="per-chunk probability of a partial write then abort",
+    )
+    blackhole_probability: float = knob(
+        0.0, "--blackhole-probability", ge=0, le=1,
+        help="per-connection probability of accept-then-never-answer",
+    )
+    bandwidth_bytes_per_s: float | None = knob(
+        None, "--bandwidth", gt=0, metavar="BYTES_PER_S",
+        help="throttle forwarding to this many bytes per second",
+    )
+    chunk_bytes: int = knob(
+        4096, "--chunk-bytes", ge=1,
+        help="forwarding chunk size, the fault-injection granularity",
+    )
 
     def __post_init__(self) -> None:
-        for name in (
-            "latency_probability", "reset_probability",
-            "truncate_probability", "blackhole_probability",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ReproError(f"{name} must be in [0, 1], got {value}")
-        if self.latency_ms < 0 or self.latency_jitter_ms < 0:
-            raise ReproError("latency values must be >= 0")
-        if self.bandwidth_bytes_per_s is not None and self.bandwidth_bytes_per_s <= 0:
-            raise ReproError(
-                f"bandwidth_bytes_per_s must be positive, "
-                f"got {self.bandwidth_bytes_per_s}"
-            )
-        if self.chunk_bytes < 1:
-            raise ReproError(f"chunk_bytes must be >= 1, got {self.chunk_bytes}")
+        check_knobs(self)
 
     def rng_for(self, connection_index: int, direction: str) -> random.Random:
         """The seeded stream for one connection/direction pump."""
@@ -104,17 +113,7 @@ class ChaosPlan:
         )
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "latency_ms": self.latency_ms,
-            "latency_jitter_ms": self.latency_jitter_ms,
-            "latency_probability": self.latency_probability,
-            "reset_probability": self.reset_probability,
-            "truncate_probability": self.truncate_probability,
-            "blackhole_probability": self.blackhole_probability,
-            "bandwidth_bytes_per_s": self.bandwidth_bytes_per_s,
-            "chunk_bytes": self.chunk_bytes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -32,79 +32,98 @@ import shutil
 import signal
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ReproError
 from repro.serve.client import ServeClient
+from repro.serve.knobs import (
+    check_knobs,
+    knob,
+    knob_argv,
+    knob_error,
+    reuse,
+    sub_config,
+)
 from repro.serve.router import FleetRouter, RouterConfig
+from repro.serve.server import ServeConfig
 
 __all__ = ["FleetConfig", "FleetSupervisor", "run_fleet"]
 
 
+#: How long a (re)spawned shard may take to answer ``health``.
+STARTUP_TIMEOUT_S = 30.0
+
+_serve_knob = partial(reuse, ServeConfig)
+_router_knob = partial(reuse, RouterConfig)
+
+
 @dataclass
 class FleetConfig:
-    """Knobs of one supervised fleet."""
+    """Knobs of one supervised fleet.
 
-    shards: int = 2
+    The shard and router knobs are the ``ServeConfig`` and
+    ``RouterConfig`` declarations (flag, help, bounds) reused; the
+    supervisor rebuilds both configs from them.
+    """
+
+    shards: int = knob(
+        2, "--shards", ge=1, help="backend shard count (default %(default)s)"
+    )
     #: Router listen address (shards always use UNIX sockets under
     #: ``runtime_dir``).
-    host: str = "127.0.0.1"
-    port: int = 0
-    unix_path: str | None = None
-    #: Sockets, shard logs, and (by default) the shared cache live
-    #: here; ``None`` makes a temp dir that is removed on shutdown.
-    runtime_dir: str | None = None
-    #: Worker processes per shard; 0 (default) runs batches inline —
-    #: shards are already separate processes, so the fleet has crash
-    #: isolation without a second process layer.
-    jobs: int = 0
-    max_batch: int = 8
-    linger_ms: float = 2.0
-    max_queue: int = 256
-    cache_size: int = 1024
-    #: Shared disk-cache directory; ``None`` uses
-    #: ``<runtime_dir>/cache``.  Empty string disables the disk tier.
-    cache_dir: str | None = None
-    cache_max_bytes: int | None = None
-    #: Router knobs (see :class:`~repro.serve.router.RouterConfig`).
-    vnodes: int = 64
-    ring_seed: int = 0
-    attempts: int = 2
-    timeout_ms: float | None = None
-    probe_interval_s: float = 0.5
-    max_inflight: int = 1024
-    idle_timeout_s: float | None = None
-    #: Graceful-drain budget per tier before escalation to SIGKILL.
-    drain_timeout_s: float = 10.0
-    startup_timeout_s: float = 30.0
+    host: str = _router_knob("host")
+    port: int = _router_knob("port")
+    unix_path: str | None = _router_knob("unix_path")
+    runtime_dir: str | None = knob(
+        None, "--runtime-dir", metavar="DIR",
+        help="shard sockets/logs/cache live here (default: temp dir, "
+             "removed on shutdown)",
+    )
+    #: Shards are processes, so inline batches keep crash isolation.
+    jobs: int = _serve_knob(
+        "jobs", 0,
+        help="worker processes per shard (default %(default)s: inline — "
+             "shards are already separate processes)",
+    )
+    max_batch: int = _serve_knob("max_batch")
+    linger_ms: float = _serve_knob("linger_ms")
+    max_queue: int = _serve_knob("max_queue")
+    cache_size: int = _serve_knob("cache_size")
+    cache_dir: str | None = _serve_knob(
+        "cache_dir",
+        help="shared disk cache for all shards (default: "
+             "<runtime-dir>/cache; '' disables the disk tier)",
+    )
+    cache_max_bytes: int | None = _serve_knob("cache_max_bytes")
+    vnodes: int = _router_knob("vnodes")
+    ring_seed: int = _router_knob("ring_seed")
+    attempts: int = _router_knob("attempts")
+    timeout_ms: float | None = _router_knob("timeout_ms")
+    probe_interval_s: float = _router_knob("probe_interval_s")
+    max_inflight: int = _router_knob("max_inflight")
+    idle_timeout_s: float | None = _router_knob("idle_timeout_s", flags=())
+    drain_timeout_s: float = knob(
+        10.0, "--drain-timeout", gt=0, metavar="SECONDS",
+        help="graceful-drain budget per tier before SIGKILL "
+             "(default %(default)ss)",
+    )
     monitor_interval_s: float = 0.2
     restart_backoff_s: float = 0.5
-    max_restarts: int = 5
+    max_restarts: int = knob(
+        5, "--max-restarts", ge=0,
+        help="restart budget per shard before it stays down "
+             "(default %(default)s)",
+    )
     handle_signals: bool = False
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ReproError(f"shards must be >= 1, got {self.shards}")
-        if self.jobs < 0:
-            raise ReproError(f"jobs must be >= 0, got {self.jobs}")
-        if self.drain_timeout_s <= 0:
-            raise ReproError(
-                f"drain_timeout_s must be positive, got {self.drain_timeout_s}"
-            )
-        if self.startup_timeout_s <= 0:
-            raise ReproError(
-                f"startup_timeout_s must be positive, "
-                f"got {self.startup_timeout_s}"
-            )
-        if self.max_restarts < 0:
-            raise ReproError(
-                f"max_restarts must be >= 0, got {self.max_restarts}"
-            )
-        if self.cache_max_bytes is not None and self.cache_max_bytes < 1:
-            raise ReproError(
-                f"cache_max_bytes must be >= 1, got {self.cache_max_bytes}"
+        check_knobs(self)
+        if self.cache_max_bytes is not None and self.cache_dir == "":
+            raise knob_error(
+                self, "cache_dir", "cache_max_bytes needs the disk tier"
             )
 
 
@@ -135,18 +154,14 @@ class FleetSupervisor:
         )
         self._logs: list[Any] = [None] * config.shards
         self.restarts = [0] * config.shards
-        self.router = FleetRouter(RouterConfig(
-            shards=tuple(f"unix:{sock}" for sock in self._sockets),
-            host=config.host,
-            port=config.port,
-            unix_path=config.unix_path,
-            vnodes=config.vnodes,
-            ring_seed=config.ring_seed,
-            attempts=config.attempts,
-            timeout_ms=config.timeout_ms,
-            probe_interval_s=config.probe_interval_s,
-            max_inflight=config.max_inflight,
-            idle_timeout_s=config.idle_timeout_s,
+        #: What every shard runs, less its socket (``_shard_argv``).
+        self.shard_config: ServeConfig = sub_config(
+            config, ServeConfig,
+            cache_dir=None if self.cache_dir is None else str(self.cache_dir),
+        )
+        self.router = FleetRouter(sub_config(
+            config, RouterConfig,
+            shards=tuple(self._shard_label(i) for i in range(config.shards)),
         ))
         self._monitor_task: asyncio.Task | None = None
         self._signal_task: asyncio.Task | None = None
@@ -162,20 +177,8 @@ class FleetSupervisor:
         return f"unix:{self._sockets[index]}"
 
     def _shard_argv(self, index: int) -> list[str]:
-        argv = [
-            sys.executable, "-m", "repro", "serve",
-            "--unix", str(self._sockets[index]),
-            "--jobs", str(self.config.jobs),
-            "--max-batch", str(self.config.max_batch),
-            "--linger-ms", str(self.config.linger_ms),
-            "--max-queue", str(self.config.max_queue),
-            "--cache-size", str(self.config.cache_size),
-        ]
-        if self.cache_dir is not None:
-            argv += ["--cache-dir", str(self.cache_dir)]
-            if self.config.cache_max_bytes is not None:
-                argv += ["--cache-max-bytes", str(self.config.cache_max_bytes)]
-        return argv
+        shard = replace(self.shard_config, unix_path=str(self._sockets[index]))
+        return [sys.executable, "-m", "repro", "serve", *knob_argv(shard)]
 
     async def _spawn_shard(self, index: int) -> None:
         sock = self._sockets[index]
@@ -233,14 +236,11 @@ class FleetSupervisor:
         for index in range(self.config.shards):
             await self._spawn_shard(index)
         for index in range(self.config.shards):
-            healthy = await self._wait_shard_healthy(
-                index, self.config.startup_timeout_s
-            )
-            if not healthy:
+            if not await self._wait_shard_healthy(index, STARTUP_TIMEOUT_S):
                 await self._shutdown_shards()
                 raise ReproError(
                     f"shard {index} did not become healthy within "
-                    f"{self.config.startup_timeout_s:g}s "
+                    f"{STARTUP_TIMEOUT_S:g}s "
                     f"(log: {self.runtime_dir / f'shard-{index}.log'})"
                 )
         await self.router.start()
@@ -294,9 +294,7 @@ class FleetSupervisor:
                     self.config.restart_backoff_s * self.restarts[index]
                 )
                 await self._spawn_shard(index)
-                if await self._wait_shard_healthy(
-                    index, self.config.startup_timeout_s
-                ):
+                if await self._wait_shard_healthy(index, STARTUP_TIMEOUT_S):
                     self.router.mark_up(label)
 
     async def _shutdown_shards(self) -> None:

@@ -58,6 +58,7 @@ from repro.serve.client import (
     ResilientClient,
     RetryPolicy,
 )
+from repro.serve.knobs import check_knobs, knob, knob_error
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -70,6 +71,12 @@ from repro.serve.protocol import (
 from repro.serve.server import DEFAULT_IDLE_TIMEOUT_S
 
 __all__ = ["FleetRouter", "HashRing", "RouterConfig", "run_router"]
+
+#: Bound of one health probe, and of one shard's answer to an
+#: aggregated ``health``/``status``/``metrics`` op.
+PROBE_TIMEOUT_S = 2.0
+#: Instances the router remembers for hash-only requests.
+REGISTRY_SIZE = 256
 
 #: Error codes after which the next ring owner is tried.  ``shed`` and
 #: ``draining`` are explicit refusals; ``unavailable`` is the resilient
@@ -166,50 +173,63 @@ class HashRing:
 class RouterConfig:
     """Knobs of the fleet router tier."""
 
+    host: str = knob("127.0.0.1", "--host")
+    port: int = knob(
+        0, "--port", help="TCP port (default %(default)s: ephemeral, printed)"
+    )
+    unix_path: str | None = knob(
+        None, "--unix", metavar="PATH",
+        help="listen on a UNIX socket instead of TCP",
+    )
     #: Backend shard endpoints ("host:port" or "unix:/path"), in a
     #: stable order — ring labels are the endpoint labels, so a
     #: restarted shard on the same address re-acquires its slots.
-    shards: tuple[str, ...] = ()
-    host: str = "127.0.0.1"
-    port: int = 0
-    unix_path: str | None = None
-    vnodes: int = 64
-    ring_seed: int = 0
-    #: Transport attempts per shard dispatch (reconnects included)
-    #: before the router re-dispatches to the next ring owner.
-    attempts: int = 2
-    retry_seed: int = 0
-    #: Per-dispatch timeout; ``None`` trusts shard deadlines.
-    timeout_ms: float | None = None
-    #: Health-probe period (0 disables; transitions then rely on
-    #: forward outcomes only).
-    probe_interval_s: float = 0.5
-    probe_timeout_s: float = 2.0
-    #: Bound on concurrently admitted color requests.
-    max_inflight: int = 1024
-    registry_size: int = 256
-    idle_timeout_s: float | None = None
+    shards: tuple[str, ...] = knob(
+        (), "--shard", dest="shards", action="append", required=True, metavar="SPEC",
+        help="backend shard ('host:port' or 'unix:/path'); repeatable",
+    )
+    vnodes: int = knob(
+        64, "--vnodes", ge=1,
+        help="virtual nodes per shard (default %(default)s)",
+    )
+    ring_seed: int = knob(
+        0, "--ring-seed", help="seed of the hash ring (default %(default)s)"
+    )
+    #: Reconnects count as attempts.
+    attempts: int = knob(
+        2, "--attempts", ge=1,
+        help="transport attempts per shard before re-dispatching to the "
+             "next ring owner (default %(default)s)",
+    )
+    timeout_ms: float | None = knob(
+        None, "--timeout-ms", gt=0,
+        help="per-dispatch timeout (default: none, trust shard deadlines)",
+    )
+    #: With 0, ring transitions follow forward outcomes only.
+    probe_interval_s: float = knob(
+        0.5, "--probe-interval", ge=0, metavar="SECONDS",
+        help="shard health-probe period (0 disables; default %(default)ss)",
+    )
+    max_inflight: int = knob(
+        1024, "--max-inflight", ge=1,
+        help="admission bound on concurrent color requests "
+             "(default %(default)s)",
+    )
+    idle_timeout_s: float | None = knob(
+        None, "--idle-timeout", ge=0, metavar="SECONDS",
+        help="close idle client connections past this bound (default: "
+             f"{DEFAULT_IDLE_TIMEOUT_S:g}s on TCP, off on UNIX sockets; "
+             "0 disables)",
+    )
     handle_signals: bool = False
 
     def __post_init__(self) -> None:
+        self.shards = tuple(self.shards or ())
         if not self.shards:
-            raise ReproError("the router needs at least one shard endpoint")
-        if self.vnodes < 1:
-            raise ReproError(f"vnodes must be >= 1, got {self.vnodes}")
-        if self.attempts < 1:
-            raise ReproError(f"attempts must be >= 1, got {self.attempts}")
-        if self.timeout_ms is not None and self.timeout_ms <= 0:
-            raise ReproError(f"timeout_ms must be positive, got {self.timeout_ms}")
-        if self.probe_interval_s < 0:
-            raise ReproError(
-                f"probe_interval_s must be >= 0, got {self.probe_interval_s}"
+            raise knob_error(
+                self, "shards", "the router needs at least one shard endpoint"
             )
-        if self.max_inflight < 1:
-            raise ReproError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.idle_timeout_s is not None and self.idle_timeout_s < 0:
-            raise ReproError(
-                f"idle_timeout_s must be >= 0, got {self.idle_timeout_s}"
-            )
+        check_knobs(self)
 
     @property
     def resolved_idle_timeout(self) -> float | None:
@@ -238,7 +258,7 @@ class FleetRouter:
     def __init__(self, config: RouterConfig):
         self.config = config
         self.ring = HashRing(vnodes=config.vnodes, seed=config.ring_seed)
-        self.registry = InstanceRegistry(config.registry_size)
+        self.registry = InstanceRegistry(REGISTRY_SIZE)
         self.admission = AdmissionController(config.max_inflight)
         self.connections = 0
         self.requests_total = 0
@@ -254,9 +274,7 @@ class FleetRouter:
                 raise ReproError(f"duplicate shard endpoint {endpoint.label!r}")
             client = ResilientClient(
                 endpoint,
-                retry=RetryPolicy(
-                    attempts=config.attempts, seed=config.retry_seed
-                ),
+                retry=RetryPolicy(attempts=config.attempts),
                 request_timeout_s=timeout_s,
             )
             self._shards[endpoint.label] = _ShardState(
@@ -400,9 +418,7 @@ class FleetRouter:
         """Health-probe every shard; update ring membership."""
         results: dict[str, str] = {}
         for label, state in self._shards.items():
-            results[label] = await state.client.probe(
-                self.config.probe_timeout_s
-            )
+            results[label] = await state.client.probe(PROBE_TIMEOUT_S)
             self._sync_ring(label)
         return results
 
@@ -674,7 +690,7 @@ class FleetRouter:
         ]
         responses = await asyncio.gather(*(
             self._shards[label].client.request(
-                {"op": op}, timeout_s=self.config.probe_timeout_s
+                {"op": op}, timeout_s=PROBE_TIMEOUT_S
             )
             for label in labels
         ))

@@ -77,6 +77,7 @@ from repro.serve.cache import (
     make_cache_key,
     make_cell_cache_key,
 )
+from repro.serve.knobs import check_knobs, knob, knob_error
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     CellRequest,
@@ -341,41 +342,68 @@ class ServeConfig:
     when ``jobs > 0``.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 0
-    unix_path: str | None = None
-    #: Slowloris defense: per-connection idle *read* timeout in seconds.
-    #: ``None`` resolves per transport — :data:`DEFAULT_IDLE_TIMEOUT_S`
-    #: for TCP (internet-facing), off for UNIX sockets (local,
-    #: trusted).  ``0`` disables explicitly.  A connection that is idle
-    #: with no requests in flight past the bound gets a canonical
-    #: ``idle_timeout`` error body and is closed; a connection merely
-    #: *waiting* for in-flight responses is never reaped.
-    idle_timeout_s: float | None = None
-    jobs: int = 1
-    max_batch: int = 8
-    linger_ms: float = 2.0
-    max_queue: int = 256
-    cache_size: int = 1024
-    cache_dir: str | None = None
-    #: Byte cap for the on-disk cache tier (oldest-mtime pruning on
-    #: ``put``); ``None`` leaves the directory unbounded.
-    cache_max_bytes: int | None = None
+    host: str = knob("127.0.0.1", "--host")
+    port: int = knob(
+        0, "--port", help="TCP port (default %(default)s: ephemeral, printed)"
+    )
+    unix_path: str | None = knob(
+        None, "--unix", metavar="PATH",
+        help="serve on a UNIX socket instead of TCP",
+    )
+    jobs: int = knob(
+        1, "-j", "--jobs", ge=0,
+        help="worker processes (0: run batches inline, no isolation)",
+    )
+    max_batch: int = knob(
+        8, "--max-batch", ge=1,
+        help="micro-batch size bound (default %(default)s)",
+    )
+    linger_ms: float = knob(
+        2.0, "--linger-ms", ge=0,
+        help="how long an open batch waits for company "
+             "(default %(default)sms)",
+    )
+    max_queue: int = knob(
+        256, "--max-queue", ge=1,
+        help="admission bound; requests past it are shed "
+             "(default %(default)s)",
+    )
+    cache_size: int = knob(
+        1024, "--cache-size", ge=0,
+        help="in-memory result cache entries (0 disables)",
+    )
+    cache_dir: str | None = knob(
+        None, "--cache-dir", metavar="DIR",
+        help="also persist cached results on disk",
+    )
+    cache_max_bytes: int | None = knob(
+        None, "--cache-max-bytes", ge=1, metavar="BYTES",
+        help="bound the disk cache; oldest entries are pruned past it",
+    )
+    default_deadline_ms: float | None = knob(
+        None, "--deadline-ms", gt=0,
+        help="default per-request deadline when the client sets none",
+    )
+    #: An idle connection gets a canonical ``idle_timeout`` error body
+    #: and is closed; one *waiting* for in-flight responses is never
+    #: reaped.  ``None`` resolves per transport (TCP is internet-facing).
+    idle_timeout_s: float | None = knob(
+        None, "--idle-timeout", ge=0, metavar="SECONDS",
+        help="close connections sending no complete request within this "
+             f"bound (slowloris defense; default: {DEFAULT_IDLE_TIMEOUT_S:g}s "
+             "on TCP, off on UNIX sockets; 0 disables)",
+    )
     registry_size: int = 64
-    default_deadline_ms: float | None = None
     dispatch_retries: int = 1
     backoff: float = 0.05
     handle_signals: bool = False
     batch_runner: Callable[..., list[dict[str, Any]]] = execute_batch
 
     def __post_init__(self) -> None:
-        if self.jobs < 0:
-            raise ValueError(f"jobs must be >= 0, got {self.jobs}")
-        if self.linger_ms < 0:
-            raise ValueError(f"linger_ms must be >= 0, got {self.linger_ms}")
-        if self.idle_timeout_s is not None and self.idle_timeout_s < 0:
-            raise ValueError(
-                f"idle_timeout_s must be >= 0, got {self.idle_timeout_s}"
+        check_knobs(self)
+        if self.cache_max_bytes is not None and self.cache_dir is None:
+            raise knob_error(
+                self, "cache_dir", "cache_max_bytes needs a cache_dir"
             )
 
     @property

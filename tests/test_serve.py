@@ -19,6 +19,7 @@ import pytest
 from repro.constants import AlgorithmParameters
 from repro.core.deterministic import delta_color_deterministic
 from repro.core.randomized import delta_color_randomized
+from repro.errors import ConfigError
 from repro.graphs import hard_clique_graph
 from repro.runner import WorkerPool
 from repro.serve import (
@@ -324,6 +325,25 @@ class TestResultCache:
             "h", "randomized", 1, 0.25, {"verify": False}
         ) != base
         assert make_cache_key("h", "randomized", 1, 0.25, {}) == base
+
+
+class TestServeConfig:
+    @pytest.mark.parametrize("overrides, field, flag", [
+        ({"max_batch": 0}, "max_batch", "--max-batch"),
+        ({"max_queue": 0}, "max_queue", "--max-queue"),
+        ({"cache_size": -5}, "cache_size", "--cache-size"),
+        ({"cache_dir": "/tmp/c", "cache_max_bytes": 0},
+         "cache_max_bytes", "--cache-max-bytes"),
+        ({"cache_max_bytes": 1024}, "cache_dir", "--cache-dir"),
+        ({"default_deadline_ms": 0}, "default_deadline_ms", "--deadline-ms"),
+    ])
+    def test_rejects_bad_knobs(self, overrides, field, flag):
+        # One error type for library and CLI callers alike: a ValueError
+        # and a ReproError that names the field and its flag.
+        with pytest.raises(ConfigError, match=field) as caught:
+            ServeConfig(**overrides)
+        assert isinstance(caught.value, ValueError)
+        assert (caught.value.field, caught.value.flag) == (field, flag)
 
 
 # ----------------------------------------------------------------------

@@ -602,13 +602,80 @@ class TestFleetConfig:
         {"shards": 0},
         {"jobs": -1},
         {"drain_timeout_s": 0},
-        {"startup_timeout_s": 0},
+        {"max_batch": 0},
         {"max_restarts": -1},
         {"cache_max_bytes": 0},
+        {"linger_ms": -1},
+        {"max_queue": 0},
+        {"cache_size": -1},
+        {"cache_dir": "", "cache_max_bytes": 1024},
+        {"vnodes": 0},
     ])
     def test_rejects_bad_knobs(self, overrides):
+        # Shard and router knobs are checked up front, by the bounds
+        # declared on ServeConfig / RouterConfig, not by a shard that
+        # exits at boot.
         with pytest.raises(ReproError):
             FleetConfig(**overrides)
+
+    def test_shard_argv_round_trips_through_the_serve_cli(self, tmp_path):
+        from repro.cli import _knob_config, build_parser
+
+        config = FleetConfig(
+            shards=1,
+            runtime_dir=str(tmp_path / "rt"),
+            jobs=3,
+            max_batch=5,
+            linger_ms=0.5,
+            max_queue=7,
+            cache_size=11,
+            cache_dir=str(tmp_path / "cache"),
+            cache_max_bytes=4096,
+        )
+        supervisor = FleetSupervisor(config)
+        argv = supervisor._shard_argv(0)
+        assert argv[1:4] == ["-m", "repro", "serve"]
+        args = build_parser().parse_args(argv[3:])
+        shard = _knob_config(ServeConfig, args)
+        assert shard == ServeConfig(
+            unix_path=str(supervisor.runtime_dir / "shard-0.sock"),
+            jobs=3,
+            max_batch=5,
+            linger_ms=0.5,
+            max_queue=7,
+            cache_size=11,
+            cache_dir=str(tmp_path / "cache"),
+            cache_max_bytes=4096,
+        )
+
+    def test_router_config_comes_from_the_fleet_knobs(self, tmp_path):
+        config = FleetConfig(
+            shards=2,
+            unix_path=str(tmp_path / "router.sock"),
+            runtime_dir=str(tmp_path / "rt"),
+            vnodes=8,
+            ring_seed=3,
+            attempts=4,
+            timeout_ms=250.0,
+            probe_interval_s=0,
+            max_inflight=9,
+            idle_timeout_s=1.5,
+        )
+        router = FleetSupervisor(config).router.config
+        assert router == RouterConfig(
+            shards=tuple(
+                f"unix:{tmp_path / 'rt' / f'shard-{index}.sock'}"
+                for index in range(2)
+            ),
+            unix_path=str(tmp_path / "router.sock"),
+            vnodes=8,
+            ring_seed=3,
+            attempts=4,
+            timeout_ms=250.0,
+            probe_interval_s=0,
+            max_inflight=9,
+            idle_timeout_s=1.5,
+        )
 
 
 class TestFleetSignal:
