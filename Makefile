@@ -95,10 +95,7 @@ lint-repro:
 
 typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \
-		mypy src/repro/types.py src/repro/constants.py src/repro/errors.py \
-			src/repro/obs src/repro/serve/protocol.py \
-			src/repro/serve/cache.py src/repro/runner/remote.py \
-			src/repro/lint; \
+		mypy; \
 	else \
 		echo "mypy not installed; skipping typecheck (CI runs it)"; \
 	fi

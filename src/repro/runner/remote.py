@@ -73,6 +73,7 @@ from repro.serve.client import (
     ResilientClient,
     RetryPolicy,
 )
+from repro.serve.protocol import InstanceRecord
 
 __all__ = [
     "RemoteExecutor",
@@ -334,15 +335,16 @@ class RemoteExecutor:
 
     @staticmethod
     def _payload_for(cell: CampaignCell) -> dict[str, Any]:
-        """The register payload of ``cell``'s graph, rendered per send."""
+        """The register payload of ``cell``'s graph, rendered per send.
+
+        Its edge order rebuilds the generator's rows, so a backend
+        colors the adjacency the inline executor does.
+        """
         instance = _build_instance(cell)
         network = instance.network
-        return {
-            "n": network.n,
-            "edges": network.edges(),
-            "delta": instance.delta,
-            "uids": list(network.uids),
-        }
+        return InstanceRecord(
+            network.adjacency, instance.delta, tuple(network.uids)
+        ).payload()
 
     async def _attempt(
         self, backend: _Backend, index: int

@@ -6,7 +6,8 @@ JSON protocol (:mod:`protocol`), admission control with load shedding
 (:mod:`batching`, :mod:`server`), a determinism-backed result cache
 (:mod:`cache`), a one-endpoint client with reconnects, retries and
 a circuit breaker (:mod:`client`), a seeded network chaos proxy
-(:mod:`chaos`), and the sharded fleet tier — a consistent-hashing
+(:mod:`chaos`), one NDJSON front end the server and the router share
+(:mod:`frontend`), and the sharded fleet tier — a consistent-hashing
 router (:mod:`router`) plus a supervisor that spawns, restarts, and
 drains backend shard processes (:mod:`fleet`).  ``repro serve`` /
 ``repro chaosproxy`` / ``repro router`` / ``repro fleet`` are the CLI
@@ -47,7 +48,8 @@ from repro.serve.client import (
     RetryPolicy,
     ServeClient,
 )
-from repro.serve.fleet import FleetConfig, FleetSupervisor, run_fleet
+from repro.serve.fleet import FleetConfig, FleetSupervisor
+from repro.serve.frontend import DEFAULT_IDLE_TIMEOUT_S
 from repro.serve.protocol import (
     CELL_METHODS,
     METHODS,
@@ -61,14 +63,8 @@ from repro.serve.protocol import (
     parse_color_request,
     parse_request,
 )
-from repro.serve.router import FleetRouter, HashRing, RouterConfig, run_router
-from repro.serve.server import (
-    DEFAULT_IDLE_TIMEOUT_S,
-    ColoringServer,
-    ServeConfig,
-    execute_batch,
-    run_server,
-)
+from repro.serve.router import FleetRouter, HashRing, RouterConfig
+from repro.serve.server import ColoringServer, ServeConfig, execute_batch
 
 __all__ = [
     "CELL_METHODS",
@@ -115,7 +111,4 @@ __all__ = [
     "parse_color_request",
     "parse_request",
     "run_chaos_proxy",
-    "run_fleet",
-    "run_router",
-    "run_server",
 ]

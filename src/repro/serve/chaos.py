@@ -41,6 +41,7 @@ from typing import Any
 
 from repro.runner.campaign import derive_cell_seed
 from repro.serve.client import Endpoint
+from repro.serve.frontend import Listener
 from repro.serve.knobs import check_knobs, knob
 
 __all__ = [
@@ -161,10 +162,10 @@ class _ProxiedConnection:
                     writer.transport.abort()
 
 
-class ChaosProxy:
+class ChaosProxy(Listener):
     """Asyncio TCP/UNIX proxy injecting :class:`ChaosPlan` faults.
 
-    Same lifecycle style as :class:`repro.serve.server.ColoringServer`:
+    The serving tiers' listener (:class:`repro.serve.frontend.Listener`):
     ``await start()``, read ``address``/``port``, ``await close()``.
     ``fault_log`` records every decision as
     ``{connection, direction, chunk, action, delay_ms}`` —
@@ -182,61 +183,15 @@ class ChaosProxy:
         port: int = 0,
         unix_path: str | None = None,
     ):
+        super().__init__(host, port, unix_path)
         self.plan = plan
         self.upstream = upstream
-        self.host = host
-        self.listen_port = port
-        self.unix_path = unix_path
         self.connections = 0
         self.blackholed = 0
         self.resets = 0
         self.truncations = 0
         self.bytes_forwarded = 0
         self.fault_log: list[dict[str, Any]] = []
-        self._server: asyncio.AbstractServer | None = None
-        self._stopped: asyncio.Event | None = None
-
-    # -- lifecycle -----------------------------------------------------
-
-    async def start(self) -> None:
-        self._stopped = asyncio.Event()
-        if self.unix_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._on_connection, path=self.unix_path
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._on_connection, host=self.host, port=self.listen_port
-            )
-
-    @property
-    def address(self) -> str:
-        if self.unix_path is not None:
-            return self.unix_path
-        assert self._server is not None
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return f"{host}:{port}"
-
-    @property
-    def port(self) -> int:
-        assert self._server is not None and self.unix_path is None
-        return int(self._server.sockets[0].getsockname()[1])
-
-    async def wait_stopped(self) -> None:
-        assert self._stopped is not None
-        await self._stopped.wait()
-
-    def stop(self) -> None:
-        if self._stopped is not None:
-            self._stopped.set()
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._stopped is not None:
-            self._stopped.set()
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -247,8 +202,6 @@ class ChaosProxy:
             "bytes_forwarded": self.bytes_forwarded,
             "plan": self.plan.as_dict(),
         }
-
-    # -- connection handling -------------------------------------------
 
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -29,7 +29,6 @@ from __future__ import annotations
 import asyncio
 import os
 import shutil
-import signal
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -39,6 +38,11 @@ from typing import Any
 
 from repro.errors import ReproError
 from repro.serve.client import ServeClient
+from repro.serve.frontend import (
+    add_signal_handlers,
+    cancel_task,
+    remove_signal_handlers,
+)
 from repro.serve.knobs import (
     check_knobs,
     knob,
@@ -50,7 +54,7 @@ from repro.serve.knobs import (
 from repro.serve.router import FleetRouter, RouterConfig
 from repro.serve.server import ServeConfig
 
-__all__ = ["FleetConfig", "FleetSupervisor", "run_fleet"]
+__all__ = ["FleetConfig", "FleetSupervisor"]
 
 
 #: How long a (re)spawned shard may take to answer ``health``.
@@ -248,9 +252,7 @@ class FleetSupervisor:
             self._monitor_loop()
         )
         if self.config.handle_signals:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(signum, self._on_signal)
+            add_signal_handlers(self._on_signal)
 
     @property
     def address(self) -> str:
@@ -265,6 +267,11 @@ class FleetSupervisor:
             )
 
     async def _signal_stop(self) -> None:
+        await self._drain_router()
+        self.router.stop()
+
+    async def _drain_router(self) -> None:
+        """Stop the router admitting; wait out its in-flight requests."""
         self.router.admission.begin_drain()
         try:
             await asyncio.wait_for(
@@ -273,7 +280,6 @@ class FleetSupervisor:
             )
         except asyncio.TimeoutError:
             pass
-        self.router.stop()
 
     async def wait_stopped(self) -> None:
         await self.router.wait_stopped()
@@ -318,35 +324,13 @@ class FleetSupervisor:
     async def close(self) -> None:
         """Cascade drain: router first, then shards in reverse order."""
         self._stopping = True
-        if self._signal_task is not None:
-            self._signal_task.cancel()
-            try:
-                await self._signal_task
-            except asyncio.CancelledError:
-                pass
-            self._signal_task = None
-        if self._monitor_task is not None:
-            self._monitor_task.cancel()
-            try:
-                await self._monitor_task
-            except asyncio.CancelledError:
-                pass
-            self._monitor_task = None
+        await cancel_task(self._signal_task)
+        self._signal_task = None
+        await cancel_task(self._monitor_task)
+        self._monitor_task = None
         if self.config.handle_signals:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.remove_signal_handler(signum)
-                except (NotImplementedError, RuntimeError):
-                    pass
-        self.router.admission.begin_drain()
-        try:
-            await asyncio.wait_for(
-                self.router.admission.wait_drained(),
-                self.config.drain_timeout_s,
-            )
-        except asyncio.TimeoutError:
-            pass
+            remove_signal_handlers()
+        await self._drain_router()
         await self.router.close()
         await self._shutdown_shards()
         for log in self._logs:
@@ -366,13 +350,3 @@ class FleetSupervisor:
             "healed": self.router.healed,
         }
 
-
-async def run_fleet(config: FleetConfig) -> FleetSupervisor:
-    """CLI entry: start the fleet, run until drained, tear down."""
-    supervisor = FleetSupervisor(config)
-    await supervisor.start()
-    try:
-        await supervisor.wait_stopped()
-    finally:
-        await supervisor.close()
-    return supervisor

@@ -34,9 +34,12 @@ client, which also owns the shard's health
 ``ok`` shards.  ``register`` fans out to every live shard;
 ``health``/``status``/``metrics`` aggregate across the fleet; the
 ``fleet`` op reports per-shard health, ring ownership, and routing
-counters.  ``drain`` drains the *router* (stop admitting, finish
-in-flight); shard drain is the supervisor's job
-(:mod:`repro.serve.fleet`), cascaded in reverse order.
+counters; ``cell`` is answered ``unsupported`` (campaigns dispatch
+cells to the shards directly).  ``drain`` drains the *router* (stop
+admitting, finish in-flight); shard drain is the supervisor's job
+(:mod:`repro.serve.fleet`), cascaded in reverse order.  The connection
+layer, ``drain`` and the signal drain are the server's
+(:class:`repro.serve.frontend.NdjsonFrontEnd`).
 """
 
 from __future__ import annotations
@@ -44,10 +47,9 @@ from __future__ import annotations
 import asyncio
 import bisect
 import hashlib
-import signal
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
+from typing import Any, Coroutine
 
 from repro.errors import ReproError
 from repro.serve.admission import AdmissionController
@@ -58,19 +60,22 @@ from repro.serve.client import (
     ResilientClient,
     RetryPolicy,
 )
+from repro.serve.frontend import (
+    DEFAULT_IDLE_TIMEOUT_S,
+    FrontEndConfig,
+    NdjsonFrontEnd,
+    Reply,
+    cancel_task,
+)
 from repro.serve.knobs import check_knobs, knob, knob_error
 from repro.serve.protocol import (
-    MAX_LINE_BYTES,
     ProtocolError,
-    encode,
     error_body,
     normalize_instance_payload,
     parse_color_request,
-    parse_request,
 )
-from repro.serve.server import DEFAULT_IDLE_TIMEOUT_S
 
-__all__ = ["FleetRouter", "HashRing", "RouterConfig", "run_router"]
+__all__ = ["FleetRouter", "HashRing", "RouterConfig"]
 
 #: Bound of one health probe, and of one shard's answer to an
 #: aggregated ``health``/``status``/``metrics`` op.
@@ -170,7 +175,7 @@ class HashRing:
 
 
 @dataclass
-class RouterConfig:
+class RouterConfig(FrontEndConfig):
     """Knobs of the fleet router tier."""
 
     host: str = knob("127.0.0.1", "--host")
@@ -231,12 +236,6 @@ class RouterConfig:
             )
         check_knobs(self)
 
-    @property
-    def resolved_idle_timeout(self) -> float | None:
-        if self.idle_timeout_s is None:
-            return None if self.unix_path is not None else DEFAULT_IDLE_TIMEOUT_S
-        return self.idle_timeout_s if self.idle_timeout_s > 0 else None
-
 
 @dataclass
 class _ShardState:
@@ -252,15 +251,15 @@ class _ShardState:
     meta: dict[str, Any] = field(default_factory=dict)
 
 
-class FleetRouter:
+class FleetRouter(NdjsonFrontEnd):
     """Asyncio NDJSON front tier routing onto serve shards."""
 
+    config: RouterConfig
+
     def __init__(self, config: RouterConfig):
-        self.config = config
+        super().__init__(config, AdmissionController(config.max_inflight))
         self.ring = HashRing(vnodes=config.vnodes, seed=config.ring_seed)
         self.registry = InstanceRegistry(REGISTRY_SIZE)
-        self.admission = AdmissionController(config.max_inflight)
-        self.connections = 0
         self.requests_total = 0
         self.rerouted = 0
         self.unavailable = 0
@@ -281,100 +280,22 @@ class FleetRouter:
                 endpoint.label, endpoint, client
             )
             self.ring.add(endpoint.label)
-        self._server: asyncio.AbstractServer | None = None
-        self._stopped: asyncio.Event | None = None
-        self._probe_task: asyncio.Task | None = None
-        self._drain_task: asyncio.Task | None = None
-        self._started_at = 0.0
+        self._probe_task: asyncio.Task[None] | None = None
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._started_at = loop.time()
-        self._stopped = asyncio.Event()
-        if self.config.unix_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._on_connection, path=self.config.unix_path,
-                limit=MAX_LINE_BYTES,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._on_connection, host=self.config.host,
-                port=self.config.port, limit=MAX_LINE_BYTES,
-            )
+        await super().start()
         if self.config.probe_interval_s > 0:
-            self._probe_task = loop.create_task(self._probe_loop())
-        if self.config.handle_signals:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(signum, self._on_signal)
+            self._probe_task = asyncio.get_running_loop().create_task(
+                self._probe_loop()
+            )
 
-    @property
-    def address(self) -> str:
-        if self.config.unix_path is not None:
-            return self.config.unix_path
-        assert self._server is not None
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return f"{host}:{port}"
-
-    @property
-    def port(self) -> int:
-        assert self._server is not None and self.config.unix_path is None
-        return int(self._server.sockets[0].getsockname()[1])
-
-    async def wait_stopped(self) -> None:
-        assert self._stopped is not None
-        await self._stopped.wait()
-
-    def stop(self) -> None:
-        """Make :meth:`wait_stopped` resolve (drain is the caller's job)."""
-        if self._stopped is not None:
-            self._stopped.set()
-
-    async def close(self) -> None:
-        if self.config.handle_signals:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.remove_signal_handler(signum)
-                except (NotImplementedError, RuntimeError):
-                    pass
-        if self._probe_task is not None:
-            self._probe_task.cancel()
-            try:
-                await self._probe_task
-            except asyncio.CancelledError:
-                pass
-            self._probe_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    async def _release(self) -> None:
+        await cancel_task(self._probe_task)
+        self._probe_task = None
         for state in self._shards.values():
             await state.client.close()
-        if self._drain_task is not None:
-            self._drain_task.cancel()
-            try:
-                await self._drain_task
-            except asyncio.CancelledError:
-                pass
-            self._drain_task = None
-        if self._stopped is not None:
-            self._stopped.set()
-
-    def _on_signal(self) -> None:
-        # Retain the task handle (the loop's reference is weak) and
-        # make repeat signals during an in-flight drain a no-op.
-        if not self.admission.draining and self._drain_task is None:
-            self._drain_task = asyncio.get_running_loop().create_task(
-                self._drain_and_stop()
-            )
-
-    async def _drain_and_stop(self) -> None:
-        self.admission.begin_drain()
-        await self.admission.wait_drained()
-        assert self._stopped is not None
-        self._stopped.set()
 
     # -- shard membership ----------------------------------------------
 
@@ -422,123 +343,44 @@ class FleetRouter:
             self._sync_ring(label)
         return results
 
-    # -- connection handling -------------------------------------------
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections += 1
-        lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        loop = asyncio.get_running_loop()
-        idle_timeout = self.config.resolved_idle_timeout
-        try:
-            while True:
-                try:
-                    if idle_timeout is not None:
-                        line = await asyncio.wait_for(
-                            reader.readline(), idle_timeout
-                        )
-                    else:
-                        line = await reader.readline()
-                except asyncio.TimeoutError:
-                    if tasks:
-                        continue
-                    await self._write(writer, lock, error_body(
-                        "idle_timeout",
-                        f"no request within {idle_timeout:g}s; "
-                        "closing idle connection",
-                    ))
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(writer, lock, error_body(
-                        "bad_request",
-                        f"request line exceeds {MAX_LINE_BYTES} bytes",
-                    ))
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    data = parse_request(line)
-                except ProtocolError as error:
-                    await self._write(
-                        writer, lock, error_body(error.code, str(error))
-                    )
-                    continue
-                task = loop.create_task(self._handle(data, writer, lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        body: dict[str, Any],
-    ) -> None:
-        try:
-            async with lock:
-                writer.write(encode(body))
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-
-    async def _handle(
-        self,
-        data: dict[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-    ) -> None:
+    def _answer(
+        self, data: dict[str, Any], reply: Reply
+    ) -> dict[str, Any] | Coroutine[Any, Any, dict[str, Any] | None]:
         op = data["op"]
         if op == "color":
-            await self._handle_color(data, writer, lock)
-        elif op == "register":
-            await self._write(writer, lock, await self._handle_register(data))
-        elif op == "drain":
-            await self._handle_drain(data, writer, lock)
-        elif op == "fleet":
-            await self._write(writer, lock, await self._handle_fleet(data))
-        else:  # health / status / metrics
-            await self._write(writer, lock, await self._aggregate(op, data))
+            return self._handle_color(data, reply)
+        if op == "cell":
+            # Campaigns dispatch cells to the shards directly.
+            return error_body(
+                "unsupported",
+                "the cell op is answered by a serve shard (repro serve); "
+                "this is the router tier",
+                request_id=data.get("id"), op="cell",
+            )
+        if op == "register":
+            return self._handle_register(data)
+        if op == "fleet":
+            return self._handle_fleet(data)
+        return self._aggregate(op, data)  # health / status / metrics
 
     # -- the color op --------------------------------------------------
 
-    async def _handle_color(
-        self,
-        data: dict[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-    ) -> None:
+    async def _handle_color(self, data: dict[str, Any], reply: Reply) -> None:
         request_id = data.get("id")
         try:
             request = parse_color_request(data)
-        except ProtocolError as error:
-            await self._write(writer, lock, error_body(
-                error.code, str(error), request_id=request_id, op="color"
-            ))
-            return
-        if request.instance is not None:
-            try:
+            if request.instance is not None:
                 instance_hash, record = normalize_instance_payload(
                     request.instance
                 )
-            except ProtocolError as error:
-                await self._write(writer, lock, error_body(
-                    error.code, str(error), request_id=request_id, op="color"
-                ))
-                return
-            self.registry.put(instance_hash, record)
-        else:
-            instance_hash = request.instance_hash or ""
+                self.registry.put(instance_hash, record)
+            else:
+                instance_hash = request.instance_hash or ""
+        except ProtocolError as error:
+            await reply(error_body(
+                error.code, str(error), request_id=request_id, op="color"
+            ))
+            return
         key = make_cache_key(
             instance_hash, request.method, request.seed, request.epsilon,
             request.options,
@@ -551,14 +393,13 @@ class FleetRouter:
                 if refusal == "shed"
                 else "router is draining; no new work accepted"
             )
-            await self._write(writer, lock, error_body(
+            await reply(error_body(
                 refusal, detail, request_id=request_id, op="color"
             ))
             return
         try:
             self.requests_total += 1
-            response = await self._dispatch_color(data, key, instance_hash)
-            await self._write(writer, lock, response)
+            await reply(await self._dispatch_color(data, key, instance_hash))
         finally:
             self.admission.release()
 
@@ -811,34 +652,3 @@ class FleetRouter:
             "counters": self._counters(),
             "shards": shards,
         }
-
-    # -- drain ---------------------------------------------------------
-
-    async def _handle_drain(
-        self,
-        data: dict[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-    ) -> None:
-        self.admission.begin_drain()
-        await self.admission.wait_drained()
-        await self._write(writer, lock, {
-            "id": data.get("id"),
-            "ok": True,
-            "op": "drain",
-            "drained": True,
-            "served": self.admission.admitted_total,
-        })
-        assert self._stopped is not None
-        self._stopped.set()
-
-
-async def run_router(config: RouterConfig) -> FleetRouter:
-    """CLI entry: start, run until drained/stopped, tear down."""
-    router = FleetRouter(config)
-    await router.start()
-    try:
-        await router.wait_stopped()
-    finally:
-        await router.close()
-    return router

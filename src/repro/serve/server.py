@@ -1,8 +1,8 @@
 """The async Δ-coloring server.
 
-Event-loop front end + process-pool back end.  One asyncio task per
-connection reads NDJSON requests (see :mod:`repro.serve.protocol`);
-``color`` requests flow through the cache
+Event-loop front end + process-pool back end.  The NDJSON connection
+layer is :class:`repro.serve.frontend.NdjsonFrontEnd`, shared with the
+router; ``color`` and ``cell`` requests take one path through the cache
 (:mod:`repro.serve.cache`), admission control
 (:mod:`repro.serve.admission`), and the micro-batcher
 (:mod:`repro.serve.batching`) before a whole batch ships to a worker
@@ -57,12 +57,11 @@ import asyncio
 import hashlib
 import json
 import os
-import signal
 import threading
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Collection
+from typing import Any, Callable, Collection, Coroutine
 
 from repro.constants import PAPER_PARAMETERS, AlgorithmParameters
 from repro.errors import ReproError
@@ -77,31 +76,23 @@ from repro.serve.cache import (
     make_cache_key,
     make_cell_cache_key,
 )
+from repro.serve.frontend import (
+    DEFAULT_IDLE_TIMEOUT_S,
+    FrontEndConfig,
+    NdjsonFrontEnd,
+    Reply,
+)
 from repro.serve.knobs import check_knobs, knob, knob_error
 from repro.serve.protocol import (
-    MAX_LINE_BYTES,
-    CellRequest,
-    ColorRequest,
     InstanceRecord,
     ProtocolError,
-    encode,
     error_body,
     normalize_instance_payload,
     parse_cell_request,
     parse_color_request,
-    parse_request,
 )
 
-__all__ = [
-    "DEFAULT_IDLE_TIMEOUT_S",
-    "ColoringServer",
-    "ServeConfig",
-    "execute_batch",
-    "run_server",
-]
-
-#: Default slowloris bound for TCP listeners (UNIX sockets default off).
-DEFAULT_IDLE_TIMEOUT_S = 60.0
+__all__ = ["ColoringServer", "ServeConfig", "execute_batch"]
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +323,7 @@ def execute_batch(
 
 
 @dataclass
-class ServeConfig:
+class ServeConfig(FrontEndConfig):
     """Knobs of the coloring service.
 
     ``batch_runner`` is the injection seam mirroring the campaign
@@ -384,9 +375,6 @@ class ServeConfig:
         None, "--deadline-ms", gt=0,
         help="default per-request deadline when the client sets none",
     )
-    #: An idle connection gets a canonical ``idle_timeout`` error body
-    #: and is closed; one *waiting* for in-flight responses is never
-    #: reaped.  ``None`` resolves per transport (TCP is internet-facing).
     idle_timeout_s: float | None = knob(
         None, "--idle-timeout", ge=0, metavar="SECONDS",
         help="close connections sending no complete request within this "
@@ -406,26 +394,20 @@ class ServeConfig:
                 self, "cache_dir", "cache_max_bytes needs a cache_dir"
             )
 
-    @property
-    def resolved_idle_timeout(self) -> float | None:
-        """The effective idle read timeout (None = disabled)."""
-        if self.idle_timeout_s is None:
-            return None if self.unix_path is not None else DEFAULT_IDLE_TIMEOUT_S
-        return self.idle_timeout_s if self.idle_timeout_s > 0 else None
 
-
-class ColoringServer:
+class ColoringServer(NdjsonFrontEnd):
     """Asyncio NDJSON front end over a crash-isolated worker pool."""
 
+    config: ServeConfig
+
     def __init__(self, config: ServeConfig):
-        self.config = config
+        super().__init__(config, AdmissionController(config.max_queue))
         self.cache = ResultCache(
             config.cache_size,
             disk_dir=config.cache_dir,
             disk_max_bytes=config.cache_max_bytes,
         )
         self.registry = InstanceRegistry(config.registry_size)
-        self.admission = AdmissionController(config.max_queue)
         self.batcher = MicroBatcher(
             dispatch=self._dispatch,
             max_batch=config.max_batch,
@@ -438,70 +420,20 @@ class ColoringServer:
         self._metrics = self.collector.registry
         self.pool: WorkerPool | None = None
         self.pool_rebuilds = 0
-        self.connections = 0
         self._previous_collector: Collector | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._stopped: asyncio.Event | None = None
-        self._drain_task: asyncio.Task | None = None
-        self._started_at = 0.0
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        """Bind, start the batcher, and (for jobs > 0) spawn workers."""
-        loop = asyncio.get_running_loop()
-        self._started_at = loop.time()
-        self._stopped = asyncio.Event()
+        """Start the batcher, (for jobs > 0) spawn workers, and bind."""
         self._previous_collector = active_collector()
         install(self.collector)
         if self.config.jobs > 0:
             self.pool = WorkerPool(self.config.jobs, backoff=self.config.backoff)
         self.batcher.start()
-        if self.config.unix_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._on_connection, path=self.config.unix_path,
-                limit=MAX_LINE_BYTES,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._on_connection, host=self.config.host,
-                port=self.config.port, limit=MAX_LINE_BYTES,
-            )
-        if self.config.handle_signals:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(signum, self._on_signal)
+        await super().start()
 
-    @property
-    def address(self) -> str:
-        """Printable bound address ('host:port' or the socket path)."""
-        if self.config.unix_path is not None:
-            return self.config.unix_path
-        assert self._server is not None
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return f"{host}:{port}"
-
-    @property
-    def port(self) -> int:
-        assert self._server is not None and self.config.unix_path is None
-        return int(self._server.sockets[0].getsockname()[1])
-
-    async def wait_stopped(self) -> None:
-        assert self._stopped is not None
-        await self._stopped.wait()
-
-    async def close(self) -> None:
-        """Tear everything down (idempotent)."""
-        if self.config.handle_signals:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.remove_signal_handler(signum)
-                except (NotImplementedError, RuntimeError):
-                    pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    async def _release(self) -> None:
         await self.batcher.close()
         if self.pool is not None:
             self.pool.kill()
@@ -511,122 +443,19 @@ class ColoringServer:
                 install(self._previous_collector)
             else:
                 uninstall()
-        if self._drain_task is not None:
-            self._drain_task.cancel()
-            try:
-                await self._drain_task
-            except asyncio.CancelledError:
-                pass
-            self._drain_task = None
-        if self._stopped is not None:
-            self._stopped.set()
 
-    def _on_signal(self) -> None:
-        # Retain the task handle: the event loop only holds a weak
-        # reference, so a bare create_task could be garbage-collected
-        # mid-drain.  The None guard also makes a second signal during
-        # an in-flight drain a no-op instead of a duplicate drain task.
-        if not self.admission.draining and self._drain_task is None:
-            self._drain_task = asyncio.get_running_loop().create_task(
-                self._drain_and_stop()
-            )
+    def _count(self, name: str) -> None:
+        self._metrics.count(name)
 
-    async def _drain_and_stop(self) -> None:
-        self.admission.begin_drain()
-        await self.admission.wait_drained()
-        assert self._stopped is not None
-        self._stopped.set()
-
-    # -- connection handling -------------------------------------------
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections += 1
-        lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        loop = asyncio.get_running_loop()
-        idle_timeout = self.config.resolved_idle_timeout
-        try:
-            while True:
-                try:
-                    if idle_timeout is not None:
-                        line = await asyncio.wait_for(
-                            reader.readline(), idle_timeout
-                        )
-                    else:
-                        line = await reader.readline()
-                except asyncio.TimeoutError:
-                    # A connection waiting on its own in-flight requests
-                    # is not idle — only reap silent ones (slowloris:
-                    # connections held open without ever sending a
-                    # complete request starve the accept loop).
-                    if tasks:
-                        continue
-                    self._metrics.count("serve.idle_timeout")
-                    await self._write(writer, lock, error_body(
-                        "idle_timeout",
-                        f"no request within {idle_timeout:g}s; "
-                        "closing idle connection",
-                    ))
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(writer, lock, error_body(
-                        "bad_request",
-                        f"request line exceeds {MAX_LINE_BYTES} bytes",
-                    ))
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    data = parse_request(line)
-                except ProtocolError as error:
-                    self._metrics.count("serve.bad_request")
-                    await self._write(
-                        writer, lock, error_body(error.code, str(error))
-                    )
-                    continue
-                op = data["op"]
-                if op == "color":
-                    task = loop.create_task(
-                        self._handle_color(data, writer, lock)
-                    )
-                elif op == "cell":
-                    task = loop.create_task(
-                        self._handle_cell(data, writer, lock)
-                    )
-                elif op == "drain":
-                    task = loop.create_task(
-                        self._handle_drain(data, writer, lock)
-                    )
-                else:
-                    await self._write(writer, lock, self._handle_query(op, data))
-                    continue
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        body: dict[str, Any],
-    ) -> None:
-        try:
-            async with lock:
-                writer.write(encode(body))
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass  # client went away; nothing to tell it
+    def _answer(
+        self, data: dict[str, Any], reply: Reply
+    ) -> dict[str, Any] | Coroutine[Any, Any, None]:
+        op = data["op"]
+        if op == "color":
+            return self._handle_color(data, reply)
+        if op == "cell":
+            return self._handle_cell(data, reply)
+        return self._handle_query(op, data)
 
     # -- read-only / control ops ---------------------------------------
 
@@ -725,43 +554,12 @@ class ColoringServer:
             },
         }
 
-    async def _handle_drain(
-        self,
-        data: dict[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-    ) -> None:
-        self.admission.begin_drain()
-        await self.admission.wait_drained()
-        await self._write(writer, lock, {
-            "id": data.get("id"),
-            "ok": True,
-            "op": "drain",
-            "drained": True,
-            "served": self.admission.admitted_total,
-        })
-        assert self._stopped is not None
-        self._stopped.set()
+    # -- the color and cell ops ----------------------------------------
 
-    # -- the color op --------------------------------------------------
-
-    async def _handle_color(
-        self,
-        data: dict[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        started = loop.time()
+    async def _handle_color(self, data: dict[str, Any], reply: Reply) -> None:
+        started = asyncio.get_running_loop().time()
         try:
             request = parse_color_request(data)
-        except ProtocolError as error:
-            self._metrics.count("serve.bad_request")
-            await self._write(writer, lock, error_body(
-                error.code, str(error), request_id=data.get("id"), op="color"
-            ))
-            return
-        try:
             if request.instance is not None:
                 instance_hash, record = normalize_instance_payload(
                     request.instance
@@ -769,35 +567,136 @@ class ColoringServer:
                 self.registry.put(instance_hash, record)
             else:
                 instance_hash = request.instance_hash or ""
-                found = self.registry.get(instance_hash)
-                if found is None:
-                    self._metrics.count("serve.unknown_instance")
-                    await self._write(writer, lock, error_body(
-                        "unknown_instance",
-                        f"no registered instance with hash {instance_hash!r}; "
-                        "send it inline or via the register op first",
-                        request_id=request.id, op="color",
-                    ))
-                    return
-                record = found
         except ProtocolError as error:
             self._metrics.count("serve.bad_request")
-            await self._write(writer, lock, error_body(
-                error.code, str(error), request_id=request.id, op="color"
+            await reply(error_body(
+                error.code, str(error), request_id=data.get("id"), op="color"
             ))
             return
-
         key = make_cache_key(
             instance_hash, request.method, request.seed, request.epsilon,
             request.options,
         )
-        if not request.no_cache:
+
+        def respond(
+            result: dict[str, Any], batch_size: int | None
+        ) -> dict[str, Any]:
+            if not request.include_colors:
+                result = {k: v for k, v in result.items() if k != "colors"}
+            body = {
+                "id": request.id,
+                "ok": True,
+                "op": "color",
+                "cached": batch_size is None,
+                "instance_hash": instance_hash,
+                "result": result,
+            }
+            if batch_size is not None:
+                body["batch_size"] = batch_size
+            return body
+
+        await self._run_spec(
+            reply, "color", request.id, started,
+            {
+                "key": key,
+                "instance_hash": instance_hash,
+                "method": request.method,
+                "seed": request.seed,
+                "epsilon": request.epsilon,
+                "options": request.options,
+            },
+            respond,
+            hint="send it inline or via the register op first",
+            use_cache=not request.no_cache,
+            deadline_ms=(
+                request.deadline_ms if request.deadline_ms is not None
+                else self.config.default_deadline_ms
+            ),
+        )
+
+    async def _handle_cell(self, data: dict[str, Any], reply: Reply) -> None:
+        """Run one campaign cell: the distributed campaign plane's op.
+
+        Same admission / batching / caching path as ``color``; the spec
+        carries the full wire cell and the graph arrives by registered
+        hash only (the campaign executor registers a graph when this
+        answers ``unknown_instance``).  The response row is what the
+        inline executor's
+        :func:`repro.runner.campaign.run_cell` would produce — cells are
+        deterministic, so serving one is cacheable and retry-safe.
+        """
+        started = asyncio.get_running_loop().time()
+        try:
+            request = parse_cell_request(data)
+        except ProtocolError as error:
+            self._metrics.count("serve.bad_request")
+            await reply(error_body(
+                error.code, str(error), request_id=data.get("id"), op="cell"
+            ))
+            return
+
+        def respond(
+            result: dict[str, Any], batch_size: int | None
+        ) -> dict[str, Any]:
+            return {
+                "id": request.id,
+                "ok": True,
+                "op": "cell",
+                "cached": batch_size is None,
+                "instance_hash": request.instance_hash,
+                "row": result["row"],
+            }
+
+        await self._run_spec(
+            reply, "cell", request.id, started,
+            {
+                "kind": "cell",
+                "key": make_cell_cache_key(
+                    request.instance_hash, request.cell
+                ),
+                "instance_hash": request.instance_hash,
+                "cell": request.cell,
+            },
+            respond,
+            hint="register it first",
+        )
+
+    async def _run_spec(
+        self,
+        reply: Reply,
+        op: str,
+        request_id: Any,
+        started: float,
+        spec: dict[str, Any],
+        respond: Callable[[dict[str, Any], int | None], dict[str, Any]],
+        *,
+        hint: str,
+        use_cache: bool = True,
+        deadline_ms: float | None = None,
+    ) -> None:
+        """Answer one ``color``/``cell`` spec: the path the two ops share.
+
+        Registry lookup, result cache, admission, micro-batch, outcome.
+        ``respond(result, batch_size)`` renders the success body;
+        ``batch_size`` is ``None`` for a cache hit.  ``hint`` ends the
+        ``unknown_instance`` message.
+        """
+        instance_hash = spec["instance_hash"]
+        record = self.registry.get(instance_hash)
+        if record is None:
+            self._metrics.count("serve.unknown_instance")
+            await reply(error_body(
+                "unknown_instance",
+                f"no registered instance with hash {instance_hash!r}; {hint}",
+                request_id=request_id, op=op,
+            ))
+            return
+        key = spec["key"]
+        if use_cache:
             cached = self.cache.get(key)
             if cached is not None:
                 self._metrics.count("serve.cache_hit")
-                await self._write(writer, lock, self._color_body(
-                    request, instance_hash, cached, cached_result=True
-                ))
+                await reply(respond(cached, None))
                 return
             self._metrics.count("serve.cache_miss")
 
@@ -809,28 +708,18 @@ class ColoringServer:
                 if refusal == "shed"
                 else "server is draining; no new work accepted"
             )
-            await self._write(writer, lock, error_body(
-                refusal, detail, request_id=request.id, op="color"
+            await reply(error_body(
+                refusal, detail, request_id=request_id, op=op
             ))
             return
 
         try:
-            deadline_ms = request.deadline_ms
-            if deadline_ms is None:
-                deadline_ms = self.config.default_deadline_ms
             item = PendingRequest(
                 key=key,
                 instance_hash=instance_hash,
                 record=record,
-                spec={
-                    "key": key,
-                    "instance_hash": instance_hash,
-                    "method": request.method,
-                    "seed": request.seed,
-                    "epsilon": request.epsilon,
-                    "options": request.options,
-                },
-                future=loop.create_future(),
+                spec=spec,
+                future=asyncio.get_running_loop().create_future(),
                 deadline=(
                     started + deadline_ms / 1000.0
                     if deadline_ms is not None else None
@@ -842,9 +731,9 @@ class ColoringServer:
                 # Lost the race against shutdown: close() already posted
                 # the queue sentinel, so the item would never dispatch.
                 self._metrics.count("serve.draining")
-                await self._write(writer, lock, error_body(
+                await reply(error_body(
                     "draining", "server is draining; no new work accepted",
-                    request_id=request.id, op="color",
+                    request_id=request_id, op=op,
                 ))
                 return
             outcome = await item.future
@@ -853,166 +742,22 @@ class ColoringServer:
                 self._metrics.count(f"serve.{error['code']}")
                 body = error_body(
                     error["code"], error["message"],
-                    request_id=request.id, op="color",
+                    request_id=request_id, op=op,
                 )
                 if "type" in error:
                     body["error"]["type"] = error["type"]
-                await self._write(writer, lock, body)
+                await reply(body)
             else:
                 self._metrics.observe(
-                    "serve.latency_ms", (loop.time() - started) * 1000.0
+                    "serve.latency_ms",
+                    (asyncio.get_running_loop().time() - started) * 1000.0,
                 )
                 self._metrics.count("serve.completed")
-                response = self._color_body(
-                    request, instance_hash, outcome["result"],
-                    cached_result=False,
-                )
-                response["batch_size"] = outcome.get("batch_size", 1)
-                await self._write(writer, lock, response)
-        finally:
-            self.admission.release()
-
-    def _color_body(
-        self,
-        request: ColorRequest,
-        instance_hash: str,
-        result: dict[str, Any],
-        *,
-        cached_result: bool,
-    ) -> dict[str, Any]:
-        if not request.include_colors:
-            result = {k: v for k, v in result.items() if k != "colors"}
-        return {
-            "id": request.id,
-            "ok": True,
-            "op": "color",
-            "cached": cached_result,
-            "instance_hash": instance_hash,
-            "result": result,
-        }
-
-    # -- the cell op ---------------------------------------------------
-
-    async def _handle_cell(
-        self,
-        data: dict[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-    ) -> None:
-        """Run one campaign cell: the distributed campaign plane's op.
-
-        Same admission / batching / caching path as ``color``; the spec
-        carries the full wire cell and the graph arrives by registered
-        hash only (the campaign executor registers a graph when this
-        answers ``unknown_instance``).  The response row is what the
-        inline executor's
-        :func:`repro.runner.campaign.run_cell` would produce — cells are
-        deterministic, so serving one is cacheable and retry-safe.
-        """
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        try:
-            request = parse_cell_request(data)
-        except ProtocolError as error:
-            self._metrics.count("serve.bad_request")
-            await self._write(writer, lock, error_body(
-                error.code, str(error), request_id=data.get("id"), op="cell"
-            ))
-            return
-        record = self.registry.get(request.instance_hash)
-        if record is None:
-            self._metrics.count("serve.unknown_instance")
-            await self._write(writer, lock, error_body(
-                "unknown_instance",
-                f"no registered instance with hash "
-                f"{request.instance_hash!r}; register it first",
-                request_id=request.id, op="cell",
-            ))
-            return
-
-        key = make_cell_cache_key(request.instance_hash, request.cell)
-        cached = self.cache.get(key)
-        if cached is not None:
-            self._metrics.count("serve.cache_hit")
-            await self._write(writer, lock, self._cell_body(
-                request, cached["row"], cached_result=True
-            ))
-            return
-        self._metrics.count("serve.cache_miss")
-
-        refusal = self.admission.try_admit()
-        if refusal is not None:
-            self._metrics.count(f"serve.{refusal}")
-            detail = (
-                f"queue depth {self.admission.max_depth} at bound; retry later"
-                if refusal == "shed"
-                else "server is draining; no new work accepted"
-            )
-            await self._write(writer, lock, error_body(
-                refusal, detail, request_id=request.id, op="cell"
-            ))
-            return
-
-        try:
-            item = PendingRequest(
-                key=key,
-                instance_hash=request.instance_hash,
-                record=record,
-                spec={
-                    "kind": "cell",
-                    "key": key,
-                    "instance_hash": request.instance_hash,
-                    "cell": request.cell,
-                },
-                future=loop.create_future(),
-                deadline=None,
-            )
-            try:
-                self.batcher.submit(item)
-            except BatcherClosed:
-                self._metrics.count("serve.draining")
-                await self._write(writer, lock, error_body(
-                    "draining", "server is draining; no new work accepted",
-                    request_id=request.id, op="cell",
-                ))
-                return
-            outcome = await item.future
-            if "error" in outcome:
-                error = outcome["error"]
-                self._metrics.count(f"serve.{error['code']}")
-                body = error_body(
-                    error["code"], error["message"],
-                    request_id=request.id, op="cell",
-                )
-                if "type" in error:
-                    body["error"]["type"] = error["type"]
-                await self._write(writer, lock, body)
-            else:
-                self._metrics.observe(
-                    "serve.latency_ms", (loop.time() - started) * 1000.0
-                )
-                self._metrics.count("serve.completed")
-                await self._write(writer, lock, self._cell_body(
-                    request, outcome["result"]["row"], cached_result=False
+                await reply(respond(
+                    outcome["result"], outcome.get("batch_size", 1)
                 ))
         finally:
             self.admission.release()
-
-    def _cell_body(
-        self,
-        request: CellRequest,
-        row: dict[str, Any],
-        *,
-        cached_result: bool,
-    ) -> dict[str, Any]:
-        return {
-            "id": request.id,
-            "ok": True,
-            "op": "cell",
-            "cached": cached_result,
-            "instance_hash": request.instance_hash,
-            "row": row,
-        }
 
     # -- batch dispatch ------------------------------------------------
 
@@ -1102,13 +847,3 @@ class ColoringServer:
                 # rebuild() sleeps its backoff; keep the loop responsive.
                 await loop.run_in_executor(None, self.pool.rebuild)
 
-
-async def run_server(config: ServeConfig) -> ColoringServer:
-    """CLI entry: start, run until drained/stopped, tear down."""
-    server = ColoringServer(config)
-    await server.start()
-    try:
-        await server.wait_stopped()
-    finally:
-        await server.close()
-    return server

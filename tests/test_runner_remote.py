@@ -30,6 +30,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.runner import CampaignCell, load_journal, run_campaign
+from repro.runner.campaign import _build_instance
 from repro.runner.remote import RemoteOptions
 from repro.serve import (
     InstanceHashMismatch,
@@ -314,6 +315,19 @@ class TestDispatch:
             assert 1 <= a.bounces <= window and 1 <= b.bounces <= window
             assert a.registers == 1 and b.registers == 1
         assert len(result.rows) == len(cells)
+
+    def test_registered_rows_are_the_generator_rows(self, tmp_path):
+        # The register payload must rebuild the rows the inline executor
+        # colors: a hard graph's generator rows list clique mates first,
+        # which a sorted edge list does not reproduce.
+        (cell,) = small_cells(1, graph_seed=0)
+        with FakeBackend(tmp_path / "a.sock") as backend:
+            run_campaign(
+                [cell], backends=[backend.spec],
+                remote_options=RemoteOptions(**FAST),
+            )
+        (record,) = backend.instances.values()
+        assert record.adjacency == _build_instance(cell).network.adjacency
 
     def test_second_campaign_registers_nothing(self, tmp_path):
         first, second = small_cells(6), small_cells(6, telemetry=True)

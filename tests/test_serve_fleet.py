@@ -526,6 +526,27 @@ class TestRouterEndToEnd:
 
         asyncio.run(scenario())
 
+    def test_router_answers_the_cell_op_unsupported(self, tmp_path):
+        # Regression: the router fanned a cell op out to every shard as
+        # an aggregated read op, then died on it without answering.
+        # Campaigns dispatch cells to the shards directly.
+        async def scenario():
+            async with routed(tmp_path, shards=1) as (router, servers, client):
+                response = await asyncio.wait_for(
+                    client.request({"op": "cell", "id": "cell-1"}), 3
+                )
+                assert response["id"] == "cell-1"
+                assert response["ok"] is False
+                assert response["op"] == "cell"
+                assert response["error"]["code"] == "unsupported"
+                assert servers[0].connections == 0  # nothing reached a shard
+                health = await asyncio.wait_for(
+                    client.request({"op": "health", "id": "after"}), 3
+                )
+                assert health["ok"] and health["status"] == "ok"
+
+        asyncio.run(scenario())
+
     def test_router_drain_op_finishes_inflight_then_stops(
         self, tmp_path, payload
     ):
