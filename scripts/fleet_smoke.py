@@ -12,7 +12,9 @@ guarantees the sharded tier advertises (DESIGN.md §14):
    answers byte-identically (re-route to the next ring owner), and the
    ``fleet`` op reports the dead shard out of the ring;
 4. the supervisor restarts the shard (fleet op shows both shards ok and
-   a restart count of 1);
+   a restart count of 1), and the restarted shard serves again: the 20
+   requests replayed after the restart byte-match the baseline and
+   raise its ``served`` count;
 5. SIGTERM drains the whole tree gracefully: exit 0, drain report on
    stdout, no orphan shard processes.
 
@@ -167,6 +169,22 @@ async def fleet_scenario(sock: str, baseline: dict[int, str]) -> None:
         if restarts != 1:
             fail(f"expected 1 restart for {victim_label}, got {restarts}")
         ok("supervisor restarted the killed shard (restarts=1)")
+
+        served = report["shards"][victim_label]["served"]
+        for seed in SEEDS:
+            if await color(seed) != baseline[seed]:
+                fail(f"replayed seed={seed} differs after the restart")
+        report = await client.request({"op": "fleet"})
+        served_after = report["shards"][victim_label]["served"]
+        if served_after <= served:
+            fail(
+                f"restarted shard {victim_label} served nothing of the "
+                f"replay (served {served} -> {served_after})"
+            )
+        ok(
+            f"restarted shard serves again (served {served} -> "
+            f"{served_after}); all 20 replayed responses byte-identical"
+        )
     finally:
         await client.close()
 

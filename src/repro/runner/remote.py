@@ -543,9 +543,13 @@ class RemoteExecutor:
     # -- health probing ------------------------------------------------
 
     async def _probe_loop(self) -> None:
+        """Probe every backend at once: a sweep costs one probe timeout
+        however many backends hang."""
         while not self._closing:
-            for backend in self._backends:
-                await backend.client.probe(self._options.probe_timeout_s)
+            await asyncio.gather(*(
+                backend.client.probe(self._options.probe_timeout_s)
+                for backend in self._backends
+            ))
             await asyncio.sleep(self._options.probe_interval_s)
 
 

@@ -5,7 +5,7 @@ JSON protocol (:mod:`protocol`), admission control with load shedding
 (:mod:`admission`), micro-batching onto a crash-isolated worker pool
 (:mod:`batching`, :mod:`server`), a determinism-backed result cache
 (:mod:`cache`), a one-endpoint client with reconnects, retries and
-a circuit breaker (:mod:`client`), a seeded network chaos proxy
+one health state (:mod:`client`), a seeded network chaos proxy
 (:mod:`chaos`), one NDJSON front end the server and the router share
 (:mod:`frontend`), and the sharded fleet tier — a consistent-hashing
 router (:mod:`router`) plus a supervisor that spawns, restarts, and
@@ -38,8 +38,6 @@ from repro.serve.chaos import (
 )
 from repro.serve.client import (
     RETRY_SAFE_OPS,
-    BreakerConfig,
-    CircuitBreaker,
     ClientError,
     Endpoint,
     InstanceHashMismatch,
@@ -74,12 +72,10 @@ __all__ = [
     "RETRY_SAFE_OPS",
     "AdmissionController",
     "BatcherClosed",
-    "BreakerConfig",
     "CellRequest",
     "ChaosPlan",
     "ChaosProxy",
     "ChunkFault",
-    "CircuitBreaker",
     "ClientError",
     "ColorRequest",
     "ColoringServer",

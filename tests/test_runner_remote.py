@@ -31,7 +31,7 @@ import pytest
 from repro.errors import ReproError
 from repro.runner import CampaignCell, load_journal, run_campaign
 from repro.runner.campaign import _build_instance
-from repro.runner.remote import RemoteOptions
+from repro.runner.remote import RemoteExecutor, RemoteOptions
 from repro.serve import (
     InstanceHashMismatch,
     execute_batch,
@@ -520,6 +520,51 @@ class TestBackendLoss:
         assert stats["backend_deaths"] == 0
         assert stats["backends"][a.spec]["completed"] == 1
         assert stats["backends"][a.spec]["status"] == "draining"
+
+    def test_probe_sweep_costs_one_probe_however_many_backends_hang(
+        self, tmp_path
+    ):
+        options = RemoteOptions(probe_timeout_s=0.3, probe_interval_s=60.0)
+        specs = [f"unix:{tmp_path}/hung-{index}.sock" for index in range(2)]
+
+        async def hang(reader, writer):
+            # Accept and read, never answer.
+            while await reader.read(4096):
+                pass
+            writer.close()
+
+        async def scenario():
+            servers = [
+                await asyncio.start_unix_server(hang, path=spec[5:])
+                for spec in specs
+            ]
+            executor = RemoteExecutor(
+                [], [], lambda *args, **kwargs: None, backends=specs,
+                timeout=None, retries=0, base_seed=0, options=options,
+            )
+            clients = [backend.client for backend in executor._backends]
+            # One probe: every attempt times out, with backoff between.
+            retry = clients[0].retry
+            one_probe = (
+                retry.attempts * options.probe_timeout_s
+                + sum(retry.delays(0))
+            )
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            probing = loop.create_task(executor._probe_loop())
+            try:
+                while any(client._failures == 0 for client in clients):
+                    assert loop.time() - started < 1.5 * one_probe
+                    await asyncio.sleep(0.02)
+            finally:
+                probing.cancel()
+                await asyncio.gather(probing, return_exceptions=True)
+                for client in clients:
+                    await client.close()
+                for server in servers:
+                    server.close()
+
+        asyncio.run(scenario())
 
     def test_no_live_backend_strands_cells_as_crashes(self, tmp_path):
         cells = small_cells(3)

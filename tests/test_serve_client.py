@@ -1,4 +1,4 @@
-"""Tests for repro.serve.client: breakers, backoff, reconnects, timeouts."""
+"""Tests for repro.serve.client: backoff, reconnects, timeouts, health."""
 
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ import pytest
 
 from repro.graphs import hard_clique_graph
 from repro.serve import (
-    BreakerConfig,
-    CircuitBreaker,
     ClientError,
     ColoringServer,
     Endpoint,
@@ -190,87 +188,6 @@ class TestRetryPolicy:
 
 
 # ----------------------------------------------------------------------
-# Circuit breaker state machine (fake clock, zero wall time)
-# ----------------------------------------------------------------------
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-class TestCircuitBreaker:
-    def make(self, **overrides):
-        clock = FakeClock()
-        knobs = {
-            "window": 4, "min_samples": 2, "failure_threshold": 0.5,
-            "open_for_s": 1.0, "half_open_probes": 1,
-        }
-        knobs.update(overrides)
-        return CircuitBreaker(BreakerConfig(**knobs), clock), clock
-
-    def test_closed_until_failure_rate_reached(self):
-        breaker, _ = self.make()
-        assert breaker.state == "closed"
-        breaker.record_failure()  # 1 sample < min_samples: stays closed
-        assert breaker.state == "closed"
-        breaker.record_success()
-        breaker.record_failure()  # 2/3 failures >= 0.5 with 3 samples
-        assert breaker.state == "open"
-        assert breaker.opens == 1
-        assert breaker.allow() is False
-
-    def test_window_slides_old_outcomes_out(self):
-        breaker, _ = self.make()
-        breaker.record_failure()
-        for _ in range(4):  # push the failure out of the window=4
-            breaker.record_success()
-        breaker.record_failure()  # 1/4 < 0.5: still closed
-        assert breaker.state == "closed"
-
-    def test_full_cycle_closed_open_half_open_closed(self):
-        breaker, clock = self.make()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        clock.now += 0.5
-        assert breaker.state == "open"  # not yet
-        clock.now += 0.6
-        assert breaker.state == "half_open"
-        assert breaker.allow() is True  # the probe
-        assert breaker.allow() is False  # probe budget spent
-        breaker.record_success()
-        assert breaker.state == "closed"
-        # The window was reset: one failure alone cannot re-open.
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_failure_reopens(self):
-        breaker, clock = self.make()
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.now += 1.1
-        assert breaker.allow() is True
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.opens == 2
-        clock.now += 1.1  # a fresh open period from the re-open
-        assert breaker.state == "half_open"
-
-    def test_multiple_probe_slots(self):
-        breaker, clock = self.make(half_open_probes=2)
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.now += 1.1
-        assert breaker.allow() is True
-        assert breaker.allow() is True
-        assert breaker.allow() is False
-
-
-# ----------------------------------------------------------------------
 # End-to-end: reconnect, timeout, exhaustion
 # ----------------------------------------------------------------------
 
@@ -397,6 +314,31 @@ class TestProbe:
                 assert await client.probe(1.0) == "down"
                 async with one_server(tmp_path, "p"):
                     assert await client.probe(1.0) == "ok"
+            finally:
+                await client.close()
+
+        asyncio.run(scenario())
+
+    def test_a_dead_endpoint_answered_again_gets_its_next_request(
+        self, tmp_path
+    ):
+        # Status is the endpoint's only health state: once an answer
+        # clears the failures, nothing else refuses the next request.
+        async def scenario():
+            client = ResilientClient(
+                unix_path=str(tmp_path / "p.sock"),
+                retry=RetryPolicy(attempts=1),
+            )
+            try:
+                for _ in range(4):
+                    body = await client.request({"op": "health"})
+                    assert body["error"]["code"] == "unavailable"
+                async with one_server(tmp_path, "p"):
+                    client.note_answer()
+                    assert client.status == "ok"
+                    outcome = await client.call({"op": "health"})
+                    assert outcome.attempts >= 1
+                    assert outcome.ok, outcome.body
             finally:
                 await client.close()
 
