@@ -2,8 +2,9 @@
 
 The remote executor's contract is *identity first*: whatever the
 backend count, ``run_campaign(executor="remote")`` must produce rows
-byte-identical to the inline executor, because server-side cells run
-the exact same ``run_cell_on_network`` core.  This benchmark asserts
+byte-identical to the inline executor, because a backend answers each
+cell's ``color`` request with the same ``repro.coloring.run_coloring``
+call, and one function builds every row.  This benchmark asserts
 that identity at every tier and records the throughput curve honestly.
 
 What the curve can show on THIS box must be stated up front: the

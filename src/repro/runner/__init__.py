@@ -20,14 +20,12 @@ from repro.runner.campaign import (
     CampaignInterrupted,
     CampaignResult,
     CellTimeout,
-    cell_from_json,
-    cell_to_json,
+    cell_row,
     cells_from_spec,
     derive_cell_seed,
     load_journal,
     run_campaign,
     run_cell,
-    run_cell_on_network,
 )
 
 # NOTE: repro.runner.remote (the distributed executor) is deliberately
@@ -52,8 +50,7 @@ __all__ = [
     "CellTimeout",
     "PRESETS",
     "WorkerPool",
-    "cell_from_json",
-    "cell_to_json",
+    "cell_row",
     "cells_from_spec",
     "derive_cell_seed",
     "load_journal",
@@ -65,5 +62,4 @@ __all__ = [
     "preset_cells",
     "run_campaign",
     "run_cell",
-    "run_cell_on_network",
 ]

@@ -62,8 +62,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -75,14 +74,12 @@ __all__ = [
     "CampaignInterrupted",
     "CampaignResult",
     "CellTimeout",
-    "cell_from_json",
-    "cell_to_json",
+    "cell_row",
     "cells_from_spec",
     "derive_cell_seed",
     "load_journal",
     "run_campaign",
     "run_cell",
-    "run_cell_on_network",
 ]
 
 #: Fields of a cell that may be swept by a spec ``grid``.
@@ -96,6 +93,10 @@ _GRID_FIELDS = (
     "method",
     "seed",
 )
+
+#: The pipelines a cell may name.
+CELL_METHODS = ("deterministic", "randomized", "general")
+
 
 class CellTimeout(ReproError):
     """A campaign cell exceeded its wall-clock timeout."""
@@ -176,103 +177,54 @@ def run_cell(cell: CampaignCell) -> dict[str, Any]:
         workload_classification,
         workload_clique_free,
     )
+    from repro.coloring import run_coloring
 
+    _check_method(cell)
     instance = _build_instance(cell)
-
-    def classification_for(epsilon: float) -> Any:
-        return workload_classification(
+    result = run_coloring(
+        instance.network, cell.method, seed=cell.seed, epsilon=cell.epsilon,
+        options=cell.option_dict(), telemetry=cell.telemetry,
+        classification_for=lambda epsilon: workload_classification(
             cell.num_cliques, cell.delta, epsilon, cell.graph_seed,
             cell.easy_fraction, cell.workload,
-        )
-
-    def validated() -> None:
-        workload_clique_free(
+        ),
+        validated=lambda: workload_clique_free(
             cell.num_cliques, cell.delta, cell.graph_seed, cell.easy_fraction,
             cell.workload,
-        )
-
-    return _execute_cell(
-        cell, instance.network, instance.delta, classification_for, validated
+        ),
     )
+    return cell_row(cell, result, instance.network.n, instance.delta)
 
 
-def run_cell_on_network(
-    cell: CampaignCell,
-    network: Any,
-    delta: int,
-    classification_for: Callable[[float], Any] | None = None,
-    validated: Callable[[], None] | None = None,
+def _check_method(cell: CampaignCell) -> None:
+    """Refuse a cell whose method is not one of the paper's pipelines."""
+    if cell.method not in CELL_METHODS:
+        raise ReproError(f"unknown campaign method {cell.method!r}")
+
+
+def cell_row(
+    cell: CampaignCell, result: dict[str, Any], n: int, delta: int
 ) -> dict[str, Any]:
-    """Execute one cell against an already-built network.
+    """The artifact row of ``cell``, from its ``color`` result.
 
-    The serve backends run remote-dispatched cells through this entry:
-    cells reference the graph by canonical instance hash, a backend
-    receives the graph at most once (when it first answers
-    ``unknown_instance``), and the workload builders never run
-    server-side.  A batch executor shares the seed-independent setup
-    across batches: ``classification_for(epsilon)`` returns the
-    network's ACD + hard/easy classification, and ``validated()`` is its
-    cached (Delta+1)-clique check, run in place of the pipeline's own.
-    Without them the pipeline computes both itself.  Both are
-    deterministic, so either way the row byte-matches :func:`run_cell`
-    for the same cell (the executor-equivalence suite pins this).
+    Every executor builds its rows here: the inline and pool executors
+    from a local :func:`repro.coloring.run_coloring`, the remote one
+    from a backend's ``color`` answer (the same dict, sent as JSON).
+    ``n`` and ``delta`` are the cell's graph's.
     """
-    return _execute_cell(cell, network, delta, classification_for, validated)
-
-
-def _execute_cell(
-    cell: CampaignCell,
-    network: Any,
-    delta: int,
-    classification_for: Callable[[float], Any] | None,
-    validated: Callable[[], None] | None = None,
-) -> dict[str, Any]:
-    """Shared cell-execution core: every executor's rows come from here."""
-    from repro import delta_color
-    from repro.bench.workloads import bench_params
-    from repro.obs import Collector, observed, telemetry_summary
-
-    params = bench_params(cell.epsilon)
-    options = cell.option_dict()
-    # The telemetry collector samples no rounds and records no events:
-    # the summary attached to the row must stay a pure function of the
-    # cell (no wall-clock, no allocation-order noise) to preserve the
-    # byte-identical-artifacts contract above.
-    collector = (
-        Collector(sample_rounds=False) if cell.telemetry else None
-    )
-    context = (
-        observed(collector) if collector is not None else nullcontext()
-    )
-    with context:
-        if cell.method not in ("deterministic", "randomized", "general"):
-            raise ReproError(f"unknown campaign method {cell.method!r}")
-        if cell.method != "general":
-            # The general pipeline computes its own sparse-aware ACD.
-            if validated is not None and options.get("validate_input", True):
-                validated()
-                options["validate_input"] = False
-            if classification_for is not None:
-                options["classification"] = classification_for(cell.epsilon)
-        result = delta_color(
-            network, method=cell.method, params=params, seed=cell.seed,
-            **options,
-        )
-
     row: dict[str, Any] = {
         "label": cell.label,
         "seed": cell.seed,
-        "algorithm": result.algorithm,
-        "n": result.stats.get("n", network.n),
-        "delta": result.stats.get("delta", delta),
-        "rounds": result.rounds,
-        "messages": result.messages,
-        "breakdown": result.phase_rounds(),
+        "algorithm": result["algorithm"],
+        "n": n,
+        "delta": delta,
+        "rounds": result["rounds"],
+        "messages": result["messages"],
+        "breakdown": result["phase_rounds"],
     }
-    if "shattering" in result.stats:
-        row["shattering"] = result.stats["shattering"]
-    if collector is not None:
-        row["telemetry"] = telemetry_summary(collector, result.ledger)
+    for key in ("shattering", "telemetry"):
+        if key in result:
+            row[key] = result[key]
     return row
 
 
@@ -835,46 +787,6 @@ def _grid_label(assignment: dict[str, Any]) -> str:
         if name in assignment
     ]
     return " ".join(parts) or "cell"
-
-
-def cell_to_json(cell: CampaignCell) -> dict[str, Any]:
-    """Cell as a JSON-ready dict (inverse of one ``cells`` spec entry)."""
-    data = asdict(cell)
-    data["options"] = dict(data["options"])
-    return data
-
-
-def cell_from_json(data: dict[str, Any]) -> CampaignCell:
-    """Rebuild a :class:`CampaignCell` from :func:`cell_to_json` output.
-
-    This is the wire decoder for the serve ``cell`` op: options are
-    re-sorted into the canonical tuple form, so encode → decode →
-    encode is a fixed point and the decoded cell runs byte-identically.
-    """
-    if not isinstance(data, dict):
-        raise ReproError("cell spec must be an object")
-    fields = dict(data)
-    options = fields.pop("options", {}) or {}
-    if not isinstance(options, dict):
-        raise ReproError("cell 'options' must be an object")
-    label = fields.pop("label", None)
-    if not isinstance(label, str) or not label:
-        raise ReproError("cell 'label' must be a non-empty string")
-    known = {
-        "workload", "num_cliques", "delta", "easy_fraction", "graph_seed",
-        "epsilon", "method", "seed", "telemetry",
-    }
-    unknown = set(fields) - known
-    if unknown:
-        raise ReproError(f"unknown cell fields: {sorted(unknown)}")
-    try:
-        return CampaignCell(
-            label=label,
-            options=tuple(sorted(options.items())),
-            **fields,
-        )
-    except TypeError as error:
-        raise ReproError(f"bad cell spec: {error}") from None
 
 
 def load_spec(path: str | Path) -> dict[str, Any]:

@@ -1,19 +1,22 @@
 """The distributed campaign plane: dispatch cells to serve backends.
 
 :func:`run_remote` is the ``executor="remote"`` arm of
-:func:`repro.runner.campaign.run_campaign`.  It ships
-:class:`~repro.runner.campaign.CampaignCell`\\ s to a set of registered
-serve backends over the NDJSON ``cell`` op and records rows through the
-same ``finish`` callback the inline and pool executors use — so strict
-mode, retries, the fsynced checkpoint journal, resume, and telemetry
-all behave identically, and the artifact bytes are identical too
-(server-side execution runs the same
-:func:`~repro.runner.campaign.run_cell_on_network` core).
+:func:`repro.runner.campaign.run_campaign`.  It sends each
+:class:`~repro.runner.campaign.CampaignCell` to a set of serve
+backends as a ``color`` request (``include_colors: false``, with the
+cell's ``telemetry`` flag) and records rows through the same ``finish``
+callback the inline and pool executors use — so strict mode, retries,
+the fsynced checkpoint journal, resume, and telemetry all behave
+identically.  The artifact bytes are identical too: a backend runs the
+same :func:`repro.coloring.run_coloring` the local executors do, and
+:func:`~repro.runner.campaign.cell_row` builds the row from its answer.
+A backend may answer from its result cache: two cells that differ only
+in label are one coloring.
 
 Dispatch mechanics
 ------------------
 * **Hash-first.**  Every cell references its graph by canonical
-  instance hash, so a cell request is a few hundred bytes regardless of
+  instance hash, so a request is a few hundred bytes regardless of
   graph size.  A backend receives a graph only when it answers
   ``unknown_instance`` (first contact, or a restart emptied its
   registry), once per backend however many cells bounced, and never if
@@ -65,7 +68,8 @@ from repro.runner.campaign import (
     CampaignCell,
     CellTimeout,
     _build_instance,
-    cell_to_json,
+    _check_method,
+    cell_row,
 )
 from repro.serve.client import (
     Endpoint,
@@ -349,20 +353,30 @@ class RemoteExecutor:
     async def _attempt(
         self, backend: _Backend, index: int
     ) -> tuple[str, Any]:
-        """Run one cell on one backend.
+        """Run one cell on one backend as a ``color`` request.
 
-        Returns ``("row", response)``, ``("error", detail)`` for a
+        Returns ``("row", (row, cached))``, ``("error", detail)`` for a
         deterministic failure — server-reported, or an
         :class:`InstanceHashMismatch` — that retrying cannot fix, or
         ``("lost", detail)`` for a transport/overload outcome that
         justifies re-queueing elsewhere.
         """
         cell = self._resolved[index]
-        instance_hash = _build_instance(cell).canonical_hash()
+        try:
+            _check_method(cell)
+        except ReproError as error:
+            return ("error", error)
+        instance = _build_instance(cell)
+        instance_hash = instance.canonical_hash()
         request = {
-            "op": "cell",
-            "cell": cell_to_json(cell),
+            "op": "color",
             "instance_hash": instance_hash,
+            "method": cell.method,
+            "seed": cell.seed,
+            "epsilon": cell.epsilon,
+            "options": cell.option_dict(),
+            "include_colors": False,
+            "telemetry": cell.telemetry,
         }
         try:
             body = await backend.client.request_hashed(
@@ -373,7 +387,10 @@ class RemoteExecutor:
             return ("error", error)
         code = (body.get("error") or {}).get("code")
         if body.get("ok"):
-            return ("row", body)
+            row = cell_row(
+                cell, body["result"], instance.network.n, instance.delta
+            )
+            return ("row", (row, bool(body.get("cached"))))
         if code in ("unavailable", "shed", "draining", "unknown_instance"):
             return ("lost", _error_text(body))
         return ("error", _error_text(body))
@@ -402,9 +419,9 @@ class RemoteExecutor:
             self._cancel_attempts(meta.index)
             self._latencies.append(self._now() - meta.started)
             meta.backend.completed += 1
-            if detail.get("cached"):
-                self._cache_hits += 1
-            self._finish(meta.index, None, detail["row"])
+            row, cached = detail
+            self._cache_hits += cached
+            self._finish(meta.index, None, row)
         elif status == "error":
             self._done.add(meta.index)
             self._cancel_attempts(meta.index)

@@ -26,7 +26,6 @@ from repro.serve.cache import (
     InstanceRegistry,
     ResultCache,
     make_cache_key,
-    make_cell_cache_key,
 )
 from repro.serve.chaos import (
     ChaosPlan,
@@ -49,15 +48,12 @@ from repro.serve.client import (
 from repro.serve.fleet import FleetConfig, FleetSupervisor
 from repro.serve.frontend import DEFAULT_IDLE_TIMEOUT_S
 from repro.serve.protocol import (
-    CELL_METHODS,
     METHODS,
     OPS,
-    CellRequest,
     ColorRequest,
     InstanceRecord,
     ProtocolError,
     normalize_instance_payload,
-    parse_cell_request,
     parse_color_request,
     parse_request,
 )
@@ -65,14 +61,12 @@ from repro.serve.router import FleetRouter, HashRing, RouterConfig
 from repro.serve.server import ColoringServer, ServeConfig, execute_batch
 
 __all__ = [
-    "CELL_METHODS",
     "DEFAULT_IDLE_TIMEOUT_S",
     "METHODS",
     "OPS",
     "RETRY_SAFE_OPS",
     "AdmissionController",
     "BatcherClosed",
-    "CellRequest",
     "ChaosPlan",
     "ChaosProxy",
     "ChunkFault",
@@ -101,9 +95,7 @@ __all__ = [
     "execute_batch",
     "fault_schedule",
     "make_cache_key",
-    "make_cell_cache_key",
     "normalize_instance_payload",
-    "parse_cell_request",
     "parse_color_request",
     "parse_request",
     "run_chaos_proxy",

@@ -4,9 +4,9 @@ Caching colorings is sound because every pipeline in this repo is a
 pure function of ``(instance, seed, parameters)`` — the determinism
 contract the test suite and ``repro lint`` enforce.  The cache key is
 therefore the canonical instance hash (:func:`repro.graphs.\
-canonical_instance_hash`) joined with the method, seed, epsilon, and
-any result-shaping options; two requests with equal keys are entitled
-to byte-identical results.
+canonical_instance_hash`) joined with the method, seed, epsilon, any
+result-shaping options and the ``telemetry`` flag; two requests with
+equal keys are entitled to byte-identical results.
 
 Two small pieces:
 
@@ -54,7 +54,6 @@ __all__ = [
     "PreparedCache",
     "ResultCache",
     "make_cache_key",
-    "make_cell_cache_key",
 ]
 
 
@@ -64,38 +63,23 @@ def make_cache_key(
     seed: int | None,
     epsilon: float,
     options: dict[str, Any] | None = None,
+    *,
+    telemetry: bool = False,
 ) -> str:
-    """Canonical cache key for one coloring computation."""
-    payload = {
+    """Canonical cache key for one coloring computation.
+
+    ``telemetry`` enters the key only when set, so the keys of requests
+    without it are those of the protocol before the flag existed.
+    """
+    payload: dict[str, Any] = {
         "instance": instance_hash,
         "method": method,
         "seed": seed,
         "epsilon": epsilon,
         "options": dict(sorted((options or {}).items())),
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def make_cell_cache_key(instance_hash: str, cell: dict[str, Any]) -> str:
-    """Canonical cache key for one campaign-cell execution.
-
-    Keyed on the full wire cell (a cell's row is a pure function of the
-    cell — including its ``label``, which the row embeds) plus the
-    instance hash.  Namespaced under ``"op": "cell"`` so a cell result
-    can never collide with a ``color`` result in the shared disk tier.
-    """
-    payload = {
-        "op": "cell",
-        "instance": instance_hash,
-        "cell": {
-            key: (
-                dict(sorted(value.items()))
-                if isinstance(value, dict) else value
-            )
-            for key, value in sorted(cell.items())
-        },
-    }
+    if telemetry:
+        payload["telemetry"] = True
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -192,17 +192,6 @@ class ChaosProxy(Listener):
         self.truncations = 0
         self.bytes_forwarded = 0
         self.fault_log: list[dict[str, Any]] = []
-        #: Connection index -> the connection, while it is proxied.
-        self._live: dict[int, _ProxiedConnection] = {}
-        self._closing = False
-
-    async def close(self) -> None:
-        """Reset the proxied connections, then stop listening (from
-        Python 3.12.1, ``Server.wait_closed`` waits for them)."""
-        self._closing = True
-        for proxied in self._live.values():
-            proxied.abort()
-        await super().close()
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -220,10 +209,7 @@ class ChaosProxy(Listener):
         index = self.connections
         self.connections += 1
         proxied = _ProxiedConnection(index, writer)
-        self._live[index] = proxied
         try:
-            if self._closing:
-                return  # accepted just before the proxy closed
             if self.plan.blackholes(index):
                 self.blackholed += 1
                 self.fault_log.append({
@@ -248,15 +234,12 @@ class ChaosProxy(Listener):
                 proxied.abort()
                 return
             proxied.upstream_writer = up_writer
-            if self._closing:
-                return  # the proxy closed while this one connected
             await asyncio.gather(
                 self._pump(proxied, "c2s", reader, up_writer),
                 self._pump(proxied, "s2c", up_reader, writer),
                 return_exceptions=True,
             )
         finally:
-            del self._live[index]
             for side in (writer, proxied.upstream_writer):
                 if side is not None:
                     side.close()

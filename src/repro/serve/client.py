@@ -37,11 +37,9 @@ and ``draining`` error responses (the server refused the work), and —
 for the ops in :data:`RETRY_SAFE_OPS` — ambiguous in-flight failures
 (resets, timeouts).  ``color`` is in that set *because the pipelines
 are deterministic*: a re-sent ``color`` is cache-keyed on
-``(instance hash, method, seed, epsilon, options)`` and is entitled to
-a byte-identical response, so executing it twice is indistinguishable
-from executing it once (DESIGN.md §13).  ``cell`` is in the set for the
-same reason: a campaign cell's row is a pure function of the cell.
-``drain`` is never retried after an ambiguous write: if the first one
+``(instance hash, method, seed, epsilon, options, telemetry)`` and is
+entitled to a byte-identical response, so executing it twice is
+indistinguishable from executing it once (DESIGN.md §13).  ``drain`` is never retried after an ambiguous write: if the first one
 landed, a re-sent drain could reach a restarted server and stop it too.
 """
 
@@ -273,7 +271,7 @@ class RetryPolicy:
 #: ⇒ same canonical hash ⇒ same registry entry).  ``drain`` is absent
 #: on purpose.
 RETRY_SAFE_OPS = frozenset(
-    {"color", "cell", "register", "health", "status", "metrics", "fleet"}
+    {"color", "register", "health", "status", "metrics", "fleet"}
 )
 
 #: Error responses the server sends *instead of* doing work — always
@@ -443,8 +441,9 @@ class ResilientClient:
         )
 
     async def probe(self, timeout_s: float | None = None) -> str:
-        """Send ``health``; update and return :attr:`status`.
+        """Send one ``health`` attempt; update and return :attr:`status`.
 
+        One attempt, never retried, so ``timeout_s`` bounds the probe.
         ``down`` takes :data:`PROBE_DOWN_AFTER` failed probes or lost
         requests (:meth:`note_failure`) in a row, or one refused connect
         to a UNIX socket (its server is gone); any answer that is not
@@ -452,8 +451,11 @@ class ResilientClient:
         refusal marks it draining, and only a probe's ``ok`` ends that:
         a draining server still answers the work it admitted before.
         """
-        body = await self.request({"op": "health"}, timeout_s=timeout_s)
-        if body.get("ok"):
+        timeout = timeout_s if timeout_s is not None else self.request_timeout_s
+        body, _, latency_ms = await self._attempt({"op": "health"}, timeout)
+        if body is not None:
+            self._note_response(body, latency_ms)
+        if body is not None and body.get("ok"):
             self.status = "draining" if body.get("status") == "draining" else "ok"
         else:
             self.note_failure()

@@ -107,7 +107,11 @@ class FrontEndConfig:
 
 
 class Listener:
-    """A TCP or UNIX stream listener; subclasses handle its connections."""
+    """A TCP or UNIX stream listener; subclasses handle its connections.
+
+    It keeps the writers of the connections it accepted, so that
+    :meth:`close` can close them.
+    """
 
     #: Stream reader buffer bound (asyncio's own default).
     limit = 2**16
@@ -118,6 +122,9 @@ class Listener:
         self.unix_path = unix_path
         self._server: asyncio.AbstractServer | None = None
         self._stopped: asyncio.Event | None = None
+        #: Writers of the accepted connections that are still open.
+        self._writers: set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -127,15 +134,28 @@ class Listener:
     async def start(self) -> None:
         """Bind and start accepting connections."""
         self._stopped = asyncio.Event()
+        self._closing = False
         if self.unix_path is not None:
             self._server = await asyncio.start_unix_server(
-                self._on_connection, path=self.unix_path, limit=self.limit
+                self._accept, path=self.unix_path, limit=self.limit
             )
         else:
             self._server = await asyncio.start_server(
-                self._on_connection, host=self.host, port=self.listen_port,
+                self._accept, host=self.host, port=self.listen_port,
                 limit=self.limit,
             )
+
+    async def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        if self._closing:
+            writer.close()  # accepted just before the listener closed
+            return
+        self._writers.add(writer)
+        try:
+            await self._on_connection(reader, writer)
+        finally:
+            self._writers.discard(writer)
 
     @property
     def address(self) -> str:
@@ -164,9 +184,17 @@ class Listener:
         """Free what a subclass holds, once no connection is accepted."""
 
     async def close(self) -> None:
-        """Stop listening and tear everything down (idempotent)."""
+        """Stop accepting, close the accepted connections, wait for the
+        server, and tear everything down (idempotent).
+
+        The connections close first because from Python 3.12.1
+        ``Server.wait_closed`` waits for every one of them.
+        """
         if self._server is not None:
+            self._closing = True
             self._server.close()
+            for writer in list(self._writers):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         await self._release()
@@ -296,7 +324,10 @@ class NdjsonFrontEnd(Listener):
                     data = parse_request(line)
                 except ProtocolError as error:
                     self._count("serve.bad_request")
-                    await reply(error_body(error.code, str(error)))
+                    await reply(error_body(
+                        error.code, str(error),
+                        request_id=error.request_id, op=error.op,
+                    ))
                     continue
                 if data["op"] == "drain":
                     task = loop.create_task(self._drain(data.get("id"), reply))

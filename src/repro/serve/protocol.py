@@ -19,22 +19,27 @@ Errors are first-class responses, never closed connections::
     {"id": 7, "ok": false, "error": {"code": "shed",
      "message": "queue depth 256 at bound; retry later"}}
 
-Ops: ``color`` (run a pipeline), ``cell`` (run a full campaign cell —
-the distributed campaign plane's op: the cell spec rides inline, the
-graph by ``instance_hash`` only, and the response carries the same
-artifact row :func:`repro.runner.campaign.run_cell` produces locally),
-``register`` (upload an instance once, address it by canonical hash
-afterwards), ``status``, ``health``, ``metrics``, ``drain``, and
-``fleet`` (per-shard health, ring ownership, and routing counters —
-answered by the router tier; a single shard bounces it with
-``unsupported``).  Instances travel either inline (``instance``, same
-payload shape as :func:`repro.graphs.save_instance`) or by reference
-(``instance_hash`` of a previously registered/submitted instance) —
-the reference form keeps steady-state requests a few dozen bytes.
-``cell`` accepts the reference form only: the campaign executor sends
-every cell by hash and registers a graph only when a backend answers
-``unknown_instance`` (hash-first), so each graph crosses the wire at
-most once per backend.
+Ops: ``color`` (run a pipeline), ``register`` (upload an instance
+once, address it by canonical hash afterwards), ``status``,
+``health``, ``metrics``, ``drain``, and ``fleet`` (per-shard health,
+ring ownership, and routing counters — answered by the router tier; a
+single shard bounces it with ``unsupported``).  Instances travel either
+inline (``instance``, same payload shape as
+:func:`repro.graphs.save_instance`) or by reference (``instance_hash``
+of a previously registered/submitted instance) — the reference form
+keeps steady-state requests a few dozen bytes.
+
+A ``color`` request names ``method``, ``seed``, ``epsilon`` and
+``options`` (``verify``, ``validate_input``, ``activation_probability``).
+``include_colors: false`` drops the color list from the answer, and
+``telemetry: true`` adds a deterministic ``repro.obs`` summary to the
+result; the flag is part of the cache key.  The result carries
+``algorithm``, ``num_colors``, ``rounds``, ``messages``,
+``phase_rounds`` (not for ``baseline-brooks``), ``colors`` and
+``colors_sha256``, plus ``shattering`` whenever the pipeline reports it
+(:func:`repro.coloring.run_coloring`).
+Campaigns send their cells as ``color`` requests by hash, without
+colors (:mod:`repro.runner.remote`).
 
 Error codes: ``bad_request`` (malformed JSON / fields), ``unsupported``
 (unknown op or method), ``unknown_instance`` (hash not registered),
@@ -53,23 +58,21 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.coloring import OPTIONS
 from repro.errors import ReproError
 from repro.graphs.instance import adjacency_instance_hash
 from repro.local.network import _adjacency_from_edges
 
 __all__ = [
-    "CELL_METHODS",
     "MAX_LINE_BYTES",
     "METHODS",
     "OPS",
-    "CellRequest",
     "ColorRequest",
     "InstanceRecord",
     "ProtocolError",
     "encode",
     "error_body",
     "normalize_instance_payload",
-    "parse_cell_request",
     "parse_color_request",
     "parse_request",
 ]
@@ -77,10 +80,7 @@ __all__ = [
 #: Per-line size bound; an instance payload for n ~ 10^5 fits comfortably.
 MAX_LINE_BYTES = 32 * 1024 * 1024
 
-OPS = (
-    "color", "cell", "register", "status", "health", "metrics", "drain",
-    "fleet",
-)
+OPS = ("color", "register", "status", "health", "metrics", "drain", "fleet")
 
 #: Pipelines the ``color`` op dispatches to.  The paper pipelines
 #: (deterministic / randomized / general) plus the repo's baselines,
@@ -93,17 +93,21 @@ METHODS = (
     "baseline-dplus1",
 )
 
-#: Methods a campaign ``cell`` may name — exactly the
-#: :func:`repro.runner.campaign.run_cell` dispatch table.
-CELL_METHODS = ("deterministic", "randomized", "general")
-
-
 class ProtocolError(ReproError):
-    """A request the server understands well enough to refuse."""
+    """A request the server understands well enough to refuse.
 
-    def __init__(self, code: str, message: str) -> None:
+    ``request_id`` and ``op`` are the refused envelope's, when it has
+    them, so that the answer can echo them.
+    """
+
+    def __init__(
+        self, code: str, message: str, *, request_id: Any = None,
+        op: str | None = None,
+    ) -> None:
         super().__init__(message)
         self.code = code
+        self.request_id = request_id
+        self.op = op
 
 
 @dataclass
@@ -119,6 +123,7 @@ class ColorRequest:
     deadline_ms: float | None = None
     include_colors: bool = True
     no_cache: bool = False
+    telemetry: bool = False
     options: dict[str, Any] = field(default_factory=dict)
 
 
@@ -169,7 +174,8 @@ def parse_request(line: bytes | str) -> dict[str, Any]:
         raise ProtocolError("bad_request", "request is missing a string 'op'")
     if op not in OPS:
         raise ProtocolError(
-            "unsupported", f"unknown op {op!r}; expected one of {', '.join(OPS)}"
+            "unsupported", f"unknown op {op!r}; expected one of {', '.join(OPS)}",
+            request_id=data.get("id"), op=op,
         )
     return data
 
@@ -218,8 +224,7 @@ def parse_color_request(data: dict[str, Any]) -> ColorRequest:
             "bad_request", "give 'instance' or 'instance_hash', not both"
         )
     options = _require(data, "options", dict, None) or {}
-    allowed_options = {"verify", "validate_input", "activation_probability"}
-    unknown = set(options) - allowed_options
+    unknown = set(options) - OPTIONS
     if unknown:
         raise ProtocolError(
             "bad_request", f"unknown options: {sorted(unknown)}"
@@ -234,81 +239,8 @@ def parse_color_request(data: dict[str, Any]) -> ColorRequest:
         deadline_ms=deadline_ms,
         include_colors=_require(data, "include_colors", bool, True),
         no_cache=_require(data, "no_cache", bool, False),
+        telemetry=_require(data, "telemetry", bool, False),
         options=options,
-    )
-
-
-@dataclass
-class CellRequest:
-    """A validated ``cell`` request (graph resolved by registered hash)."""
-
-    id: Any = None
-    cell: dict[str, Any] = field(default_factory=dict)
-    instance_hash: str = ""
-
-
-#: Keys a wire cell spec may carry — the :class:`CampaignCell` fields.
-_CELL_FIELDS = (
-    "label", "workload", "num_cliques", "delta", "easy_fraction",
-    "graph_seed", "epsilon", "method", "seed", "options", "telemetry",
-)
-
-
-def parse_cell_request(data: dict[str, Any]) -> CellRequest:
-    """Validate the fields of a ``cell`` envelope.
-
-    Shape-level validation only: the spec must decode into a
-    :class:`repro.runner.campaign.CampaignCell` (the worker does the
-    decode via ``cell_from_json``), but the protocol layer stays free
-    of runner imports.
-    """
-    cell = _require(data, "cell", dict, None)
-    if cell is None:
-        raise ProtocolError("bad_request", "cell op needs a 'cell' object")
-    instance_hash = _require(data, "instance_hash", str, None)
-    if not instance_hash:
-        raise ProtocolError(
-            "bad_request",
-            "cell op needs an 'instance_hash' of a registered instance "
-            "(register it first; inline instances are not accepted)",
-        )
-    unknown = set(cell) - set(_CELL_FIELDS)
-    if unknown:
-        raise ProtocolError(
-            "bad_request", f"unknown cell fields: {sorted(unknown)}"
-        )
-    label = _require(cell, "label", str, None)
-    if not label:
-        raise ProtocolError(
-            "bad_request", "cell needs a non-empty string 'label'"
-        )
-    method = _require(cell, "method", str, "randomized")
-    if method not in CELL_METHODS:
-        raise ProtocolError(
-            "unsupported",
-            f"unknown cell method {method!r}; expected one of "
-            f"{', '.join(CELL_METHODS)}",
-        )
-    _require(cell, "seed", int, None)
-    epsilon = _require(cell, "epsilon", float, None)
-    if epsilon is not None and not 0 < epsilon < 1:
-        raise ProtocolError(
-            "bad_request", f"epsilon must be in (0, 1), got {epsilon}"
-        )
-    _require(cell, "workload", str, None)
-    for key in ("num_cliques", "delta", "graph_seed"):
-        _require(cell, key, int, None)
-    _require(cell, "easy_fraction", float, None)
-    _require(cell, "telemetry", bool, False)
-    options = _require(cell, "options", dict, None) or {}
-    allowed_options = {"verify", "validate_input", "activation_probability"}
-    unknown = set(options) - allowed_options
-    if unknown:
-        raise ProtocolError(
-            "bad_request", f"unknown cell options: {sorted(unknown)}"
-        )
-    return CellRequest(
-        id=data.get("id"), cell=cell, instance_hash=instance_hash
     )
 
 

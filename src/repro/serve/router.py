@@ -10,7 +10,7 @@ router from an ordinary client.
 Routing.  ``color`` requests are placed on a seeded consistent-hash
 ring (:class:`HashRing`) keyed by the request's *cache key*
 (:func:`repro.serve.cache.make_cache_key` over the canonical instance
-hash, method, seed, epsilon, and options).  Keying by the cache key —
+hash, method, seed, epsilon, options and the telemetry flag).  Keying by the cache key —
 not just the instance hash — spreads a seed sweep over one instance
 across the whole fleet while still sending byte-identical requests to
 the same shard, which is what makes each shard's in-memory LRU
@@ -36,8 +36,8 @@ client, which also owns the shard's health
 bounces.  ``register`` fans out to every live shard;
 ``health``/``status``/``metrics`` aggregate across the fleet; the
 ``fleet`` op reports per-shard health, ring ownership, and routing
-counters; ``cell`` is answered ``unsupported`` (campaigns dispatch
-cells to the shards directly).  ``drain`` drains the *router* (stop
+counters.  A campaign's remote executor may use a router as its one
+backend: its cells are ``color`` requests by hash.  ``drain`` drains the *router* (stop
 admitting, finish in-flight); shard drain is the supervisor's job
 (:mod:`repro.serve.fleet`), cascaded in reverse order.  The connection
 layer, ``drain`` and the signal drain are the server's
@@ -354,14 +354,6 @@ class FleetRouter(NdjsonFrontEnd):
         op = data["op"]
         if op == "color":
             return self._handle_color(data, reply)
-        if op == "cell":
-            # Campaigns dispatch cells to the shards directly.
-            return error_body(
-                "unsupported",
-                "the cell op is answered by a serve shard (repro serve); "
-                "this is the router tier",
-                request_id=data.get("id"), op="cell",
-            )
         if op == "register":
             return self._handle_register(data)
         if op == "fleet":
@@ -391,7 +383,7 @@ class FleetRouter(NdjsonFrontEnd):
             return
         key = make_cache_key(
             instance_hash, request.method, request.seed, request.epsilon,
-            request.options,
+            request.options, telemetry=request.telemetry,
         )
         refusal = self.admission.try_admit()
         if refusal is not None:

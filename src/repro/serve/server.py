@@ -2,7 +2,7 @@
 
 Event-loop front end + process-pool back end.  The NDJSON connection
 layer is :class:`repro.serve.frontend.NdjsonFrontEnd`, shared with the
-router; ``color`` and ``cell`` requests take one path through the cache
+router; a ``color`` request takes one path through the cache
 (:mod:`repro.serve.cache`), admission control
 (:mod:`repro.serve.admission`), and the micro-batcher
 (:mod:`repro.serve.batching`) before a whole batch ships to a worker
@@ -30,9 +30,8 @@ rows first), the (Δ+1)-clique verdict, and per epsilon the
 classification (the ACD and the hard/easy split, line 1 of Algorithm 1:
 the seed-independent prefix of the dense pipelines).  Each batch builds
 a fresh ``Network`` over the stored adjacency without re-validating it,
-so no node state crosses batches or threads, and every seed's coloring,
-``color`` request or campaign cell alike, reuses the stored verdict and
-classification.  A seed sweep therefore pays the structural analysis
+so no node state crosses batches or threads, and every seed's coloring
+reuses the stored verdict and classification.  A seed sweep therefore pays the structural analysis
 once per worker, however many batches it spans.  The entries follow the
 server's :class:`~repro.serve.cache.InstanceRegistry`: after each batch
 the worker drops every instance the registry no longer holds.
@@ -63,7 +62,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Collection, Coroutine
 
-from repro.constants import PAPER_PARAMETERS, AlgorithmParameters
+from repro.coloring import run_coloring
 from repro.errors import ReproError
 from repro.obs.collector import Collector, active_collector, install, uninstall
 from repro.runner.pool import WorkerPool
@@ -74,7 +73,6 @@ from repro.serve.cache import (
     PreparedCache,
     ResultCache,
     make_cache_key,
-    make_cell_cache_key,
 )
 from repro.serve.frontend import (
     DEFAULT_IDLE_TIMEOUT_S,
@@ -88,7 +86,6 @@ from repro.serve.protocol import (
     ProtocolError,
     error_body,
     normalize_instance_payload,
-    parse_cell_request,
     parse_color_request,
 )
 
@@ -181,63 +178,6 @@ _PREPARED: PreparedCache[_Prepared] = PreparedCache()
 os.register_at_fork(after_in_child=_PREPARED.reset)
 
 
-def _run_spec(
-    spec: dict[str, Any],
-    network: Any,
-    classification_for: Callable[[float], Any],
-    validated: Callable[[], None],
-) -> dict[str, Any]:
-    from repro import delta_color
-    from repro.baselines.greedy_brooks import greedy_brooks_coloring
-    from repro.baselines.greedy_deltaplus1 import greedy_delta_plus_one
-
-    method = spec["method"]
-    seed = spec.get("seed")
-    options = spec.get("options") or {}
-    verify = options.get("verify", True)
-    if method == "baseline-brooks":
-        colors = greedy_brooks_coloring(network)
-        return {
-            "algorithm": "greedy-brooks",
-            "num_colors": max(colors) + 1,
-            "rounds": 0,
-            "messages": 0,
-            "colors": colors,
-        }
-    if method == "baseline-dplus1":
-        result = greedy_delta_plus_one(
-            network, deterministic=seed is None, seed=seed, verify=verify
-        )
-    else:
-        kwargs: dict[str, Any] = {"verify": verify}
-        # The general pipeline owns its sparse-aware ACD and validation.
-        if method != "general":
-            if options.get("validate_input", True):
-                validated()
-            kwargs["validate_input"] = False
-            kwargs["classification"] = classification_for(spec["epsilon"])
-        if method != "deterministic" and "activation_probability" in options:
-            kwargs["activation_probability"] = options["activation_probability"]
-        result = delta_color(
-            network, method=method, params=_params_for(spec["epsilon"]),
-            seed=seed, **kwargs,
-        )
-    return {
-        "algorithm": result.algorithm,
-        "num_colors": result.num_colors,
-        "rounds": result.rounds,
-        "messages": result.messages,
-        "phase_rounds": result.phase_rounds(),
-        "colors": result.colors,
-    }
-
-
-def _params_for(epsilon: float) -> AlgorithmParameters:
-    if epsilon == PAPER_PARAMETERS.epsilon:
-        return PAPER_PARAMETERS
-    return AlgorithmParameters(epsilon=epsilon)
-
-
 def execute_batch(
     specs: list[dict[str, Any]],
     instances: dict[str, InstanceRecord],
@@ -257,16 +197,10 @@ def execute_batch(
     pipeline run becomes that spec's error entry, never its batch
     mates'.
 
-    Two spec kinds ride the same batches: ``color`` specs (the default)
-    and ``cell`` specs (``kind == "cell"``), which decode a campaign
-    cell and run it through :func:`repro.runner.campaign.run_cell_on_network`
-    — the exact executor core inline/pool campaigns use, sharing the
-    prepared network, clique verdict and classification.  That shared
-    core is the byte-identity argument for the distributed campaign
-    plane.
+    A spec is a parsed ``color`` request, run by
+    :func:`repro.coloring.run_coloring` on the shared network, clique
+    verdict and classification.
     """
-    from repro.runner.campaign import cell_from_json, run_cell_on_network
-
     keep = set(instances) if registered is None else registered
     ready: dict[str, tuple[_Prepared, Any]] = {}
     out: list[dict[str, Any]] = []
@@ -284,22 +218,17 @@ def execute_batch(
                     entry["prepared"] = "build" if built else "hit"
                     ready[instance_hash] = (prepared, prepared.network())
                 prepared, network = ready[instance_hash]
-                classification_for = partial(
-                    prepared.classification, network=network
+                result = run_coloring(
+                    network, spec["method"], seed=spec.get("seed"),
+                    epsilon=spec["epsilon"], options=spec.get("options") or {},
+                    telemetry=spec.get("telemetry", False),
+                    classification_for=partial(
+                        prepared.classification, network=network
+                    ),
+                    validated=partial(prepared.validate, network),
                 )
-                validated = partial(prepared.validate, network)
-                if spec.get("kind") == "cell":
-                    row = run_cell_on_network(
-                        cell_from_json(spec["cell"]), network,
-                        prepared.delta, classification_for, validated,
-                    )
-                    entry["result"] = {"row": row}
-                else:
-                    result = _run_spec(
-                        spec, network, classification_for, validated
-                    )
-                    result["colors_sha256"] = _colors_digest(result["colors"])
-                    entry["result"] = result
+                result["colors_sha256"] = _colors_digest(result["colors"])
+                entry["result"] = result
             except ReproError as error:
                 entry["error"] = {
                     "code": "internal",
@@ -453,8 +382,6 @@ class ColoringServer(NdjsonFrontEnd):
         op = data["op"]
         if op == "color":
             return self._handle_color(data, reply)
-        if op == "cell":
-            return self._handle_cell(data, reply)
         return self._handle_query(op, data)
 
     # -- read-only / control ops ---------------------------------------
@@ -554,10 +481,15 @@ class ColoringServer(NdjsonFrontEnd):
             },
         }
 
-    # -- the color and cell ops ----------------------------------------
+    # -- the color op --------------------------------------------------
 
     async def _handle_color(self, data: dict[str, Any], reply: Reply) -> None:
-        started = asyncio.get_running_loop().time()
+        """Answer one ``color`` request: registry lookup, result cache,
+        admission, micro-batch, outcome.  The answer is written before
+        the request leaves admission, so a drain never outruns it."""
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        request_id = data.get("id")
         try:
             request = parse_color_request(data)
             if request.instance is not None:
@@ -570,12 +502,22 @@ class ColoringServer(NdjsonFrontEnd):
         except ProtocolError as error:
             self._metrics.count("serve.bad_request")
             await reply(error_body(
-                error.code, str(error), request_id=data.get("id"), op="color"
+                error.code, str(error), request_id=request_id, op="color"
+            ))
+            return
+        record = self.registry.get(instance_hash)
+        if record is None:
+            self._metrics.count("serve.unknown_instance")
+            await reply(error_body(
+                "unknown_instance",
+                f"no registered instance with hash {instance_hash!r}; "
+                "send it inline or via the register op first",
+                request_id=request_id, op="color",
             ))
             return
         key = make_cache_key(
             instance_hash, request.method, request.seed, request.epsilon,
-            request.options,
+            request.options, telemetry=request.telemetry,
         )
 
         def respond(
@@ -584,7 +526,7 @@ class ColoringServer(NdjsonFrontEnd):
             if not request.include_colors:
                 result = {k: v for k, v in result.items() if k != "colors"}
             body = {
-                "id": request.id,
+                "id": request_id,
                 "ok": True,
                 "op": "color",
                 "cached": batch_size is None,
@@ -595,104 +537,7 @@ class ColoringServer(NdjsonFrontEnd):
                 body["batch_size"] = batch_size
             return body
 
-        await self._run_spec(
-            reply, "color", request.id, started,
-            {
-                "key": key,
-                "instance_hash": instance_hash,
-                "method": request.method,
-                "seed": request.seed,
-                "epsilon": request.epsilon,
-                "options": request.options,
-            },
-            respond,
-            hint="send it inline or via the register op first",
-            use_cache=not request.no_cache,
-            deadline_ms=(
-                request.deadline_ms if request.deadline_ms is not None
-                else self.config.default_deadline_ms
-            ),
-        )
-
-    async def _handle_cell(self, data: dict[str, Any], reply: Reply) -> None:
-        """Run one campaign cell: the distributed campaign plane's op.
-
-        Same admission / batching / caching path as ``color``; the spec
-        carries the full wire cell and the graph arrives by registered
-        hash only (the campaign executor registers a graph when this
-        answers ``unknown_instance``).  The response row is what the
-        inline executor's
-        :func:`repro.runner.campaign.run_cell` would produce — cells are
-        deterministic, so serving one is cacheable and retry-safe.
-        """
-        started = asyncio.get_running_loop().time()
-        try:
-            request = parse_cell_request(data)
-        except ProtocolError as error:
-            self._metrics.count("serve.bad_request")
-            await reply(error_body(
-                error.code, str(error), request_id=data.get("id"), op="cell"
-            ))
-            return
-
-        def respond(
-            result: dict[str, Any], batch_size: int | None
-        ) -> dict[str, Any]:
-            return {
-                "id": request.id,
-                "ok": True,
-                "op": "cell",
-                "cached": batch_size is None,
-                "instance_hash": request.instance_hash,
-                "row": result["row"],
-            }
-
-        await self._run_spec(
-            reply, "cell", request.id, started,
-            {
-                "kind": "cell",
-                "key": make_cell_cache_key(
-                    request.instance_hash, request.cell
-                ),
-                "instance_hash": request.instance_hash,
-                "cell": request.cell,
-            },
-            respond,
-            hint="register it first",
-        )
-
-    async def _run_spec(
-        self,
-        reply: Reply,
-        op: str,
-        request_id: Any,
-        started: float,
-        spec: dict[str, Any],
-        respond: Callable[[dict[str, Any], int | None], dict[str, Any]],
-        *,
-        hint: str,
-        use_cache: bool = True,
-        deadline_ms: float | None = None,
-    ) -> None:
-        """Answer one ``color``/``cell`` spec: the path the two ops share.
-
-        Registry lookup, result cache, admission, micro-batch, outcome.
-        ``respond(result, batch_size)`` renders the success body;
-        ``batch_size`` is ``None`` for a cache hit.  ``hint`` ends the
-        ``unknown_instance`` message.
-        """
-        instance_hash = spec["instance_hash"]
-        record = self.registry.get(instance_hash)
-        if record is None:
-            self._metrics.count("serve.unknown_instance")
-            await reply(error_body(
-                "unknown_instance",
-                f"no registered instance with hash {instance_hash!r}; {hint}",
-                request_id=request_id, op=op,
-            ))
-            return
-        key = spec["key"]
-        if use_cache:
+        if not request.no_cache:
             cached = self.cache.get(key)
             if cached is not None:
                 self._metrics.count("serve.cache_hit")
@@ -709,17 +554,29 @@ class ColoringServer(NdjsonFrontEnd):
                 else "server is draining; no new work accepted"
             )
             await reply(error_body(
-                refusal, detail, request_id=request_id, op=op
+                refusal, detail, request_id=request_id, op="color"
             ))
             return
 
+        deadline_ms = (
+            request.deadline_ms if request.deadline_ms is not None
+            else self.config.default_deadline_ms
+        )
         try:
             item = PendingRequest(
                 key=key,
                 instance_hash=instance_hash,
                 record=record,
-                spec=spec,
-                future=asyncio.get_running_loop().create_future(),
+                spec={
+                    "key": key,
+                    "instance_hash": instance_hash,
+                    "method": request.method,
+                    "seed": request.seed,
+                    "epsilon": request.epsilon,
+                    "options": request.options,
+                    "telemetry": request.telemetry,
+                },
+                future=loop.create_future(),
                 deadline=(
                     started + deadline_ms / 1000.0
                     if deadline_ms is not None else None
@@ -733,7 +590,7 @@ class ColoringServer(NdjsonFrontEnd):
                 self._metrics.count("serve.draining")
                 await reply(error_body(
                     "draining", "server is draining; no new work accepted",
-                    request_id=request_id, op=op,
+                    request_id=request_id, op="color",
                 ))
                 return
             outcome = await item.future
@@ -742,15 +599,14 @@ class ColoringServer(NdjsonFrontEnd):
                 self._metrics.count(f"serve.{error['code']}")
                 body = error_body(
                     error["code"], error["message"],
-                    request_id=request_id, op=op,
+                    request_id=request_id, op="color",
                 )
                 if "type" in error:
                     body["error"]["type"] = error["type"]
                 await reply(body)
             else:
                 self._metrics.observe(
-                    "serve.latency_ms",
-                    (asyncio.get_running_loop().time() - started) * 1000.0,
+                    "serve.latency_ms", (loop.time() - started) * 1000.0
                 )
                 self._metrics.count("serve.completed")
                 await reply(respond(

@@ -7,7 +7,9 @@ slow tests exercise the paper constants at Delta = 63.
 
 from __future__ import annotations
 
+import asyncio.base_events
 import random
+import sys
 
 import pytest
 
@@ -19,6 +21,31 @@ from repro.local import Network
 SMALL_EPSILON = 0.25
 SMALL_DELTA = 16
 SMALL_CLIQUES = 34
+
+
+async def _wait_closed_3121(self) -> None:
+    """``Server.wait_closed`` as Python 3.12.1 has it: wait until the
+    server is closed *and* every connection it accepted has dropped.
+
+    Before 3.12 it returns at once once the server is closed, so a tier
+    that closes with a client still connected only hangs on 3.12.1+.
+    """
+    if self._waiters is None:
+        return
+    waiter = self._loop.create_future()
+    self._waiters.append(waiter)
+    await waiter
+
+
+@pytest.fixture
+def wait_closed_3121(monkeypatch):
+    """Run a test under the 3.12.1 ``wait_closed`` on older interpreters,
+    so that a listener closing with accepted connections still open
+    hangs here as it would there."""
+    if sys.version_info < (3, 12, 1):
+        monkeypatch.setattr(
+            asyncio.base_events.Server, "wait_closed", _wait_closed_3121
+        )
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,9 @@ from repro.serve import (
     fault_schedule,
 )
 
+#: Every test here runs under Python 3.12.1's ``Server.wait_closed``.
+pytestmark = pytest.mark.usefixtures("wait_closed_3121")
+
 EPSILON = 0.25
 
 

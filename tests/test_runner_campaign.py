@@ -9,8 +9,6 @@ import pytest
 from repro.errors import ReproError
 from repro.runner import (
     CampaignCell,
-    cell_from_json,
-    cell_to_json,
     cells_from_spec,
     derive_cell_seed,
     e2b_sample,
@@ -63,10 +61,10 @@ class TestRunCell:
         assert first == second
 
     def test_unknown_engine_rejected(self):
-        """There is one engine, so a wire cell naming one is malformed."""
-        wire = {**cell_to_json(small_cells()[0]), "engine": "fast"}
+        """There is one engine, so a cell option naming one is malformed."""
+        cell = CampaignCell(label="engine", options=(("engine", "fast"),), **SMALL)
         with pytest.raises(ReproError, match="engine"):
-            cell_from_json(wire)
+            run_cell(cell)
 
     @pytest.mark.parametrize("method", ["randomized", "deterministic"])
     def test_seed_engine_rows_are_byte_identical(self, method):
@@ -110,6 +108,7 @@ class TestRunCell:
         on the mixed graph, and its cached classification and clique
         check are of that graph, not of the hard graph of equal size."""
         import repro.bench.workloads as workloads
+        import repro.coloring as coloring
         import repro.runner.campaign as campaign
         from repro.acd import compute_acd
         from repro.core.hardness import classify_cliques
@@ -134,13 +133,15 @@ class TestRunCell:
         workloads.workload_clique_free.cache_clear()
         seen: dict = {}
 
-        def capture(cell, network, delta, classification_for, validated):
+        def capture(network, method, *, epsilon, classification_for,
+                    validated, **_):
             seen["network"] = network
-            seen["classification"] = classification_for(cell.epsilon)
+            seen["classification"] = classification_for(epsilon)
             validated()
-            return {}
+            return {"algorithm": method, "rounds": 0, "messages": 0,
+                    "phase_rounds": {}}
 
-        monkeypatch.setattr(campaign, "_execute_cell", capture)
+        monkeypatch.setattr(coloring, "run_coloring", capture)
         run_cell(cell)
         assert seen["network"] is network
         assert classified == [network]

@@ -3,14 +3,16 @@
 The contract under test: ``run_campaign(executor="remote", ...)`` must
 produce rows *byte-identical* to the inline and pool executors — under
 clean runs, checkpoint/resume, straggler hedging, and killed backends —
-because server-side cells run the exact same
-:func:`repro.runner.campaign.run_cell_on_network` core.
+because a backend answers a cell's ``color`` request with the same
+:func:`repro.coloring.run_coloring` the local executors call, and
+:func:`repro.runner.campaign.cell_row` builds every row.
 
 Most tests use :class:`FakeBackend`: an in-process NDJSON listener that
-answers the serve protocol (register / cell / health) by
+answers the serve protocol (register / color / health) by
 calling the real :func:`repro.serve.execute_batch`, so the wire path is
-exercised without subprocess spin-up.  One test drives a real
-two-subprocess ``repro serve`` fleet end to end.
+exercised without subprocess spin-up.  Two tests drive real ``repro
+serve`` processes end to end: two shards, and a two-shard fleet behind
+its router.
 """
 
 from __future__ import annotations
@@ -36,7 +38,11 @@ from repro.serve import (
     InstanceHashMismatch,
     execute_batch,
     normalize_instance_payload,
+    parse_color_request,
 )
+
+#: Every test here runs under Python 3.12.1's ``Server.wait_closed``.
+pytestmark = pytest.mark.usefixtures("wait_closed_3121")
 
 #: Small-but-real cells: big enough to exercise run_cell, fast enough
 #: for a test suite.
@@ -64,31 +70,38 @@ def row_bytes(result) -> bytes:
     return json.dumps(result.rows, sort_keys=True).encode()
 
 
+#: Seeds of the cells the fake backend's knobs single out (it sees a
+#: cell's ``color`` request, which carries no label).
+SLOW_SEED = 99
+DOOMED_SEED = 98
+
+
 class FakeBackend:
     """An in-process serve stand-in speaking the NDJSON protocol.
 
     Runs its own event loop in a daemon thread on a UNIX socket and
-    executes ``cell`` requests through the real
-    :func:`repro.serve.execute_batch` — so a row from a fake backend is
-    the same bytes a real shard would return.  Knobs:
+    executes ``color`` requests through the real
+    :func:`repro.serve.execute_batch` — so a result from a fake backend
+    is the same bytes a real shard would return.  A request names its
+    cell by ``seed`` only, so the knobs are keyed by seed:
 
     delay:
-        label -> seconds to sleep (non-blocking) before answering that
+        seed -> seconds to sleep (non-blocking) before answering that
         cell; models a straggling shard.
-    fail_labels:
-        labels answered with a deterministic ``internal`` error.
+    fail_seeds:
+        seeds answered with a deterministic ``internal`` error.
     die_after:
-        after serving this many cells, the next cell request aborts
+        after serving this many cells, the next color request aborts
         every connection and stops listening — a SIGKILL stand-in.
     register_hash:
         answer every ``register`` with this hash instead of the
         canonical one — a client/server hash disagreement.
     admitted:
         when set, the backend is draining: ``health`` says so, and every
-        cell whose label is not listed (admitted before the drain) is
+        cell whose seed is not listed (admitted before the drain) is
         refused with ``draining``.
 
-    Counters: ``cells`` are executed cells, ``bounces`` are cell
+    Counters: ``cells`` are executed cells, ``bounces`` are color
     requests answered ``unknown_instance``, ``registers`` are
     ``register`` ops.
     """
@@ -97,16 +110,16 @@ class FakeBackend:
         self,
         path: str | Path,
         *,
-        delay: dict[str, float] | None = None,
-        fail_labels: tuple[str, ...] = (),
+        delay: dict[int, float] | None = None,
+        fail_seeds: tuple[int, ...] = (),
         die_after: int | None = None,
         register_hash: str | None = None,
-        admitted: tuple[str, ...] | None = None,
+        admitted: tuple[int, ...] | None = None,
     ) -> None:
         self.path = str(path)
         self.spec = f"unix:{self.path}"
         self.delay = dict(delay or {})
-        self.fail_labels = set(fail_labels)
+        self.fail_seeds = set(fail_seeds)
         self.die_after = die_after
         self.register_hash = register_hash
         self.admitted = admitted
@@ -210,22 +223,21 @@ class FakeBackend:
                 "instance_hash": instance_hash,
                 "n": record.n, "delta": record.delta,
             }
-        if op == "cell":
-            return await self._respond_cell(data, rid)
+        if op == "color":
+            return await self._respond_color(data, rid)
         return {
             "id": rid, "ok": False,
             "error": {"code": "unsupported", "message": f"op {op!r}"},
         }
 
-    async def _respond_cell(self, data: dict, rid) -> dict | None:
-        cell = data["cell"]
-        label = cell.get("label")
-        if self.admitted is not None and label not in self.admitted:
+    async def _respond_color(self, data: dict, rid) -> dict | None:
+        seed = data.get("seed")
+        if self.admitted is not None and seed not in self.admitted:
             return {
-                "id": rid, "ok": False, "op": "cell",
+                "id": rid, "ok": False, "op": "color",
                 "error": {"code": "draining", "message": "draining"},
             }
-        delay = self.delay.get(label, 0.0)
+        delay = self.delay.get(seed, 0.0)
         if delay:
             await asyncio.sleep(delay)
         if self.die_after is not None and self.cells >= self.die_after:
@@ -235,23 +247,26 @@ class FakeBackend:
         if instance_hash not in self.instances:
             self.bounces += 1
             return {
-                "id": rid, "ok": False, "op": "cell",
+                "id": rid, "ok": False, "op": "color",
                 "error": {
                     "code": "unknown_instance",
                     "message": f"no instance {instance_hash!r}",
                 },
             }
         self.cells += 1
-        if label in self.fail_labels:
+        if seed in self.fail_seeds:
             return {
-                "id": rid, "ok": False, "op": "cell",
+                "id": rid, "ok": False, "op": "color",
                 "error": {
                     "code": "internal", "message": "injected failure",
                 },
             }
+        request = parse_color_request(data)
         spec = {
-            "kind": "cell", "key": 0,
-            "instance_hash": instance_hash, "cell": cell,
+            "key": 0, "instance_hash": instance_hash,
+            "method": request.method, "seed": request.seed,
+            "epsilon": request.epsilon, "options": request.options,
+            "telemetry": request.telemetry,
         }
         with EXEC_LOCK:
             (entry,) = execute_batch(
@@ -260,13 +275,15 @@ class FakeBackend:
             )
         if "error" in entry:
             return {
-                "id": rid, "ok": False, "op": "cell",
+                "id": rid, "ok": False, "op": "color",
                 "error": entry["error"],
             }
+        result = entry["result"]
+        if not request.include_colors:
+            del result["colors"]
         return {
-            "id": rid, "ok": True, "op": "cell", "cached": False,
-            "instance_hash": instance_hash,
-            "row": entry["result"]["row"],
+            "id": rid, "ok": True, "op": "color", "cached": False,
+            "instance_hash": instance_hash, "result": result,
         }
 
 
@@ -391,9 +408,12 @@ class TestDispatch:
         assert result.remote_stats["requeued"] == 0
 
     def test_server_reported_cell_error_is_not_retried(self, tmp_path):
-        cells = [*small_cells(2), CampaignCell(label="doomed", **SMALL)]
+        cells = [
+            *small_cells(2),
+            CampaignCell(label="doomed", seed=DOOMED_SEED, **SMALL),
+        ]
         with FakeBackend(
-            tmp_path / "a.sock", fail_labels=("doomed",)
+            tmp_path / "a.sock", fail_seeds=(DOOMED_SEED,)
         ) as a:
             result = run_campaign(
                 cells, backends=[a.spec], strict=False,
@@ -502,15 +522,18 @@ class TestBackendLoss:
         # second, "slow" lands on a first (label tie-break) and counts
         # as admitted before a's drain; a refuses the other cells it is
         # sent.  They move to b, a gets no more, and "slow" stays on a.
-        cells = [CampaignCell(label="slow", **SMALL), *small_cells(5)]
+        cells = [
+            CampaignCell(label="slow", seed=SLOW_SEED, **SMALL),
+            *small_cells(5),
+        ]
         reference = run_campaign(cells)
         options = RemoteOptions(**FAST)
-        with FakeBackend(tmp_path / "a.sock", delay={"slow": 0.2}) as a, \
+        with FakeBackend(tmp_path / "a.sock", delay={SLOW_SEED: 0.2}) as a, \
                 FakeBackend(tmp_path / "b.sock") as b:
             backends = [a.spec, b.spec]
             run_campaign(cells, backends=backends, remote_options=options)
             a.cells = b.cells = 0
-            a.admitted = ("slow",)
+            a.admitted = (SLOW_SEED,)
             remote = run_campaign(
                 cells, backends=backends, remote_options=options
             )
@@ -543,18 +566,15 @@ class TestBackendLoss:
                 timeout=None, retries=0, base_seed=0, options=options,
             )
             clients = [backend.client for backend in executor._backends]
-            # One probe: every attempt times out, with backoff between.
-            retry = clients[0].retry
-            one_probe = (
-                retry.attempts * options.probe_timeout_s
-                + sum(retry.delays(0))
-            )
+            assert clients[0].retry.attempts > 1
             loop = asyncio.get_running_loop()
             started = loop.time()
             probing = loop.create_task(executor._probe_loop())
             try:
+                # One probe is one attempt, however many the client's
+                # retry policy allows other requests.
                 while any(client._failures == 0 for client in clients):
-                    assert loop.time() - started < 1.5 * one_probe
+                    assert loop.time() - started < 1.5 * options.probe_timeout_s
                     await asyncio.sleep(0.02)
             finally:
                 probing.cancel()
@@ -595,9 +615,14 @@ class TestStragglerHedging:
         # latency sample, the hedger re-dispatches "slow" to b after
         # STRAGGLER_MIN_S (about 1s), and b's row wins; rows stay
         # byte-identical to an inline run.
-        cells = [CampaignCell(label="slow", **SMALL), *small_cells(5)]
+        cells = [
+            CampaignCell(label="slow", seed=SLOW_SEED, **SMALL),
+            *small_cells(5),
+        ]
         reference = run_campaign(cells)
-        with FakeBackend(tmp_path / "a.sock", delay={"slow": 30.0}) as a, \
+        with FakeBackend(
+            tmp_path / "a.sock", delay={SLOW_SEED: 30.0}
+        ) as a, \
                 FakeBackend(tmp_path / "b.sock") as b:
             started = time.monotonic()
             remote = run_campaign(
@@ -614,11 +639,11 @@ class TestStragglerHedging:
 class TestRealFleet:
     """One end-to-end pass through real ``repro serve`` subprocesses."""
 
-    def _start(self, sock: str) -> subprocess.Popen:
+    def _start(self, sock: str, *argv: str) -> subprocess.Popen:
+        """Start ``repro <argv> --unix sock``; return once it accepts."""
         root = Path(__file__).resolve().parent.parent
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--unix", sock,
-             "-j", "1", "--idle-timeout", "120"],
+            [sys.executable, "-m", "repro", *argv, "--unix", sock],
             env={**os.environ, "PYTHONPATH": str(root / "src")},
             cwd=root, stdout=subprocess.DEVNULL,
             stderr=subprocess.STDOUT,
@@ -635,13 +660,16 @@ class TestRealFleet:
                     pass
             time.sleep(0.1)
         proc.kill()
-        raise AssertionError(f"serve on {sock} did not come up")
+        raise AssertionError(f"{argv[0]} on {sock} did not come up")
 
     def test_two_shard_fleet_rows_byte_identical(self, tmp_path):
         cells = small_cells(4)
         reference = run_campaign(cells)
         socks = [str(tmp_path / "s0.sock"), str(tmp_path / "s1.sock")]
-        procs = [self._start(sock) for sock in socks]
+        procs = [
+            self._start(sock, "serve", "-j", "1", "--idle-timeout", "120")
+            for sock in socks
+        ]
         try:
             remote = run_campaign(
                 cells, backends=[f"unix:{sock}" for sock in socks],
@@ -654,3 +682,31 @@ class TestRealFleet:
                 proc.wait(timeout=10)
         assert row_bytes(remote) == row_bytes(reference)
         assert remote.remote_stats["completed"] == len(cells)
+
+    def test_campaign_through_a_fleet_router(self, tmp_path):
+        # One router endpoint in front of two shards: the cells are
+        # color requests, which the router forwards by cache key.  The
+        # two deterministic cells that differ only in label are one
+        # coloring, so the second is a cache hit (a window of one sends
+        # it after the first has been answered).
+        cells = [
+            *small_cells(2),
+            CampaignCell(label="det-a", method="deterministic", **SMALL),
+            CampaignCell(label="det-b", method="deterministic", **SMALL),
+        ]
+        reference = run_campaign(cells)
+        sock = str(tmp_path / "router.sock")
+        proc = self._start(
+            sock, "fleet", "--shards", "2",
+            "--runtime-dir", str(tmp_path / "rt"),
+        )
+        try:
+            remote = run_campaign(
+                cells, backends=[f"unix:{sock}"],
+                remote_options=RemoteOptions(window=1, **FAST),
+            )
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30)
+        assert row_bytes(remote) == row_bytes(reference)
+        assert remote.remote_stats["cache_hits"] >= 1

@@ -40,6 +40,9 @@ from repro.serve import (
     parse_request,
 )
 
+#: Every test here runs under Python 3.12.1's ``Server.wait_closed``.
+pytestmark = pytest.mark.usefixtures("wait_closed_3121")
+
 EPSILON = 0.25
 
 
@@ -977,15 +980,16 @@ class TestPreparedInstances:
     def test_cells_share_the_clique_check_and_classification(
         self, monkeypatch
     ):
-        """Cells on one registered graph check it for a (Delta+1)-clique
-        and classify it once per backend, and every cell's row, repeats
-        included, is byte-identical to a fresh inline ``run_cell``."""
+        """Cells sent as ``color`` specs on one registered graph check it
+        for a (Delta+1)-clique and classify it once per backend, and every
+        cell's row, repeats included, is byte-identical to a fresh inline
+        ``run_cell``."""
         import repro.core.deterministic as deterministic
         import repro.core.hardness as hardness
         import repro.graphs.validation as validation
         import repro.serve.server as server_module
         from repro.bench import workloads
-        from repro.runner.campaign import CampaignCell, cell_to_json, run_cell
+        from repro.runner.campaign import CampaignCell, cell_row, run_cell
         from repro.serve.cache import PreparedCache
 
         cells = [
@@ -1025,16 +1029,20 @@ class TestPreparedInstances:
             monkeypatch.setattr(module, "classify_cliques", classify)
         rows = []
         for index in range(0, len(cells), 2):
+            batch_cells = cells[index:index + 2]
             batch = [
-                {"kind": "cell", "key": cell.label,
-                 "instance_hash": instance_hash, "cell": cell_to_json(cell)}
-                for cell in cells[index:index + 2]
+                {"key": cell.label, "instance_hash": instance_hash,
+                 "method": cell.method, "seed": cell.seed,
+                 "epsilon": cell.epsilon, "options": {}, "telemetry": False}
+                for cell in batch_cells
             ]
-            for entry in execute_batch(
+            for cell, entry in zip(batch_cells, execute_batch(
                 batch, {instance_hash: record}, {instance_hash}
-            ):
+            )):
                 assert "error" not in entry, entry
-                rows.append(entry["result"]["row"])
+                rows.append(
+                    cell_row(cell, entry["result"], graph.n, graph.delta)
+                )
         assert calls == {"clique": 1, "classify": 1}
 
         monkeypatch.undo()

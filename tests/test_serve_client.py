@@ -24,6 +24,9 @@ from repro.serve import (
 )
 from repro.serve.client import PROBE_DOWN_AFTER
 
+#: Every test here runs under Python 3.12.1's ``Server.wait_closed``.
+pytestmark = pytest.mark.usefixtures("wait_closed_3121")
+
 EPSILON = 0.25
 
 
@@ -297,6 +300,33 @@ class TestProbe:
                     assert client.status == "draining"
                 finally:
                     await client.close()
+
+        asyncio.run(scenario())
+
+    def test_a_probe_of_a_hung_endpoint_is_one_attempt(self, tmp_path):
+        # The endpoint accepts and never answers.  However many attempts
+        # the retry policy gives other requests, a probe makes one, so
+        # its timeout bounds it.
+        async def hang(reader, writer):
+            await reader.read()
+            writer.close()
+
+        async def scenario():
+            path = str(tmp_path / "hung.sock")
+            server = await asyncio.start_unix_server(hang, path=path)
+            client = ResilientClient(
+                unix_path=path, retry=RetryPolicy(attempts=3)
+            )
+            try:
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                assert await client.probe(0.3) == "ok"
+                assert loop.time() - started < 1.5 * 0.3
+                assert client._failures == 1
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
 
         asyncio.run(scenario())
 

@@ -37,6 +37,9 @@ from repro.serve import (
     normalize_instance_payload,
 )
 
+#: Every test here runs under Python 3.12.1's ``Server.wait_closed``.
+pytestmark = pytest.mark.usefixtures("wait_closed_3121")
+
 EPSILON = 0.25
 
 
@@ -182,6 +185,23 @@ async def crash_shard(router, servers, index):
 
 
 class TestRouterEndToEnd:
+    def test_tiers_close_with_an_idle_client_connected(self, tmp_path):
+        # From Python 3.12.1 Server.wait_closed waits for every accepted
+        # connection, so each tier closes its own before it waits.
+        async def scenario():
+            async with routed(tmp_path, shards=1) as (router, servers, client):
+                shard = ServeClient(unix_path=servers[0].config.unix_path)
+                await shard.connect()
+                try:
+                    assert (await client.request({"op": "health"}))["ok"]
+                    assert (await shard.request({"op": "health"}))["ok"]
+                    await asyncio.wait_for(router.close(), 1)
+                    await asyncio.wait_for(servers[0].close(), 1)
+                finally:
+                    await shard.close()
+
+        asyncio.run(scenario())
+
     def test_register_fans_out_to_every_shard(self, tmp_path, payload):
         async def scenario():
             async with routed(tmp_path) as (router, servers, client):
@@ -746,7 +766,8 @@ class TestRouterEndToEnd:
     def test_router_answers_the_cell_op_unsupported(self, tmp_path):
         # Regression: the router fanned a cell op out to every shard as
         # an aggregated read op, then died on it without answering.
-        # Campaigns dispatch cells to the shards directly.
+        # Campaigns send their cells as color requests; "cell" is no op,
+        # and a shard answers it unsupported too.
         async def scenario():
             async with routed(tmp_path, shards=1) as (router, servers, client):
                 response = await asyncio.wait_for(
@@ -761,6 +782,17 @@ class TestRouterEndToEnd:
                     client.request({"op": "health", "id": "after"}), 3
                 )
                 assert health["ok"] and health["status"] == "ok"
+                shard = ServeClient(unix_path=servers[0].config.unix_path)
+                await shard.connect()
+                try:
+                    response = await asyncio.wait_for(
+                        shard.request({"op": "cell", "id": "cell-2"}), 3
+                    )
+                finally:
+                    await shard.close()
+                assert response["id"] == "cell-2"
+                assert response["op"] == "cell"
+                assert response["error"]["code"] == "unsupported"
 
         asyncio.run(scenario())
 
