@@ -5,8 +5,9 @@ pure function of ``(instance, seed, parameters)`` — the determinism
 contract the test suite and ``repro lint`` enforce.  The cache key is
 therefore the canonical instance hash (:func:`repro.graphs.\
 canonical_instance_hash`) joined with the method, seed, epsilon, any
-result-shaping options and the ``telemetry`` flag; two requests with
-equal keys are entitled to byte-identical results.
+result-shaping options, the ``telemetry`` flag and the result format
+version; two requests with equal keys are entitled to byte-identical
+results.
 
 Two small pieces:
 
@@ -52,9 +53,16 @@ if TYPE_CHECKING:
 __all__ = [
     "InstanceRegistry",
     "PreparedCache",
+    "RESULT_FORMAT",
     "ResultCache",
     "make_cache_key",
 ]
+
+
+#: Version of the cached ``color`` result's shape.  Bump it with every
+#: change to that shape: version 2 added ``shattering`` and the
+#: ``telemetry`` flag.
+RESULT_FORMAT = 2
 
 
 def make_cache_key(
@@ -68,18 +76,18 @@ def make_cache_key(
 ) -> str:
     """Canonical cache key for one coloring computation.
 
-    ``telemetry`` enters the key only when set, so the keys of requests
-    without it are those of the protocol before the flag existed.
+    The key carries :data:`RESULT_FORMAT`, so an entry a disk tier kept
+    from an earlier result shape misses instead of answering.
     """
-    payload: dict[str, Any] = {
+    payload = {
+        "format": RESULT_FORMAT,
         "instance": instance_hash,
         "method": method,
         "seed": seed,
         "epsilon": epsilon,
         "options": dict(sorted((options or {}).items())),
+        "telemetry": telemetry,
     }
-    if telemetry:
-        payload["telemetry"] = True
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

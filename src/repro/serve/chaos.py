@@ -239,6 +239,9 @@ class ChaosProxy(Listener):
                 self._pump(proxied, "s2c", up_reader, writer),
                 return_exceptions=True,
             )
+        except asyncio.CancelledError:
+            proxied.abort()  # the proxy closed: flush nothing, wait for no one
+            raise
         finally:
             for side in (writer, proxied.upstream_writer):
                 if side is not None:

@@ -109,8 +109,8 @@ class FrontEndConfig:
 class Listener:
     """A TCP or UNIX stream listener; subclasses handle its connections.
 
-    It keeps the writers of the connections it accepted, so that
-    :meth:`close` can close them.
+    It keeps the connections it accepted (writer and handler task), so
+    that :meth:`close` can end them.
     """
 
     #: Stream reader buffer bound (asyncio's own default).
@@ -122,8 +122,8 @@ class Listener:
         self.unix_path = unix_path
         self._server: asyncio.AbstractServer | None = None
         self._stopped: asyncio.Event | None = None
-        #: Writers of the accepted connections that are still open.
-        self._writers: set[asyncio.StreamWriter] = set()
+        #: The accepted connections still handled: writer -> handler.
+        self._handlers: dict[asyncio.StreamWriter, asyncio.Task[Any]] = {}
         self._closing = False
 
     async def _on_connection(
@@ -151,11 +151,15 @@ class Listener:
         if self._closing:
             writer.close()  # accepted just before the listener closed
             return
-        self._writers.add(writer)
+        task = asyncio.current_task()
+        assert task is not None
+        self._handlers[writer] = task
         try:
             await self._on_connection(reader, writer)
+        except asyncio.CancelledError:
+            pass  # ended by close(); a task that ends cancelled is logged
         finally:
-            self._writers.discard(writer)
+            del self._handlers[writer]
 
     @property
     def address(self) -> str:
@@ -180,23 +184,33 @@ class Listener:
         if self._stopped is not None:
             self._stopped.set()
 
+    async def _settle(self) -> None:
+        """Finish the accepted work, before its connections close."""
+
     async def _release(self) -> None:
         """Free what a subclass holds, once no connection is accepted."""
 
     async def close(self) -> None:
-        """Stop accepting, close the accepted connections, wait for the
-        server, and tear everything down (idempotent).
+        """Stop accepting, settle, close the accepted connections, wait
+        for the server, and tear everything down (idempotent).
 
-        The connections close first because from Python 3.12.1
-        ``Server.wait_closed`` waits for every one of them.
+        The connections close before the wait because from Python
+        3.12.1 ``Server.wait_closed`` waits for every one of them.  A
+        handler still running after it (the chaos proxy's, waiting on
+        a hung upstream) is cancelled.
         """
         if self._server is not None:
             self._closing = True
             self._server.close()
-            for writer in list(self._writers):
+            await self._settle()
+            for writer in list(self._handlers):
                 writer.close()
             await self._server.wait_closed()
             self._server = None
+            handlers = list(self._handlers.values())
+            for task in handlers:
+                task.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
         await self._release()
         self.stop()
 
@@ -248,6 +262,11 @@ class NdjsonFrontEnd(Listener):
         await cancel_task(self._drain_task)
         self._drain_task = None
         await super().close()
+
+    async def _settle(self) -> None:
+        # Answer the admitted requests while their connections are open.
+        self.admission.begin_drain()
+        await self.admission.wait_drained()
 
     # -- drain ---------------------------------------------------------
 

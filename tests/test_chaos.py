@@ -334,6 +334,55 @@ class TestChaosProxyEndToEnd:
 
         asyncio.run(scenario())
 
+    def test_close_ends_a_connection_to_a_hung_upstream(self, tmp_path):
+        # The upstream neither answers nor closes.  close() must still
+        # end the proxied connection: no handler left waiting on the
+        # upstream, and its socket closed, which the upstream sees as
+        # a failed write.
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            accepted: asyncio.Future = loop.create_future()
+            proxy_closed = asyncio.Event()
+            closed = asyncio.Event()
+
+            async def upstream_handler(reader, writer):
+                accepted.set_result(None)
+                await proxy_closed.wait()
+                try:
+                    while True:
+                        writer.write(b"late\n")
+                        await writer.drain()
+                        await asyncio.sleep(0.01)
+                except ConnectionError:
+                    closed.set()
+                finally:
+                    writer.close()
+
+            upstream = await asyncio.start_unix_server(
+                upstream_handler, path=str(tmp_path / "upstream.sock")
+            )
+            proxy = ChaosProxy(
+                ChaosPlan(seed=0),
+                Endpoint(unix_path=str(tmp_path / "upstream.sock")),
+                unix_path=str(tmp_path / "chaos.sock"),
+            )
+            await proxy.start()
+            _, writer = await asyncio.open_unix_connection(proxy.unix_path)
+            try:
+                await asyncio.wait_for(accepted, 1.0)
+                await asyncio.wait_for(proxy.close(), 1.0)
+                proxy_closed.set()
+                assert not [
+                    task for task in asyncio.all_tasks()
+                    if task.get_coro().__qualname__ == "Listener._accept"
+                ]
+                await asyncio.wait_for(closed.wait(), 1.0)
+            finally:
+                writer.close()
+                upstream.close()
+
+        asyncio.run(scenario())
+
     def test_close_resets_open_connections_upstream(self, tmp_path):
         async def scenario():
             loop = asyncio.get_running_loop()

@@ -18,6 +18,7 @@ its router.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import os
 import socket
@@ -36,6 +37,7 @@ from repro.runner.campaign import _build_instance
 from repro.runner.remote import RemoteExecutor, RemoteOptions
 from repro.serve import (
     InstanceHashMismatch,
+    ResultCache,
     execute_batch,
     normalize_instance_payload,
     parse_color_request,
@@ -710,3 +712,47 @@ class TestRealFleet:
             proc.wait(timeout=30)
         assert row_bytes(remote) == row_bytes(reference)
         assert remote.remote_stats["cache_hits"] >= 1
+
+    def test_a_disk_entry_of_an_earlier_result_format_misses(self, tmp_path):
+        # A disk tier outlives the server that wrote it.  Fill one with
+        # what an earlier version stored for these cells: their results
+        # without ``shattering``, under keys without a result format.
+        # The server must recompute, or the randomized row would lose
+        # its shattering statistics.
+        cells = small_cells(2)
+        reference = run_campaign(cells)
+        assert "shattering" in reference.rows[0]
+        stale = ResultCache(8, disk_dir=tmp_path / "cache")
+        for cell in cells:
+            instance_hash, record = normalize_instance_payload(
+                RemoteExecutor._payload_for(cell)
+            )
+            spec = {
+                "key": 0, "instance_hash": instance_hash,
+                "method": cell.method, "seed": cell.seed,
+                "epsilon": cell.epsilon, "options": {},
+            }
+            (entry,) = execute_batch(
+                [spec], {instance_hash: record}, {instance_hash: record}
+            )
+            result = entry["result"]
+            result.pop("shattering", None)
+            old_key = json.dumps({
+                "instance": instance_hash, "method": cell.method,
+                "seed": cell.seed, "epsilon": cell.epsilon, "options": {},
+            }, sort_keys=True, separators=(",", ":"))
+            stale.put(hashlib.sha256(old_key.encode()).hexdigest(), result)
+        sock = str(tmp_path / "s.sock")
+        proc = self._start(
+            sock, "serve", "-j", "1", "--cache-dir", str(tmp_path / "cache"),
+        )
+        try:
+            remote = run_campaign(
+                cells, backends=[f"unix:{sock}"],
+                remote_options=RemoteOptions(**FAST),
+            )
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+        assert row_bytes(remote) == row_bytes(reference)
+        assert remote.remote_stats["cache_hits"] == 0

@@ -624,6 +624,27 @@ def slow_runner(specs, instances, registered):
 
 
 class TestServerEndToEnd:
+    def test_close_answers_admitted_requests_first(self, tmp_path, payload):
+        # close() without a drain first: the admitted request is still
+        # answered on its connection before that connection closes.
+        async def scenario():
+            async with serving(
+                tmp_path, batch_runner=slow_runner, cache_size=0,
+            ) as (server, client):
+                pending = asyncio.get_running_loop().create_task(
+                    client.request({
+                        "op": "color", "method": "randomized",
+                        "epsilon": EPSILON, "instance": payload,
+                    })
+                )
+                while server.admission.depth == 0:
+                    await asyncio.sleep(0.005)
+                await asyncio.wait_for(server.close(), 2.0)
+                answer = await asyncio.wait_for(pending, 1.0)
+                assert answer["ok"] and answer["result"]["num_colors"] == 1
+
+        asyncio.run(scenario())
+
     def test_color_matches_direct_call_and_caches(self, tmp_path, instance, payload):
         direct = delta_color_deterministic(
             instance.network, params=AlgorithmParameters(epsilon=EPSILON)
