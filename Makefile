@@ -1,6 +1,6 @@
 # Convenience targets for the repro repository.
 
-.PHONY: install test test-all bench bench-pairs perfbench-selftest chaos trace serve-smoke chaos-serve fleet-smoke dist-smoke report examples ci lint lint-repro typecheck clean
+.PHONY: install test test-all bench e-artifacts bench-pairs perfbench-selftest chaos trace serve-smoke chaos-serve fleet-smoke dist-smoke report examples ci lint lint-repro typecheck clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -13,6 +13,21 @@ test-all:
 
 bench:
 	pytest benchmarks/ --benchmark-only -s
+
+# The deterministic E-artifacts must regenerate byte-identically: run
+# the fifteen E-benches and the chaos drop sweep, then fail on any diff
+# under benchmarks/artifacts/.  Wall-time artifacts (engine_microbench,
+# campaign_remote, chaos_serve, ES, EF, E11) are not regenerated here.
+E_BENCHES = $(addprefix benchmarks/bench_, \
+	e1_theorem1_scaling.py e1b_paper_constants.py e2_theorem2_scaling.py \
+	e2b_seed_sweep.py e3_landscape.py e3b_girth.py e4_lemma11_ratio.py \
+	e5_matching_balance.py e6_triads_virtual_degree.py \
+	e7_round_breakdown.py e8_easy_phase.py e9_ablations.py \
+	e10_subroutines.py e12_sparse_extension.py e13_regime.py \
+	chaos_faults.py)
+e-artifacts:
+	PYTHONPATH=src python -m pytest $(E_BENCHES) --benchmark-only -q
+	git diff --exit-code benchmarks/artifacts/
 
 # Self-test of the perfbench harness: every workload on tiny inputs,
 # every declared metric present, failure paths reported as failures.
@@ -75,6 +90,7 @@ ci:
 	$(MAKE) examples
 	$(MAKE) perfbench-selftest
 	python scripts/build_report.py --check
+	$(MAKE) e-artifacts
 	$(MAKE) lint
 	$(MAKE) lint-repro
 	$(MAKE) typecheck

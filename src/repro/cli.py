@@ -657,8 +657,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         stats = result.remote_stats
         remote = (
             f", {len(stats['backends'])} backends"
-            f" (redispatched {stats['redispatched']},"
-            f" requeued {stats['requeued']},"
+            f" (requeued {stats['requeued']},"
             f" deaths {stats['backend_deaths']})"
         )
     print(

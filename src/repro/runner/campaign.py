@@ -395,9 +395,8 @@ def run_campaign(
         Serve endpoints (``host:port`` / ``unix:/path``) for the remote
         executor; see :mod:`repro.runner.remote`.
     remote_options:
-        A :class:`repro.runner.remote.RemoteOptions` tuning dispatch
-        windows, health probing and timeouts (straggler re-dispatch
-        runs at fixed module constants).
+        A :class:`repro.runner.remote.RemoteOptions` tuning the
+        per-backend windows, health probing and timeouts.
 
     Raises
     ------

@@ -14,7 +14,9 @@ Two small pieces:
 * :class:`ResultCache` — bounded in-memory LRU with hit/miss/eviction
   counters and an optional on-disk spill directory.  Disk entries
   survive restarts and LRU eviction; a memory miss that lands on disk
-  is promoted back and still counts as a hit.
+  is promoted back and still counts as a hit.  Entries live under
+  ``v<RESULT_FORMAT>/``; opening a cache deletes those an earlier
+  result format left.
 * :class:`InstanceRegistry` — bounded LRU of instance records (the
   frozen adjacency, see :class:`~repro.serve.protocol.InstanceRecord`)
   keyed by canonical hash, so clients upload a graph once (``register``
@@ -39,9 +41,11 @@ entry or a miss — never a torn one.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import re
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -63,6 +67,9 @@ __all__ = [
 #: change to that shape: version 2 added ``shattering`` and the
 #: ``telemetry`` flag.
 RESULT_FORMAT = 2
+
+#: The file name of a disk entry: its cache key.
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
 
 
 def make_cache_key(
@@ -98,7 +105,8 @@ class ResultCache:
     ``capacity`` bounds the in-memory entry count (``0`` disables the
     cache entirely: every lookup is a miss and nothing is stored).
     ``disk_dir``, when set, persists every stored entry as
-    ``<key>.json`` so results outlive both eviction and the process.
+    ``v<RESULT_FORMAT>/<key>.json`` (under :attr:`entry_dir`) so results
+    outlive both eviction and the process.
     ``disk_max_bytes`` caps the total size of those files; ``put``
     prunes oldest-mtime entries until the directory fits again.
     """
@@ -119,8 +127,11 @@ class ResultCache:
         self.capacity = capacity
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.disk_max_bytes = disk_max_bytes
+        self.entry_dir: Path | None = None
         if self.disk_dir is not None:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
+            self.entry_dir = self.disk_dir / f"v{RESULT_FORMAT}"
+            self.entry_dir.mkdir(parents=True, exist_ok=True)
+            self._remove_stale(self.disk_dir)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -155,8 +166,8 @@ class ResultCache:
 
     def put(self, key: str, value: dict[str, Any]) -> None:
         """Store a result (memory LRU + disk when configured)."""
-        if self.disk_dir is not None:
-            path = self.disk_dir / f"{key}.json"
+        if self.entry_dir is not None:
+            path = self.entry_dir / f"{key}.json"
             # Per-process temp name: concurrent shards writing the same
             # key never interleave inside one file; the rename publishes
             # a whole entry (see the module docstring).
@@ -177,11 +188,11 @@ class ResultCache:
         tier or no cap is in effect.
         """
         cap = max_bytes if max_bytes is not None else self.disk_max_bytes
-        if self.disk_dir is None or cap is None:
+        if self.entry_dir is None or cap is None:
             return 0
         entries: list[tuple[float, str, Path, int]] = []
         total = 0
-        for path in self.disk_dir.glob("*.json"):
+        for path in self.entry_dir.glob("*.json"):
             try:
                 stat = path.stat()
             except OSError:
@@ -205,11 +216,11 @@ class ResultCache:
     def disk_usage(self) -> tuple[int, int]:
         """Current ``(files, bytes)`` of the disk tier (``(0, 0)`` when
         disabled)."""
-        if self.disk_dir is None:
+        if self.entry_dir is None:
             return 0, 0
         files = 0
         total = 0
-        for path in self.disk_dir.glob("*.json"):
+        for path in self.entry_dir.glob("*.json"):
             try:
                 total += path.stat().st_size
             except OSError:
@@ -233,6 +244,18 @@ class ResultCache:
             out["disk_evictions"] = self.disk_evictions
         return out
 
+    def _remove_stale(self, root: Path) -> None:
+        """Delete the entries earlier result formats left under ``root``:
+        key-named files at the top and in other ``v<N>/`` directories."""
+        for directory in [root, *root.glob("v[0-9]*")]:
+            if directory == self.entry_dir:
+                continue
+            for path in directory.glob("*.json"):
+                if _ENTRY_NAME.fullmatch(path.name):
+                    path.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):
+                directory.rmdir()  # only an emptied ``v<N>/`` goes
+
     def _store_memory(self, key: str, value: dict[str, Any]) -> None:
         self._entries[key] = value
         self._entries.move_to_end(key)
@@ -241,9 +264,9 @@ class ResultCache:
             self.evictions += 1
 
     def _load_from_disk(self, key: str) -> dict[str, Any] | None:
-        if self.disk_dir is None:
+        if self.entry_dir is None:
             return None
-        path = self.disk_dir / f"{key}.json"
+        path = self.entry_dir / f"{key}.json"
         try:
             text = path.read_text()
         except OSError:

@@ -2,7 +2,7 @@
 
 The contract under test: ``run_campaign(executor="remote", ...)`` must
 produce rows *byte-identical* to the inline and pool executors — under
-clean runs, checkpoint/resume, straggler hedging, and killed backends —
+clean runs, checkpoint/resume, cell timeouts, and killed backends —
 because a backend answers a cell's ``color`` request with the same
 :func:`repro.coloring.run_coloring` the local executors call, and
 :func:`repro.runner.campaign.cell_row` builds every row.
@@ -18,6 +18,7 @@ its router.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import json
 import os
@@ -50,8 +51,8 @@ pytestmark = pytest.mark.usefixtures("wait_closed_3121")
 #: for a test suite.
 SMALL = dict(workload="hard", num_cliques=16, delta=8, epsilon=0.25)
 
-#: Probe/tick cadence tuned for tests (the defaults pace real fleets).
-FAST = dict(probe_interval_s=0.1, probe_timeout_s=0.5, tick_s=0.01)
+#: Probe cadence tuned for tests (the defaults pace real fleets).
+FAST = dict(probe_interval_s=0.1, probe_timeout_s=0.5)
 
 #: Serializes telemetry-collector installation across fake-backend
 #: threads (the repro.obs collector slot is process-global).
@@ -105,7 +106,8 @@ class FakeBackend:
 
     Counters: ``cells`` are executed cells, ``bounces`` are color
     requests answered ``unknown_instance``, ``registers`` are
-    ``register`` ops.
+    ``register`` ops; ``seeds`` lists the seed of every color request
+    in arrival order.
     """
 
     def __init__(
@@ -129,6 +131,7 @@ class FakeBackend:
         self.cells = 0
         self.bounces = 0
         self.registers = 0
+        self.seeds: list[int] = []
         self._writers: set[asyncio.StreamWriter] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -234,6 +237,7 @@ class FakeBackend:
 
     async def _respond_color(self, data: dict, rid) -> dict | None:
         seed = data.get("seed")
+        self.seeds.append(seed)
         if self.admitted is not None and seed not in self.admitted:
             return {
                 "id": rid, "ok": False, "op": "color",
@@ -290,14 +294,20 @@ class FakeBackend:
 
 
 class TestExecutorEquivalence:
-    def test_remote_rows_byte_identical_to_inline_and_pool(self, tmp_path):
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_remote_rows_byte_identical_to_inline_and_pool(
+        self, tmp_path, count
+    ):
         cells = small_cells()
         inline = run_campaign(cells)
         pool = run_campaign(cells, jobs=2)
-        with FakeBackend(tmp_path / "a.sock") as a, \
-                FakeBackend(tmp_path / "b.sock") as b:
+        with contextlib.ExitStack() as stack:
+            backends = [
+                stack.enter_context(FakeBackend(tmp_path / f"{i}.sock")).spec
+                for i in range(count)
+            ]
             remote = run_campaign(
-                cells, backends=[a.spec, b.spec],
+                cells, backends=backends,
                 remote_options=RemoteOptions(**FAST),
             )
         assert row_bytes(inline) == row_bytes(pool) == row_bytes(remote)
@@ -319,6 +329,19 @@ class TestExecutorEquivalence:
 
 
 class TestDispatch:
+    def test_first_cells_alternate_across_backends(self, tmp_path):
+        # Workers start slot-major, so with a window of two the first
+        # four cells land a, b, a, b whatever the backends' speed.
+        cells = small_cells(6)
+        with FakeBackend(tmp_path / "a.sock") as a, \
+                FakeBackend(tmp_path / "b.sock") as b:
+            run_campaign(
+                cells, backends=[a.spec, b.spec],
+                remote_options=RemoteOptions(window=2, **FAST),
+            )
+        assert list(dict.fromkeys(a.seeds))[:2] == [0, 2]
+        assert list(dict.fromkeys(b.seeds))[:2] == [1, 3]
+
     def test_work_spreads_and_each_graph_ships_once(self, tmp_path):
         cells = small_cells(8)  # one shared graph across all cells
         window = 2
@@ -521,7 +544,7 @@ class TestBackendLoss:
         self, tmp_path
     ):
         # A first campaign registers the graph on both backends.  In the
-        # second, "slow" lands on a first (label tie-break) and counts
+        # second, "slow" lands on a first (slot-major start) and counts
         # as admitted before a's drain; a refuses the other cells it is
         # sent.  They move to b, a gets no more, and "slow" stays on a.
         cells = [
@@ -609,14 +632,11 @@ class TestBackendLoss:
             )
 
 
-class TestStragglerHedging:
-    def test_straggler_hedged_first_result_wins(self, tmp_path):
-        # "slow" is queued first; with both backends idle the picker
-        # tie-breaks on label, so it deterministically lands on a —
-        # which stalls it for 30s.  The five fast cells build the
-        # latency sample, the hedger re-dispatches "slow" to b after
-        # STRAGGLER_MIN_S (about 1s), and b's row wins; rows stay
-        # byte-identical to an inline run.
+class TestCellTimeout:
+    def test_stalled_cell_times_out_and_the_rest_complete(self, tmp_path):
+        # "slow" is the first cell, so slot 0 of a takes it, and a stalls
+        # it for 30s.  The campaign timeout fails it after 1s; every
+        # other row is the inline row.
         cells = [
             CampaignCell(label="slow", seed=SLOW_SEED, **SMALL),
             *small_cells(5),
@@ -628,13 +648,15 @@ class TestStragglerHedging:
                 FakeBackend(tmp_path / "b.sock") as b:
             started = time.monotonic()
             remote = run_campaign(
-                cells, backends=[a.spec, b.spec],
-                remote_options=RemoteOptions(**FAST),
+                cells, backends=[a.spec, b.spec], timeout=1.0,
+                strict=False, remote_options=RemoteOptions(**FAST),
             )
             elapsed = time.monotonic() - started
-        assert row_bytes(remote) == row_bytes(reference)
-        assert remote.remote_stats["redispatched"] >= 1
-        assert elapsed < 20, "first-result-wins should beat the straggler"
+        (failure,) = remote.failures
+        assert failure["label"] == "slow" and failure["kind"] == "timeout"
+        assert remote.rows[0]["status"] == "error"
+        assert remote.rows[1:] == reference.rows[1:]
+        assert elapsed < 5, "the timeout must not wait out the stall"
 
 
 @pytest.mark.slow

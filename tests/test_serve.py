@@ -39,6 +39,7 @@ from repro.serve import (
     parse_color_request,
     parse_request,
 )
+from repro.serve.cache import RESULT_FORMAT
 
 #: Every test here runs under Python 3.12.1's ``Server.wait_closed``.
 pytestmark = pytest.mark.usefixtures("wait_closed_3121")
@@ -267,8 +268,29 @@ class TestResultCache:
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(2, disk_dir=tmp_path / "cache")
-        (tmp_path / "cache" / "bad.json").write_text("{torn")
+        (cache.entry_dir / "bad.json").write_text("{torn")
         assert cache.get("bad") is None
+
+    def test_opening_removes_entries_of_earlier_result_formats(
+        self, tmp_path
+    ):
+        root = tmp_path / "cache"
+        current = ResultCache(4, disk_dir=root)
+        key = "c" * 64
+        current.put(key, {"v": 1})
+        old_top = root / f"{'a' * 64}.json"
+        old_v1 = root / "v1" / f"{'b' * 64}.json"
+        old_v1.parent.mkdir()
+        for path in (old_top, old_v1):
+            path.write_text('{"v": 0}')
+        unrelated = root / "notes.json"
+        unrelated.write_text("{}")
+        reopened = ResultCache(4, disk_dir=root)
+        assert not old_top.exists() and not old_v1.parent.exists()
+        assert unrelated.exists()  # not a cache entry: left alone
+        assert reopened.entry_dir == root / f"v{RESULT_FORMAT}"
+        assert reopened.get(key) == {"v": 1}
+        assert reopened.disk_hits == 1
 
     def test_disk_cap_prunes_oldest_entries_on_put(self, tmp_path):
         import os
@@ -280,10 +302,10 @@ class TestResultCache:
         for index, key in enumerate(("old", "mid", "new")):
             cache.put(key, blob)
             # Distinct mtimes make the pruning order deterministic.
-            path = tmp_path / "cache" / f"{key}.json"
+            path = cache.entry_dir / f"{key}.json"
             os.utime(path, (1000 + index, 1000 + index))
         cache.put("newest", blob)  # over the cap: prunes oldest first
-        files = {p.stem for p in (tmp_path / "cache").glob("*.json")}
+        files = {p.stem for p in cache.entry_dir.glob("*.json")}
         assert "newest" in files
         assert "old" not in files
         assert cache.disk_evictions >= 1
