@@ -190,6 +190,8 @@ class FakeBackend:
                 task.add_done_callback(tasks.discard)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
+        except asyncio.CancelledError:
+            pass  # a stalled request at shutdown; a cancelled task is logged
         finally:
             self._writers.discard(writer)
             writer.close()
