@@ -22,62 +22,14 @@ from __future__ import annotations
 
 import asyncio
 import os
-import signal
-import subprocess
 import sys
 import tempfile
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+from _smoke import EPSILON, fail, instance_payload, ok, start, stop_clean
+from repro.serve import ResilientClient, RetryPolicy
 
-from repro.graphs import hard_clique_graph  # noqa: E402
-from repro.serve import ResilientClient, RetryPolicy  # noqa: E402
-
-EPSILON = 0.25
-CLIQUES, DELTA, GRAPH_SEED = 16, 8, 3
 REQUESTS = 20
 CHAOS_SEED = 7
-
-
-def fail(message: str) -> None:
-    print(f"FAIL: {message}")
-    raise SystemExit(1)
-
-
-def ok(message: str) -> None:
-    print(f"ok: {message}")
-
-
-def start(argv: list[str], waiting_for: str) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
-    )
-    deadline = time.time() + 60
-    while not os.path.exists(waiting_for):
-        if proc.poll() is not None:
-            fail(f"{argv[0]} exited early:\n{proc.stdout.read()}")
-        if time.time() > deadline:
-            proc.kill()
-            fail(f"{argv[0]} did not bind {waiting_for} within 60s")
-        time.sleep(0.05)
-    return proc
-
-
-def instance_payload() -> dict:
-    instance = hard_clique_graph(CLIQUES, DELTA, seed=GRAPH_SEED)
-    return {
-        "n": instance.n,
-        "edges": [list(edge) for edge in instance.network.edges()],
-        "delta": instance.delta,
-        "uids": list(instance.network.uids),
-    }
 
 
 async def run_workload(sock: str, *, attempts: int) -> tuple[list, dict]:
@@ -113,26 +65,13 @@ async def run_workload(sock: str, *, attempts: int) -> tuple[list, dict]:
         await client.close()
 
 
-def stop_clean(proc: subprocess.Popen, label: str, marker: str) -> None:
-    proc.send_signal(signal.SIGTERM)
-    try:
-        stdout, _ = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        fail(f"{label}: did not exit within 60s of SIGTERM")
-    if proc.returncode != 0:
-        fail(f"{label}: exit code {proc.returncode} after SIGTERM:\n{stdout}")
-    if marker not in stdout:
-        fail(f"{label}: no '{marker}' report on stdout:\n{stdout}")
-    ok(f"{label}: SIGTERM stopped cleanly (exit 0)")
-
-
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         server_sock = os.path.join(tmp, "server.sock")
         chaos_sock = os.path.join(tmp, "chaos.sock")
         server = start(
-            ["serve", "--unix", server_sock, "-j", "1"], server_sock
+            ["serve", "--unix", server_sock, "-j", "1"], server_sock,
+            polls=1200,
         )
         proxy = None
         try:
@@ -149,7 +88,7 @@ def main() -> int:
                  "--reset-probability", "0.05",
                  "--latency-ms", "1", "--latency-jitter-ms", "2",
                  "--chunk-bytes", "2048"],
-                chaos_sock,
+                chaos_sock, polls=1200,
             )
             chaotic, stats = asyncio.run(run_workload(chaos_sock, attempts=8))
 

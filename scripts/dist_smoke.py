@@ -35,27 +35,12 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+from _smoke import CLIQUES, DELTA, EPSILON, GRAPH_SEED, fail, ok, start
+from repro.runner import CampaignCell, run_campaign
+from repro.runner.remote import RemoteOptions
 
-from repro.runner import CampaignCell, run_campaign  # noqa: E402
-from repro.runner.remote import RemoteOptions  # noqa: E402
-
-EPSILON = 0.25
-CLIQUES, DELTA, GRAPH_SEED = 16, 8, 3
 METHODS = ("randomized", "deterministic")
 KILL_AFTER = 4  # completed cells before the victim shard dies
-
-
-def fail(message: str) -> None:
-    print(f"FAIL: {message}")
-    raise SystemExit(1)
-
-
-def ok(message: str) -> None:
-    print(f"ok: {message}")
 
 
 def cells(tag: str, seed_base: int) -> list[CampaignCell]:
@@ -76,28 +61,9 @@ def row_bytes(result) -> bytes:
 
 
 def start_shard(sock: str) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--unix", sock,
-         "-j", "1", "--idle-timeout", "300"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    return start(
+        ["serve", "--unix", sock, "-j", "1", "--idle-timeout", "300"], sock
     )
-    for _ in range(2400):  # 2400 x 50ms = a 120s startup budget
-        if proc.poll() is not None:
-            fail(f"shard exited early:\n{proc.stdout.read()}")
-        if os.path.exists(sock):
-            try:
-                probe = socket.socket(socket.AF_UNIX)
-                probe.connect(sock)
-                probe.close()
-                return proc
-            except OSError:
-                pass
-        time.sleep(0.05)
-    proc.kill()
-    fail(f"shard did not bind {sock} within 120s")
-    raise AssertionError  # unreachable; fail() raised
 
 
 OPTIONS = RemoteOptions(probe_interval_s=0.2, probe_timeout_s=1.0)

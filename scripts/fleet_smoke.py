@@ -27,60 +27,13 @@ import asyncio
 import json
 import os
 import signal
-import subprocess
 import sys
 import tempfile
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+from _smoke import EPSILON, fail, instance_payload, ok, start, stop_clean
+from repro.serve import ServeClient
 
-from repro.graphs import hard_clique_graph  # noqa: E402
-from repro.serve import ServeClient  # noqa: E402
-
-EPSILON = 0.25
-CLIQUES, DELTA, GRAPH_SEED = 16, 8, 3
 SEEDS = list(range(20))
-
-
-def fail(message: str) -> None:
-    print(f"FAIL: {message}")
-    raise SystemExit(1)
-
-
-def ok(message: str) -> None:
-    print(f"ok: {message}")
-
-
-def start(argv: list[str], sock: str) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
-    )
-    deadline = time.time() + 120
-    while not os.path.exists(sock):
-        if proc.poll() is not None:
-            fail(f"{argv[0]} exited early:\n{proc.stdout.read()}")
-        if time.time() > deadline:
-            proc.kill()
-            fail(f"{argv[0]} did not bind {sock} within 120s")
-        time.sleep(0.05)
-    return proc
-
-
-def instance_payload() -> dict:
-    instance = hard_clique_graph(CLIQUES, DELTA, seed=GRAPH_SEED)
-    return {
-        "n": instance.n,
-        "edges": [list(edge) for edge in instance.network.edges()],
-        "delta": instance.delta,
-        "uids": list(instance.network.uids),
-    }
 
 
 async def collect_results(sock: str, seeds: list[int]) -> dict[int, str]:
@@ -153,8 +106,7 @@ async def fleet_scenario(sock: str, baseline: dict[int, str]) -> None:
                 fail(f"replayed seed={seed} differs after the shard kill")
         ok("all 20 responses byte-identical with one shard dead")
 
-        deadline = time.time() + 60
-        while True:
+        for _ in range(300):  # 300 x 200ms = a 60s restart budget
             report = await client.request({"op": "fleet"})
             states = {
                 name: shard["state"]
@@ -162,9 +114,9 @@ async def fleet_scenario(sock: str, baseline: dict[int, str]) -> None:
             }
             if all(state == "ok" for state in states.values()):
                 break
-            if time.time() > deadline:
-                fail(f"shard was not restarted within 60s: {states}")
             await asyncio.sleep(0.2)
+        else:
+            fail(f"shard was not restarted within 60s: {states}")
         restarts = report["shards"][victim_label].get("restarts")
         if restarts != 1:
             fail(f"expected 1 restart for {victim_label}, got {restarts}")
@@ -189,20 +141,6 @@ async def fleet_scenario(sock: str, baseline: dict[int, str]) -> None:
         await client.close()
 
 
-def check_sigterm_drain(proc: subprocess.Popen, label: str) -> None:
-    proc.send_signal(signal.SIGTERM)
-    try:
-        stdout, _ = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        fail(f"{label}: did not exit within 60s of SIGTERM")
-    if proc.returncode != 0:
-        fail(f"{label}: exit code {proc.returncode} after SIGTERM:\n{stdout}")
-    if "drained" not in stdout:
-        fail(f"{label}: no drain report on stdout:\n{stdout}")
-    ok(f"{label}: SIGTERM drained gracefully (exit 0)")
-
-
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-fleet-smoke-") as tmp:
         baseline_sock = os.path.join(tmp, "baseline.sock")
@@ -215,7 +153,7 @@ def main() -> int:
             baseline_proc.kill()
             raise
         ok(f"single-server baseline collected ({len(SEEDS)} results)")
-        check_sigterm_drain(baseline_proc, "baseline server")
+        stop_clean(baseline_proc, "baseline server", "drained")
 
         router_sock = os.path.join(tmp, "router.sock")
         fleet_proc = start(
@@ -229,7 +167,7 @@ def main() -> int:
         except BaseException:
             fleet_proc.kill()
             raise
-        check_sigterm_drain(fleet_proc, "fleet")
+        stop_clean(fleet_proc, "fleet", "drained")
     print("fleet smoke check passed")
     return 0
 

@@ -21,63 +21,28 @@ from __future__ import annotations
 
 import asyncio
 import os
-import signal
-import subprocess
 import sys
 import tempfile
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
-
-from repro.constants import AlgorithmParameters  # noqa: E402
-from repro.core.deterministic import delta_color_deterministic  # noqa: E402
-from repro.graphs import hard_clique_graph  # noqa: E402
-from repro.serve import ServeClient  # noqa: E402
-
-EPSILON = 0.25
-CLIQUES, DELTA, GRAPH_SEED = 16, 8, 3
-
-
-def fail(message: str) -> None:
-    print(f"FAIL: {message}")
-    raise SystemExit(1)
+from _smoke import (
+    CLIQUES,
+    DELTA,
+    EPSILON,
+    GRAPH_SEED,
+    fail,
+    instance_payload,
+    ok,
+    start,
+    stop_clean,
+)
+from repro.constants import AlgorithmParameters
+from repro.core.deterministic import delta_color_deterministic
+from repro.graphs import hard_clique_graph
+from repro.serve import ServeClient
 
 
-def ok(message: str) -> None:
-    print(f"ok: {message}")
-
-
-def start_server(sock: str, *extra: str) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--unix", sock,
-         "-j", "1", *extra],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
-    )
-    deadline = time.time() + 60
-    while not os.path.exists(sock):
-        if proc.poll() is not None:
-            fail(f"server exited early:\n{proc.stdout.read()}")
-        if time.time() > deadline:
-            proc.kill()
-            fail("server did not bind its socket within 60s")
-        time.sleep(0.05)
-    return proc
-
-
-def instance_payload() -> dict:
-    instance = hard_clique_graph(CLIQUES, DELTA, seed=GRAPH_SEED)
-    return {
-        "n": instance.n,
-        "edges": [list(edge) for edge in instance.network.edges()],
-        "delta": instance.delta,
-        "uids": list(instance.network.uids),
-    }
+def start_server(sock: str, *extra: str):
+    return start(["serve", "--unix", sock, "-j", "1", *extra], sock, polls=1200)
 
 
 async def check_correctness_and_cache(sock: str) -> None:
@@ -154,20 +119,6 @@ async def check_shedding(sock: str) -> None:
         await client.close()
 
 
-def check_sigterm_drain(proc: subprocess.Popen, label: str) -> None:
-    proc.send_signal(signal.SIGTERM)
-    try:
-        stdout, _ = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        fail(f"{label}: server did not exit within 60s of SIGTERM")
-    if proc.returncode != 0:
-        fail(f"{label}: exit code {proc.returncode} after SIGTERM:\n{stdout}")
-    if "drained" not in stdout:
-        fail(f"{label}: no drain report on stdout:\n{stdout}")
-    ok(f"{label}: SIGTERM drained gracefully (exit 0)")
-
-
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
         sock_a = os.path.join(tmp, "a.sock")
@@ -177,7 +128,7 @@ def main() -> int:
         except BaseException:
             server_a.kill()
             raise
-        check_sigterm_drain(server_a, "main server")
+        stop_clean(server_a, "main server", "drained")
 
         sock_b = os.path.join(tmp, "b.sock")
         server_b = start_server(
@@ -189,7 +140,7 @@ def main() -> int:
         except BaseException:
             server_b.kill()
             raise
-        check_sigterm_drain(server_b, "overload server")
+        stop_clean(server_b, "overload server", "drained")
     print("serving smoke check passed")
     return 0
 

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import sys
 from functools import partial
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import __version__, delta_color
 from repro.acd import compute_acd
@@ -91,12 +91,12 @@ def _add_knobs(parser: argparse.ArgumentParser, config: str) -> None:
         )
 
 
-def _knob_config(config: type, args: argparse.Namespace, **values: Any):
-    """Build ``config`` from its knob flags in ``args`` plus ``values``."""
+def _knob_config(config: type, args: argparse.Namespace):
+    """Build ``config`` from its knob flags in ``args``."""
     return config(**{
         item.name: getattr(args, item.metadata["dest"])
         for item in _knob_fields(config)
-    }, **values)
+    })
 
 
 def _chaosproxy_arguments(parser: argparse.ArgumentParser) -> None:
@@ -673,142 +673,127 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
+def _run_tier(
+    tier: Any, banner: Callable[[], str], farewell: Callable[[], str]
+) -> int:
+    """Run a long-running tier of ``repro.serve`` until it stops.
 
-    from repro.serve import ColoringServer, ServeConfig
-
-    config = _knob_config(ServeConfig, args, handle_signals=True)
-
-    async def _serve() -> int:
-        server = ColoringServer(config)
-        await server.start()
-        print(
-            f"serving on {server.address} (jobs={config.jobs}, "
-            f"max_batch={config.max_batch}, linger={config.linger_ms}ms, "
-            f"max_queue={config.max_queue})",
-            flush=True,
-        )
-        try:
-            await server.wait_stopped()
-        finally:
-            await server.close()
-        print(
-            f"drained after {server.admission.admitted_total} requests "
-            f"({server.admission.shed_total} shed)",
-            flush=True,
-        )
-        return 0
-
-    return asyncio.run(_serve())
-
-
-def _cmd_chaosproxy(args: argparse.Namespace) -> int:
+    Start it, route SIGTERM/SIGINT to its ``shutdown()``, print the
+    banner, wait until it stops, close it and print the farewell.  The
+    loop of ``asyncio.run`` removes the signal handlers when it closes.
+    """
     import asyncio
     import signal
 
-    from repro.serve import ChaosPlan, Endpoint, run_chaos_proxy
+    async def run() -> None:
+        await tier.start()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, tier.shutdown)
+        print(banner(), flush=True)
+        try:
+            await tier.wait_stopped()
+        finally:
+            await tier.close()
+        print(farewell(), flush=True)
+
+    asyncio.run(run())
+    return 0
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serve import ColoringServer, ServeConfig
+
+    config = _knob_config(ServeConfig, args)
+    server = ColoringServer(config)
+    return _run_tier(
+        server,
+        lambda: (
+            f"serving on {server.address} (jobs={config.jobs}, "
+            f"max_batch={config.max_batch}, linger={config.linger_ms}ms, "
+            f"max_queue={config.max_queue})"
+        ),
+        lambda: (
+            f"drained after {server.admission.admitted_total} requests "
+            f"({server.admission.shed_total} shed)"
+        ),
+    )
+
+
+def _cmd_chaosproxy(args: argparse.Namespace) -> int:
+    from repro.serve import ChaosPlan, ChaosProxy, Endpoint
 
     plan = _knob_config(ChaosPlan, args)
     upstream = Endpoint.parse(args.upstream)
+    proxy = ChaosProxy(
+        plan, upstream, host=args.host, port=args.port, unix_path=args.unix
+    )
 
-    async def _run() -> int:
-        loop = asyncio.get_running_loop()
-        holder: list = []
-
-        def ready(proxy) -> None:
-            holder.append(proxy)
-            print(
-                f"chaos proxy on {proxy.address} -> {upstream.label} "
-                f"(seed={plan.seed})",
-                flush=True,
-            )
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(signum, proxy.stop)
-
-        proxy = await run_chaos_proxy(
-            plan, upstream,
-            host=args.host, port=args.port, unix_path=args.unix,
-            ready=ready,
-        )
+    def farewell() -> str:
         summary = proxy.summary()
         if args.json:
-            print(json.dumps(summary, indent=1))
-        else:
-            print(
-                f"chaos proxy stopped: {summary['connections']} connections "
-                f"({summary['blackholed']} blackholed), "
-                f"{summary['resets']} resets, "
-                f"{summary['truncations']} truncations, "
-                f"{summary['bytes_forwarded']} bytes forwarded",
-                flush=True,
-            )
-        return 0
+            return json.dumps(summary, indent=1)
+        return (
+            f"chaos proxy stopped: {summary['connections']} connections "
+            f"({summary['blackholed']} blackholed), "
+            f"{summary['resets']} resets, "
+            f"{summary['truncations']} truncations, "
+            f"{summary['bytes_forwarded']} bytes forwarded"
+        )
 
-    return asyncio.run(_run())
+    return _run_tier(
+        proxy,
+        lambda: (
+            f"chaos proxy on {proxy.address} -> {upstream.label} "
+            f"(seed={plan.seed})"
+        ),
+        farewell,
+    )
 
 
 def _cmd_router(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.serve import FleetRouter, RouterConfig
 
-    config = _knob_config(RouterConfig, args, handle_signals=True)
-
-    async def _run() -> int:
-        router = FleetRouter(config)
-        await router.start()
-        print(
+    config = _knob_config(RouterConfig, args)
+    router = FleetRouter(config)
+    return _run_tier(
+        router,
+        lambda: (
             f"routing on {router.address} over {len(config.shards)} "
             f"shard(s) (vnodes={config.vnodes}, "
-            f"ring_seed={config.ring_seed})",
-            flush=True,
-        )
-        try:
-            await router.wait_stopped()
-        finally:
-            await router.close()
-        print(
+            f"ring_seed={config.ring_seed})"
+        ),
+        lambda: (
             f"router drained after {router.admission.admitted_total} "
             f"requests ({router.rerouted} rerouted, "
-            f"{router.admission.shed_total} shed)",
-            flush=True,
-        )
-        return 0
-
-    return asyncio.run(_run())
+            f"{router.admission.shed_total} shed)"
+        ),
+    )
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.serve import FleetConfig, FleetSupervisor
 
-    config = _knob_config(FleetConfig, args, handle_signals=True)
+    config = _knob_config(FleetConfig, args)
+    supervisor = FleetSupervisor(config)
 
-    async def _run() -> int:
-        supervisor = FleetSupervisor(config)
-        await supervisor.start()
-        print(
-            f"fleet of {config.shards} shard(s) routing on "
-            f"{supervisor.address} (runtime {supervisor.runtime_dir}, "
-            f"cache {supervisor.cache_dir or 'off'})",
-            flush=True,
-        )
-        try:
-            await supervisor.wait_stopped()
-        finally:
-            await supervisor.close()
+    def farewell() -> str:
         summary = supervisor.summary()
-        print(
+        return (
             f"fleet drained after {summary['served']} requests "
             f"({summary['rerouted']} rerouted, {summary['shed']} shed, "
-            f"restarts {summary['restarts']})",
-            flush=True,
+            f"restarts {summary['restarts']})"
         )
-        return 0
 
-    return asyncio.run(_run())
+    return _run_tier(
+        supervisor,
+        lambda: (
+            f"fleet of {config.shards} shard(s) routing on "
+            f"{supervisor.address} (runtime {supervisor.runtime_dir}, "
+            f"cache {supervisor.cache_dir or 'off'})"
+        ),
+        farewell,
+    )
 
 
 _COMMANDS = {

@@ -491,7 +491,9 @@ def run_campaign(
         journal.flush()
         os.fsync(journal.fileno())
 
-    def partial_result() -> CampaignResult:
+    remote_stats: dict[str, Any] | None = None
+
+    def result() -> CampaignResult:
         return CampaignResult(
             rows=[row for row in rows if row is not None],
             cells=list(resolved),
@@ -499,6 +501,7 @@ def run_campaign(
             elapsed_seconds=time.perf_counter() - started,
             failures=failures,
             resumed=len(replayed),
+            remote_stats=remote_stats,
         )
 
     def finish(index: int, error: BaseException | None, row,
@@ -523,7 +526,6 @@ def run_campaign(
         if report:
             report(done_count, total, resolved[index].label)
 
-    remote_stats: dict[str, Any] | None = None
     try:
         if not pending:
             pass
@@ -560,21 +562,12 @@ def run_campaign(
         raise CampaignInterrupted(
             f"campaign interrupted after {done_count}/{total} cells"
             + (f" (journal: {journal_path})" if journal_path else ""),
-            partial=partial_result(),
+            partial=result(),
         ) from None
     finally:
         if journal is not None:
             journal.close()
-
-    return CampaignResult(
-        rows=[row for row in rows if row is not None],
-        cells=list(resolved),
-        jobs=max(1, jobs),
-        elapsed_seconds=time.perf_counter() - started,
-        failures=failures,
-        resumed=len(replayed),
-        remote_stats=remote_stats,
-    )
+    return result()
 
 
 def _run_pool(
@@ -786,12 +779,3 @@ def _grid_label(assignment: dict[str, Any]) -> str:
         if name in assignment
     ]
     return " ".join(parts) or "cell"
-
-
-def load_spec(path: str | Path) -> dict[str, Any]:
-    """Read a campaign spec JSON file."""
-    return json.loads(Path(path).read_text())
-
-
-def cells_from_file(path: str | Path) -> list[CampaignCell]:
-    return cells_from_spec(load_spec(path))

@@ -33,7 +33,6 @@ from repro.serve.chaos import (
     ChunkFault,
     chunk_fault,
     fault_schedule,
-    run_chaos_proxy,
 )
 from repro.serve.client import (
     RETRY_SAFE_OPS,
@@ -98,5 +97,4 @@ __all__ = [
     "normalize_instance_payload",
     "parse_color_request",
     "parse_request",
-    "run_chaos_proxy",
 ]

@@ -50,7 +50,6 @@ __all__ = [
     "ChunkFault",
     "chunk_fault",
     "fault_schedule",
-    "run_chaos_proxy",
 ]
 
 #: Directions a proxied connection pumps bytes in.
@@ -298,25 +297,3 @@ class ChaosProxy(Listener):
                 self.bytes_forwarded += len(data)
         except (ConnectionError, OSError):
             return
-
-
-async def run_chaos_proxy(
-    plan: ChaosPlan,
-    upstream: Endpoint,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    unix_path: str | None = None,
-    ready: Any = None,
-) -> ChaosProxy:
-    """CLI entry: start, run until stopped, tear down, return the proxy
-    (its ``summary()`` carries the fault counts)."""
-    proxy = ChaosProxy(plan, upstream, host=host, port=port, unix_path=unix_path)
-    await proxy.start()
-    if ready is not None:
-        ready(proxy)
-    try:
-        await proxy.wait_stopped()
-    finally:
-        await proxy.close()
-    return proxy

@@ -18,8 +18,7 @@ campaign backend needs on top of a :class:`ServeClient` connection:
 * **seeded-jitter exponential backoff** — the retry schedule is a pure
   function of ``(RetryPolicy.seed, call index)``, so two runs with the
   same seed retry at identical offsets (asserted in tests);
-* **a latency EWMA** — the router's ``fleet`` op reports it and the
-  remote executor ranks backends by it;
+* **a latency EWMA** — the router's ``fleet`` op reports it;
 * **endpoint health** — ``status`` is ``ok``, ``draining`` or
   ``down`` (:meth:`~ResilientClient.probe`), the endpoint's only health
   state: callers send work to ``ok`` endpoints only, so a ``down`` one
@@ -29,7 +28,7 @@ campaign backend needs on top of a :class:`ServeClient` connection:
   (:meth:`~ResilientClient.request_hashed`).
 
 Choosing *between* endpoints is the caller's job: the router walks its
-hash ring, the remote executor ranks its backends.
+hash ring, the remote executor runs workers per backend.
 
 Retry safety.  A retry is only ever issued for outcomes that cannot
 duplicate side effects: connect failures (nothing was written), ``shed``
@@ -474,8 +473,8 @@ class ResilientClient:
         self.status = "down"
 
     def note_answer(self) -> None:
-        """Count an answer (a caller's own health check included): the
-        failure count restarts and a ``down`` endpoint is back."""
+        """Count an answer: the failure count restarts and a ``down``
+        endpoint is back."""
         self._failures = 0
         if self.status == "down":
             self.status = "ok"

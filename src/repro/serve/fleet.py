@@ -6,22 +6,26 @@ serve`` subprocesses — one UNIX socket each, all pointed at one shared
 ``cache_dir`` — then runs a :class:`~repro.serve.router.FleetRouter`
 in-process as the front tier, and babysits the lot:
 
-* **Liveness.**  A monitor loop polls each shard.  A crashed shard is
-  removed from the ring immediately (clients re-route to the next ring
-  owner), respawned after a deterministic backoff, and re-added to the
-  ring once it answers ``health`` — same socket path ⇒ same ring label
-  ⇒ exactly its old slots.  Per-shard restart counts are capped so a
-  crash-looping shard degrades the fleet instead of wedging it.
+* **Liveness.**  A monitor loop polls each shard process.  A crashed
+  shard is removed from the ring immediately (clients re-route to the
+  next ring owner), respawned after a deterministic backoff, and back
+  in the ring once the router's probe reads it ``ok`` — same socket
+  path ⇒ same ring label ⇒ exactly its old slots.  Per-shard restart
+  counts are capped so a crash-looping shard degrades the fleet
+  instead of wedging it.
 * **Shared cache.**  Every shard gets ``--cache-dir`` pointing at the
   same directory; the atomic-rename write discipline in
   :mod:`repro.serve.cache` makes concurrent writers safe, so a result
   computed by one shard is a disk hit for every other — including a
   shard that just restarted with a cold in-memory cache.
-* **Drain.**  SIGTERM cascades in reverse dependency order: the router
-  stops admitting and finishes its in-flight requests, then each shard
-  is SIGTERMed (newest first) and given ``drain_timeout_s`` to run its
-  own graceful drain before SIGKILL.  Front first, backends last — no
-  request admitted by the router ever finds its shard already gone.
+* **Drain.**  :meth:`~FleetSupervisor.shutdown` (the CLI's SIGTERM)
+  ends :meth:`~FleetSupervisor.wait_stopped`, and
+  :meth:`~FleetSupervisor.close` cascades in reverse dependency order:
+  the router stops admitting and finishes its in-flight requests, then
+  each shard is SIGTERMed (newest first) and given ``drain_timeout_s``
+  to run its own graceful drain before SIGKILL.  Front first, backends
+  last — no request admitted by the router ever finds its shard
+  already gone.
 """
 
 from __future__ import annotations
@@ -37,12 +41,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ReproError
-from repro.serve.client import ServeClient
-from repro.serve.frontend import (
-    add_signal_handlers,
-    cancel_task,
-    remove_signal_handlers,
-)
+from repro.serve.frontend import cancel_task
 from repro.serve.knobs import (
     check_knobs,
     knob,
@@ -59,6 +58,10 @@ __all__ = ["FleetConfig", "FleetSupervisor"]
 
 #: How long a (re)spawned shard may take to answer ``health``.
 STARTUP_TIMEOUT_S = 30.0
+#: How often the monitor looks for exited shard processes.
+MONITOR_INTERVAL_S = 0.2
+#: Backoff before a shard's n-th restart: n times this.
+RESTART_BACKOFF_S = 0.5
 
 _serve_knob = partial(reuse, ServeConfig)
 _router_knob = partial(reuse, RouterConfig)
@@ -114,14 +117,11 @@ class FleetConfig:
         help="graceful-drain budget per tier before SIGKILL "
              "(default %(default)ss)",
     )
-    monitor_interval_s: float = 0.2
-    restart_backoff_s: float = 0.5
     max_restarts: int = knob(
         5, "--max-restarts", ge=0,
         help="restart budget per shard before it stays down "
              "(default %(default)s)",
     )
-    handle_signals: bool = False
 
     def __post_init__(self) -> None:
         check_knobs(self)
@@ -168,8 +168,6 @@ class FleetSupervisor:
             shards=tuple(self._shard_label(i) for i in range(config.shards)),
         ))
         self._monitor_task: asyncio.Task | None = None
-        self._signal_task: asyncio.Task | None = None
-        self._stopping = False
 
     # -- shard processes -----------------------------------------------
 
@@ -207,27 +205,19 @@ class FleetSupervisor:
             restarts=self.restarts[index],
         )
 
-    async def _wait_shard_healthy(self, index: int, timeout_s: float) -> bool:
-        """Poll the shard's socket until ``health`` answers ok."""
+    async def _healthy(self, index: int) -> bool:
+        """Probe every 50 ms until the router reads the shard ``ok``
+        (which puts it in the ring); False once its process exits or
+        :data:`STARTUP_TIMEOUT_S` passes."""
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout_s
-        sock = str(self._sockets[index])
+        deadline = loop.time() + STARTUP_TIMEOUT_S
+        label = self._shard_label(index)
         while loop.time() < deadline:
             proc = self._procs[index]
             if proc is None or proc.returncode is not None:
                 return False
-            client = ServeClient(unix_path=sock)
-            try:
-                await client.connect()
-                response = await asyncio.wait_for(
-                    client.request({"op": "health"}), 2.0
-                )
-                if response.get("ok"):
-                    return True
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                pass
-            finally:
-                await client.close()
+            if (await self.router.probe_once())[label] == "ok":
+                return True
             await asyncio.sleep(0.05)
         return False
 
@@ -238,9 +228,12 @@ class FleetSupervisor:
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         for index in range(self.config.shards):
+            # Down until a probe answers: a client starts out ``ok``.
+            self.router.mark_down(self._shard_label(index))
             await self._spawn_shard(index)
         for index in range(self.config.shards):
-            if not await self._wait_shard_healthy(index, STARTUP_TIMEOUT_S):
+            if not await self._healthy(index):
+                await self.router.close()
                 await self._shutdown_shards()
                 raise ReproError(
                     f"shard {index} did not become healthy within "
@@ -251,23 +244,13 @@ class FleetSupervisor:
         self._monitor_task = asyncio.get_running_loop().create_task(
             self._monitor_loop()
         )
-        if self.config.handle_signals:
-            add_signal_handlers(self._on_signal)
 
     @property
     def address(self) -> str:
         return self.router.address
 
-    def _on_signal(self) -> None:
-        # Retain the task handle (the loop's reference is weak) and
-        # make repeat signals during an in-flight drain a no-op.
-        if not self._stopping and self._signal_task is None:
-            self._signal_task = asyncio.get_running_loop().create_task(
-                self._signal_stop()
-            )
-
-    async def _signal_stop(self) -> None:
-        await self._drain_router()
+    def shutdown(self) -> None:
+        """End :meth:`wait_stopped`; :meth:`close` drains the router."""
         self.router.stop()
 
     async def _drain_router(self) -> None:
@@ -286,7 +269,7 @@ class FleetSupervisor:
 
     async def _monitor_loop(self) -> None:
         while True:
-            await asyncio.sleep(self.config.monitor_interval_s)
+            await asyncio.sleep(MONITOR_INTERVAL_S)
             for index in range(self.config.shards):
                 proc = self._procs[index]
                 if proc is None or proc.returncode is None:
@@ -296,12 +279,9 @@ class FleetSupervisor:
                 if self.restarts[index] >= self.config.max_restarts:
                     continue  # crash loop: leave it down, fleet degrades
                 self.restarts[index] += 1
-                await asyncio.sleep(
-                    self.config.restart_backoff_s * self.restarts[index]
-                )
+                await asyncio.sleep(RESTART_BACKOFF_S * self.restarts[index])
                 await self._spawn_shard(index)
-                if await self._wait_shard_healthy(index, STARTUP_TIMEOUT_S):
-                    self.router.mark_up(label)
+                await self._healthy(index)
 
     async def _shutdown_shards(self) -> None:
         """SIGTERM each live shard in reverse order; SIGKILL laggards."""
@@ -323,13 +303,8 @@ class FleetSupervisor:
 
     async def close(self) -> None:
         """Cascade drain: router first, then shards in reverse order."""
-        self._stopping = True
-        await cancel_task(self._signal_task)
-        self._signal_task = None
         await cancel_task(self._monitor_task)
         self._monitor_task = None
-        if self.config.handle_signals:
-            remove_signal_handlers()
         await self._drain_router()
         await self.router.close()
         await self._shutdown_shards()

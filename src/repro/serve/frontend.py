@@ -1,8 +1,8 @@
 """The serving tiers' front end: one listener, one NDJSON connection layer.
 
 :class:`Listener` binds a TCP or UNIX stream server and owns its
-lifecycle: ``await start()``, read ``address``/``port``, ``stop()`` or
-``await wait_stopped()``, ``await close()``.  The chaos proxy
+lifecycle: ``await start()``, read ``address``/``port``, ``shutdown()``
+or ``await wait_stopped()``, ``await close()``.  The chaos proxy
 (:mod:`repro.serve.chaos`) uses it bare, with its own byte-level
 connection handler.
 
@@ -10,8 +10,9 @@ connection handler.
 one task per connection reads request lines
 (:mod:`repro.serve.protocol`) under the idle timeout, answers an
 oversized line, a malformed one and the ``drain`` op itself, and
-writes every answer under one lock per connection.  SIGTERM/SIGINT
-start the same drain.  :class:`~repro.serve.server.ColoringServer` and
+writes every answer under one lock per connection.  ``shutdown()`` (the
+CLI's SIGTERM/SIGINT) starts the same drain.
+:class:`~repro.serve.server.ColoringServer` and
 :class:`~repro.serve.router.FleetRouter` supply only their op handlers
 (:meth:`NdjsonFrontEnd._answer`), so both tiers behave the same at the
 wire for everything that is not an op.
@@ -20,7 +21,6 @@ wire for everything that is not an op.
 from __future__ import annotations
 
 import asyncio
-import signal
 from functools import partial
 from typing import Any, Awaitable, Callable, Coroutine
 
@@ -39,15 +39,11 @@ __all__ = [
     "Listener",
     "NdjsonFrontEnd",
     "Reply",
-    "add_signal_handlers",
     "cancel_task",
-    "remove_signal_handlers",
 ]
 
 #: Default slowloris bound for TCP listeners (UNIX sockets default off).
 DEFAULT_IDLE_TIMEOUT_S = 60.0
-
-_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 #: Writes one response body to the requesting connection.
 Reply = Callable[[dict[str, Any]], Awaitable[None]]
@@ -62,23 +58,6 @@ async def cancel_task(task: asyncio.Task[Any] | None) -> None:
         await task
     except asyncio.CancelledError:
         pass
-
-
-def add_signal_handlers(callback: Callable[[], None]) -> None:
-    """Call ``callback`` on SIGTERM and SIGINT."""
-    loop = asyncio.get_running_loop()
-    for signum in _SIGNALS:
-        loop.add_signal_handler(signum, callback)
-
-
-def remove_signal_handlers() -> None:
-    """Undo :func:`add_signal_handlers` (a no-op where there are none)."""
-    loop = asyncio.get_running_loop()
-    for signum in _SIGNALS:
-        try:
-            loop.remove_signal_handler(signum)
-        except (NotImplementedError, RuntimeError):
-            pass
 
 
 class FrontEndConfig:
@@ -96,7 +75,6 @@ class FrontEndConfig:
     #: and is closed; one *waiting* for in-flight responses is never
     #: reaped.  ``None`` resolves per transport (TCP is internet-facing).
     idle_timeout_s: float | None
-    handle_signals: bool
 
     @property
     def resolved_idle_timeout(self) -> float | None:
@@ -184,6 +162,10 @@ class Listener:
         if self._stopped is not None:
             self._stopped.set()
 
+    def shutdown(self) -> None:
+        """Begin stopping (the CLI calls it on SIGTERM/SIGINT)."""
+        self.stop()
+
     async def _settle(self) -> None:
         """Finish the accepted work, before its connections close."""
 
@@ -220,7 +202,7 @@ class NdjsonFrontEnd(Listener):
 
     A subclass answers the ops (:meth:`_answer`); this class reads the
     lines, refuses malformed ones, answers ``drain`` and drains on
-    SIGTERM/SIGINT when ``config.handle_signals`` is set.
+    :meth:`shutdown`.
     """
 
     limit = MAX_LINE_BYTES
@@ -253,12 +235,8 @@ class NdjsonFrontEnd(Listener):
     async def start(self) -> None:
         self._started_at = asyncio.get_running_loop().time()
         await super().start()
-        if self.config.handle_signals:
-            add_signal_handlers(self._on_signal)
 
     async def close(self) -> None:
-        if self.config.handle_signals:
-            remove_signal_handlers()
         await cancel_task(self._drain_task)
         self._drain_task = None
         await super().close()
@@ -270,7 +248,7 @@ class NdjsonFrontEnd(Listener):
 
     # -- drain ---------------------------------------------------------
 
-    def _on_signal(self) -> None:
+    def shutdown(self) -> None:
         # Retain the task handle: the event loop only holds a weak
         # reference, so a bare create_task could be garbage-collected
         # mid-drain.  The None guard also makes a second signal during

@@ -40,7 +40,7 @@ counters.  A campaign's remote executor may use a router as its one
 backend: its cells are ``color`` requests by hash.  ``drain`` drains the *router* (stop
 admitting, finish in-flight); shard drain is the supervisor's job
 (:mod:`repro.serve.fleet`), cascaded in reverse order.  The connection
-layer, ``drain`` and the signal drain are the server's
+layer, ``drain`` and the shutdown drain are the server's
 (:class:`repro.serve.frontend.NdjsonFrontEnd`).
 """
 
@@ -228,7 +228,6 @@ class RouterConfig(FrontEndConfig):
              f"{DEFAULT_IDLE_TIMEOUT_S:g}s on TCP, off on UNIX sockets; "
              "0 disables)",
     )
-    handle_signals: bool = False
 
     def __post_init__(self) -> None:
         self.shards = tuple(self.shards or ())
@@ -315,11 +314,6 @@ class FleetRouter(NdjsonFrontEnd):
     def mark_down(self, label: str) -> None:
         """Remove a shard from the ring (crash or supervisor notice)."""
         self._shards[label].client.mark_down()
-        self._sync_ring(label)
-
-    def mark_up(self, label: str) -> None:
-        """Re-register a recovered shard: same label ⇒ identical slots."""
-        self._shards[label].client.note_answer()
         self._sync_ring(label)
 
     def _sync_ring(self, label: str) -> None:

@@ -91,6 +91,13 @@ from repro.serve.protocol import (
 
 __all__ = ["ColoringServer", "ServeConfig", "execute_batch"]
 
+#: Instances a server remembers for hash-only requests.
+REGISTRY_SIZE = 64
+#: Pool rebuilds one batch may ride out after worker crashes.
+DISPATCH_RETRIES = 1
+#: Backoff before the first pool rebuild (doubled per rebuild after).
+POOL_BACKOFF_S = 0.05
+
 
 # ----------------------------------------------------------------------
 # Worker side: executes one micro-batch in a subprocess.
@@ -310,10 +317,6 @@ class ServeConfig(FrontEndConfig):
              f"bound (slowloris defense; default: {DEFAULT_IDLE_TIMEOUT_S:g}s "
              "on TCP, off on UNIX sockets; 0 disables)",
     )
-    registry_size: int = 64
-    dispatch_retries: int = 1
-    backoff: float = 0.05
-    handle_signals: bool = False
     batch_runner: Callable[..., list[dict[str, Any]]] = execute_batch
 
     def __post_init__(self) -> None:
@@ -336,7 +339,7 @@ class ColoringServer(NdjsonFrontEnd):
             disk_dir=config.cache_dir,
             disk_max_bytes=config.cache_max_bytes,
         )
-        self.registry = InstanceRegistry(config.registry_size)
+        self.registry = InstanceRegistry(REGISTRY_SIZE)
         self.batcher = MicroBatcher(
             dispatch=self._dispatch,
             max_batch=config.max_batch,
@@ -358,7 +361,7 @@ class ColoringServer(NdjsonFrontEnd):
         self._previous_collector = active_collector()
         install(self.collector)
         if self.config.jobs > 0:
-            self.pool = WorkerPool(self.config.jobs, backoff=self.config.backoff)
+            self.pool = WorkerPool(self.config.jobs, backoff=POOL_BACKOFF_S)
         self.batcher.start()
         await super().start()
 
@@ -697,7 +700,7 @@ class ColoringServer(NdjsonFrontEnd):
             except BrokenProcessPool:
                 self.pool_rebuilds += 1
                 self._metrics.count("serve.pool_rebuild")
-                if attempts >= self.config.dispatch_retries:
+                if attempts >= DISPATCH_RETRIES:
                     raise
                 attempts += 1
                 # rebuild() sleeps its backoff; keep the loop responsive.

@@ -912,6 +912,7 @@ class TestPreparedInstances:
         from repro.serve.cache import PreparedCache
 
         monkeypatch.setattr(server_module, "_PREPARED", PreparedCache())
+        monkeypatch.setattr(server_module, "REGISTRY_SIZE", 1)
         graphs = [hard_clique_graph(16, 8, seed=seed) for seed in (3, 4)]
         params = AlgorithmParameters(epsilon=EPSILON)
         direct = [
@@ -929,7 +930,7 @@ class TestPreparedInstances:
         ]
 
         async def scenario():
-            async with serving(tmp_path, registry_size=1) as (server, client):
+            async with serving(tmp_path) as (server, client):
                 for round_index in range(4):
                     which = round_index % 2
                     response = await client.request({
@@ -1239,7 +1240,7 @@ class TestServerOverload:
     def test_sigterm_style_drain_stops_the_server(self, tmp_path):
         async def scenario():
             async with serving(tmp_path) as (server, _):
-                server._on_signal()
+                server.shutdown()
                 await asyncio.wait_for(server.wait_stopped(), 2)
                 assert server.admission.draining
 
@@ -1252,10 +1253,10 @@ class TestServerOverload:
         # drain is in flight must not spawn a second drain task.
         async def scenario():
             async with serving(tmp_path) as (server, _):
-                server._on_signal()
+                server.shutdown()
                 first = server._drain_task
                 assert first is not None
-                server._on_signal()
+                server.shutdown()
                 assert server._drain_task is first
                 await asyncio.wait_for(server.wait_stopped(), 2)
 
@@ -1269,10 +1270,16 @@ def crashing_runner(specs, instances, registered):
 
 
 class TestCrashIsolation:
-    def test_worker_crash_fails_request_not_server(self, tmp_path, payload):
+    def test_worker_crash_fails_request_not_server(
+        self, monkeypatch, tmp_path, payload
+    ):
+        import repro.serve.server as server_module
+
+        monkeypatch.setattr(server_module, "POOL_BACKOFF_S", 0.0)
+
         async def scenario():
             async with serving(
-                tmp_path, jobs=1, backoff=0.0, dispatch_retries=1,
+                tmp_path, jobs=1,
                 batch_runner=crashing_runner, cache_size=0,
             ) as (server, client):
                 registered = await client.request(

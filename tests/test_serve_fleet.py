@@ -327,12 +327,13 @@ class TestRouterEndToEnd:
 
         asyncio.run(scenario())
 
-    def test_restarted_shard_serves_its_next_key_after_mark_up(
+    def test_restarted_shard_serves_its_next_key_after_a_probe(
         self, tmp_path, payload
     ):
         # The supervisor's path: probes take a dead shard out, it comes
-        # back on the same socket, mark_up puts it in the ring.  The
-        # failed probes leave nothing behind that refuses its next key.
+        # back on the same socket, a probe's ok puts it in the ring.
+        # The failed probes leave nothing behind that refuses its next
+        # key.
         async def scenario():
             async with routed(tmp_path) as (router, servers, client):
                 registered = await client.request(
@@ -347,7 +348,7 @@ class TestRouterEndToEnd:
                     jobs=0, linger_ms=1.0,
                 ))
                 await servers[0].start()
-                router.mark_up(label)
+                assert (await router.probe_once())[label] == "ok"
                 assert label in router.ring
                 (seed,) = seeds_owned_by(
                     router, registered["instance_hash"], label
@@ -504,10 +505,15 @@ class TestRouterEndToEnd:
 
         asyncio.run(scenario())
 
-    def test_inline_colors_survive_a_shard_registry_of_one(self, tmp_path):
+    def test_inline_colors_survive_a_shard_registry_of_one(
+        self, monkeypatch, tmp_path
+    ):
         # Interleaved inline requests for different graphs evict each
         # other from the shard's one-slot registry; each must still be
         # answered, as a shard answers an inline request directly.
+        import repro.serve.server as server_module
+
+        monkeypatch.setattr(server_module, "REGISTRY_SIZE", 1)
         payloads = []
         for seed in (3, 4, 5):
             graph = hard_clique_graph(16, 8, seed=seed)
@@ -521,9 +527,7 @@ class TestRouterEndToEnd:
         assert len(set(hashes)) == len(hashes)
 
         async def scenario():
-            async with routed(
-                tmp_path, shards=1, per_shard={0: {"registry_size": 1}}
-            ) as (router, servers, client):
+            async with routed(tmp_path, shards=1) as (router, servers, client):
                 requests = [
                     {
                         "id": f"{index}-{seed}", "op": "color",
@@ -832,10 +836,10 @@ class TestRouterEndToEnd:
         # during an in-flight drain must not spawn a second task.
         async def scenario():
             async with routed(tmp_path) as (router, _servers, _client):
-                router._on_signal()
+                router.shutdown()
                 first = router._drain_task
                 assert first is not None
-                router._on_signal()
+                router.shutdown()
                 assert router._drain_task is first
                 await asyncio.wait_for(router.wait_stopped(), 2.0)
 
@@ -948,31 +952,6 @@ class TestFleetConfig:
         )
 
 
-class TestFleetSignal:
-    def test_signal_stop_task_is_retained_and_deduplicated(self, tmp_path):
-        # Regression: same weak-reference hazard as the server/router
-        # drain tasks — the supervisor must keep the handle and treat a
-        # repeat signal during the stop cascade as a no-op.  Exercised
-        # without subprocesses: _signal_stop only drains the router's
-        # admission controller, which works pre-start.
-        async def scenario():
-            config = FleetConfig(
-                shards=1,
-                unix_path=str(tmp_path / "router.sock"),
-                runtime_dir=str(tmp_path / "rt"),
-                cache_dir="",
-            )
-            supervisor = FleetSupervisor(config)
-            supervisor._on_signal()
-            first = supervisor._signal_task
-            assert first is not None
-            supervisor._on_signal()
-            assert supervisor._signal_task is first
-            await asyncio.wait_for(first, 2.0)
-
-        asyncio.run(scenario())
-
-
 # ----------------------------------------------------------------------
 # The real thing: supervisor + subprocess shards
 # ----------------------------------------------------------------------
@@ -980,8 +959,13 @@ class TestFleetSignal:
 
 class TestFleetSubprocess:
     def test_kill_reroute_restart_heal_and_cascade_drain(
-        self, tmp_path, payload
+        self, monkeypatch, tmp_path, payload
     ):
+        import repro.serve.fleet as fleet_module
+
+        monkeypatch.setattr(fleet_module, "MONITOR_INTERVAL_S", 0.05)
+        monkeypatch.setattr(fleet_module, "RESTART_BACKOFF_S", 0.05)
+
         async def scenario():
             config = FleetConfig(
                 shards=2,
@@ -992,8 +976,6 @@ class TestFleetSubprocess:
                 # answers, the supervisor's monitor and the fleet op's
                 # probes, so nothing races the reroute below.
                 probe_interval_s=0,
-                monitor_interval_s=0.05,
-                restart_backoff_s=0.05,
             )
             supervisor = FleetSupervisor(config)
             await supervisor.start()
