@@ -25,10 +25,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def spawn(*argv: str) -> subprocess.Popen:
+    """Start a command in its own process group, which the test kills
+    whole: a fleet that dies without its handler orphans its shards."""
     return subprocess.Popen(
         [sys.executable, "-m", "repro", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
+        start_new_session=True,
     )
 
 
@@ -83,6 +86,8 @@ def test_sigterm_twice_exits_zero_with_the_farewell(tmp_path, command):
             assert "drained after" in stop(procs[0])
     finally:
         for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()
